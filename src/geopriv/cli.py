@@ -6,12 +6,14 @@ passed as ``--config``; explicit flags win over the file.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import click
 
 from . import experiment, ingest
+from .core import Dataset
 from .features import FeatureStore, generate_synthetic_features
 from .mechanism import PrivacyLevel, derive_seed
 from .metrics import reidentification_rate
@@ -141,12 +143,13 @@ def ingest_cmd(fmt: str, input_path: str, output_path: str, filter_days: int | N
         dataset = ingest.parse_sfcabs(input_path)
     else:
         dataset = ingest.parse_geolife(input_path)
-    if filter_days is not None or filter_locs is not None:
-        policy = ingest.FilterPolicy(
-            min_locations_per_day=filter_locs if filter_locs is not None else 480,
-            min_qualifying_days=filter_days if filter_days is not None else 30,
-        )
-        dataset = ingest.filter_dataset(dataset, policy)
+    given = {
+        field: value
+        for field, value in (("min_qualifying_days", filter_days), ("min_locations_per_day", filter_locs))
+        if value is not None
+    }
+    if given:
+        dataset = ingest.filter_dataset(dataset, dataclasses.replace(ingest.FilterPolicy(), **given))
     with open(output_path, "w", encoding="utf-8", newline="") as fh:
         count = ingest.write_canonical(dataset, fh)
     click.echo(f"wrote {count} locations for {len(dataset.traces)} users to {output_path}")

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 EARTH_RADIUS_M = 6_371_000.0
 
 # Metres per degree of latitude for local tangent-plane offsets.
@@ -152,14 +150,14 @@ def distance(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(h))
 
 
-def haversine_m(lat1, lon1, lat2, lon2):
-    """Vectorised haversine over degree arrays; same formula as distance()."""
-    phi1 = np.radians(lat1)
-    phi2 = np.radians(lat2)
-    dphi = np.radians(np.subtract(lat2, lat1))
-    dlam = np.radians(np.subtract(lon2, lon1))
-    h = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+def chord_m(arc_m: float) -> float:
+    """Straight-line length through the sphere between two points arc_m
+    metres apart along the great circle; capped at the diameter.
+
+    Chord length is monotone in arc length, so comparing chords of 3-D
+    coordinates orders point pairs exactly like ``distance``.
+    """
+    return 2.0 * EARTH_RADIUS_M * math.sin(min(arc_m / (2.0 * EARTH_RADIUS_M), math.pi / 2.0))
 
 
 def centroid(points: Sequence[GeoPoint]) -> GeoPoint:

@@ -33,6 +33,7 @@ from .core import (
     Poi,
     PoiSet,
     centroid,
+    chord_m,
 )
 
 
@@ -110,7 +111,7 @@ def extract_stays(trace: MobilityTrace, params: ExtractionParams) -> list[Stay]:
         xs[j] = cp * math.cos(lam)
         ys[j] = cp * math.sin(lam)
         zs[j] = math.sin(phi) * EARTH_RADIUS_M
-    chord = 2.0 * EARTH_RADIUS_M * math.sin(min(params.max_distance / (2.0 * EARTH_RADIUS_M), math.pi / 2.0))
+    chord = chord_m(params.max_distance)
     chord2 = chord * chord
 
     def emit(start: int, end: int) -> Stay:

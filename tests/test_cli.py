@@ -4,7 +4,8 @@ import pytest
 from click.testing import CliRunner
 
 from geopriv.cli import main
-from geopriv.ingest import parse_canonical, parse_pois, write_canonical
+from geopriv.core import Dataset, GeoPoint, MobilityTrace, TimestampedLocation
+from geopriv.ingest import FilterPolicy, parse_canonical, parse_pois, write_canonical
 
 from synth import dataset_bounds, planted_dataset
 
@@ -54,6 +55,24 @@ class TestIngest:
             "--filter-locs", "15", "--filter-days", "1",
         )
         assert "0 locations" in r2.output
+
+    def test_filter_days_alone_keeps_default_locations_per_day(self, tmp_path):
+        # one day each, with one record more / exactly as many records as
+        # the policy's default day threshold
+        per_day = FilterPolicy().min_locations_per_day
+        dataset = Dataset.from_traces(
+            MobilityTrace(user, tuple(
+                TimestampedLocation(86400 + 60 * i, GeoPoint(37.75, -122.39)) for i in range(n)
+            ))
+            for user, n in (("busy", per_day + 1), ("quiet", per_day))
+        )
+        source = tmp_path / "in.csv"
+        with open(source, "w", newline="") as fh:
+            write_canonical(dataset, fh)
+        out = tmp_path / "out.csv"
+        _run("ingest", "--format", "csv", "--input", str(source), "--output", str(out), "--filter-days", "1")
+        with open(out) as fh:
+            assert parse_canonical(fh).users() == ["busy"]
 
 
 class TestPoisCommand:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geopriv.core import GeoPoint
+from geopriv.core import GeoPoint, distance
 from geopriv.features import Feature, FeatureStore, generate_synthetic_features
 
 from oracles import brute_force_range, brute_force_top_k
@@ -108,6 +109,80 @@ class TestBruteForceEquivalence:
             assert store.top_k(c, k) == brute_force_top_k(feats, c, k)
             r = float(gen.uniform(0, 30_000))
             assert store.range_query(c, r) == brute_force_range(feats, c, r)
+
+
+CATEGORIES = ("restaurant", "shop")
+
+# Coordinates anywhere on the sphere, with extra weight right at the poles
+# and the antimeridian.
+_lats = st.one_of(st.floats(-90.0, 90.0), st.floats(89.99, 90.0), st.floats(-90.0, -89.99))
+_lons = st.one_of(st.floats(-180.0, 180.0), st.floats(179.99, 180.0), st.floats(-180.0, -179.99))
+_points = st.builds(GeoPoint, _lats, _lons)
+
+
+def _shifted(p: GeoPoint, dlat: float, dlon: float) -> GeoPoint:
+    """p moved by degree offsets, clamped at the poles and wrapped at the
+    antimeridian."""
+    return GeoPoint(min(max(p.lat + dlat, -90.0), 90.0), (p.lon + dlon + 180.0) % 360.0 - 180.0)
+
+
+def _antipode(p: GeoPoint) -> GeoPoint:
+    return GeoPoint(-p.lat, p.lon - 180.0 if p.lon > 0.0 else p.lon + 180.0)
+
+
+@st.composite
+def _sphere_queries(draw):
+    """Features clustered within about 1 km of an anchor, plus scattered
+    ones and their mirror images, plus up to eight queries. Mirror images
+    about the equator and the prime meridian are exactly equidistant from
+    query points on those lines, and repeated points are equidistant from
+    everything. Cluster offsets come from a drawn seed: hypothesis's own
+    floats favour a few simple values, which would pile the cluster onto
+    a handful of points."""
+    anchor = draw(_points)
+    gen = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+
+    def near() -> GeoPoint:
+        dlat, dlon = gen.uniform(-0.01, 0.01, 2)
+        return _shifted(anchor, float(dlat), float(dlon))
+
+    points = [near() for _ in range(draw(st.integers(10, 40)))]
+    for p in draw(st.lists(st.one_of(st.sampled_from(points), _points), max_size=8)):
+        points += [p, GeoPoint(-p.lat, p.lon), GeoPoint(p.lat, -p.lon)]
+    points += draw(st.lists(st.sampled_from(points), max_size=6))
+    features = draw(st.permutations([
+        Feature(f"f{i:03d}", p, draw(st.sampled_from(CATEGORIES))) for i, p in enumerate(points)
+    ]))
+    centres = st.one_of(
+        st.builds(near),
+        _points,
+        _points.map(lambda p: GeoPoint(0.0, p.lon)),
+        _points.map(lambda p: GeoPoint(p.lat, 0.0)),
+        st.sampled_from(points),
+        st.sampled_from(points).map(_antipode),
+    )
+    queries = []
+    for c in draw(st.lists(centres, min_size=1, max_size=8)):
+        radius = draw(st.one_of(
+            st.floats(0.0, 1_000.0),
+            st.floats(0.0, 2.1e7),
+            st.sampled_from(features).map(lambda f: distance(c, f.point)),
+        ))
+        k = draw(st.integers(1, len(features) + 2))
+        queries.append((c, k, radius, draw(st.sampled_from(CATEGORIES))))
+    return features, queries
+
+
+class TestWholeSphere:
+    @settings(max_examples=150, deadline=None)
+    @given(_sphere_queries())
+    def test_queries_match_brute_force(self, world):
+        features, queries = world
+        store = FeatureStore.build(features)
+        for c, k, radius, category in queries:
+            assert store.top_k(c, k) == brute_force_top_k(features, c, k)
+            assert store.range_query(c, radius) == brute_force_range(features, c, radius)
+            assert store.range_query(c, radius, category) == brute_force_range(features, c, radius, category)
 
 
 class TestGenerateSynthetic:
