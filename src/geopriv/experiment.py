@@ -31,7 +31,7 @@ from .metrics import (
     remap,
     semantic_distances,
 )
-from .poi import ExtractionParams, extract_pois
+from .poi import ExtractionParams, extract_pois, extract_pois_sweep
 
 # The three stock privacy levels: strong, medium, weak.
 DEFAULT_LEVELS: tuple[PrivacyLevel, ...] = (
@@ -92,12 +92,18 @@ class SweepResult:
     ``optimal_m`` is the smallest threshold whose mean recall exceeds the
     target, or None when the target was never reached; ``best_m`` is the
     best-effort threshold (highest mean recall, smallest on ties).
+    ``chosen_pois`` holds, per run, the observer's POI sets at
+    ``chosen_m``, which :func:`evaluate` can reuse instead of extracting
+    them again; no report file reads it, and equality ignores it.
     """
 
     epsilon: float
     rows: tuple[tuple[int, float], ...]
     optimal_m: int | None
     best_m: int
+    chosen_pois: tuple[dict[str, PoiSet], ...] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def reached(self) -> bool:
@@ -227,6 +233,27 @@ def obfuscation_campaign(
     return campaign
 
 
+def _eligible_users(campaign: Sequence[Dataset], ground_truth: Mapping[str, PoiSet]) -> list[str]:
+    """Users with ground-truth POIs that run 0 of the campaign covers, sorted.
+
+    Every other run must cover them too; a run that lacks some is refused
+    by name rather than failing on the first missing trace.
+    """
+    if not campaign:
+        raise ValueError("empty campaign")
+    present = set(campaign[0].traces)
+    eligible = sorted(u for u, ps in ground_truth.items() if len(ps) > 0 and u in present)
+    if not eligible:
+        raise ValueError("empty ground truth: no campaign user has POIs")
+    for run, ds in enumerate(campaign):
+        missing = [u for u in eligible if u not in ds.traces]
+        if missing:
+            raise ValueError(
+                f"campaign run {run} lacks users that run 0 covers: {', '.join(missing)}"
+            )
+    return eligible
+
+
 def threshold_sweep(
     campaign: Sequence[Dataset],
     ground_truth: Mapping[str, PoiSet],
@@ -239,24 +266,29 @@ def threshold_sweep(
     The observer keeps min_time and min_pts unchanged and varies only
     max_distance (the merge radius follows it proportionally). Recall is
     averaged across users within a run, then across runs.
+
+    Extraction loops run -> user -> threshold: each obfuscated trace is
+    projected once and walked once per threshold
+    (:func:`~geopriv.poi.extract_pois_sweep`). The recalls are then summed
+    per threshold, per run, in eligible-user order, the same additions in
+    the same order as a threshold -> run -> user loop, so every row is
+    bit-identical to it. The POI sets at ``chosen_m`` are kept on the
+    result for :func:`evaluate` to reuse.
     """
-    if not campaign:
-        raise ValueError("empty campaign")
-    present = set(campaign[0].traces)
-    eligible = sorted(u for u, ps in ground_truth.items() if len(ps) > 0 and u in present)
-    if not eligible:
-        raise ValueError("empty ground truth: no campaign user has POIs")
+    eligible = _eligible_users(campaign, ground_truth)
+    thresholds = list(sweep.thresholds())
+    # per run: user -> one PoiSet per threshold
+    swept = [
+        {u: extract_pois_sweep(ds.traces[u], params, thresholds) for u in eligible}
+        for ds in campaign
+    ]
 
     rows = []
-    for threshold in sweep.thresholds():
-        attack = replace(params, max_distance=float(threshold))
+    for k, threshold in enumerate(thresholds):
         run_means = []
-        for ds in campaign:
+        for sets in swept:
             recalls = [
-                recall_of(
-                    remap(extract_pois(ds.traces[u], attack), ground_truth[u]),
-                    len(ground_truth[u]),
-                )
+                recall_of(remap(sets[u][k], ground_truth[u]), len(ground_truth[u]))
                 for u in eligible
             ]
             run_means.append(sum(recalls) / len(recalls))
@@ -264,7 +296,14 @@ def threshold_sweep(
 
     optimal = next((thr for thr, r in rows if r > sweep.recall_target), None)
     best = max(rows, key=lambda row: (row[1], -row[0]))[0]
-    return SweepResult(epsilon=level.epsilon, rows=tuple(rows), optimal_m=optimal, best_m=best)
+    chosen = thresholds.index(optimal if optimal is not None else best)
+    return SweepResult(
+        epsilon=level.epsilon,
+        rows=tuple(rows),
+        optimal_m=optimal,
+        best_m=best,
+        chosen_pois=tuple({u: sets[u][chosen] for u in eligible} for sets in swept),
+    )
 
 
 def precision_summary(
@@ -314,20 +353,22 @@ def evaluate(
     dataset: Dataset | None = None,
     precision_cfg: PrecisionConfig | None = None,
     master_seed: int = 0,
+    chosen_pois: Sequence[Mapping[str, PoiSet]] | None = None,
 ) -> EvaluationReport:
     """Score one privacy level's campaign at a fixed observer threshold.
 
     Produces per-user and per-pair rows, pooled distance CDFs, the mean
     re-identification rate, and (when the source dataset is supplied) the
     precision summary.
+
+    ``chosen_pois`` is a sweep's :attr:`SweepResult.chosen_pois` for this
+    campaign with ``threshold_m`` its ``chosen_m``; given it, the observer's
+    POI sets are taken from it instead of being extracted again.
     """
-    if not campaign:
-        raise ValueError("empty campaign")
-    present = set(campaign[0].traces)
-    eligible = sorted(u for u, ps in ground_truth.items() if len(ps) > 0 and u in present)
+    eligible = _eligible_users(campaign, ground_truth)
     excluded = sorted(u for u, ps in ground_truth.items() if len(ps) == 0)
-    if not eligible:
-        raise ValueError("no users with non-empty real POI sets")
+    if chosen_pois is not None and len(chosen_pois) != len(campaign):
+        raise ValueError(f"{len(chosen_pois)} swept POI runs for a campaign of {len(campaign)}")
 
     attack = replace(params, max_distance=float(threshold_m))
     real_sets = {u: ground_truth[u] for u in eligible}
@@ -339,7 +380,10 @@ def evaluate(
     run_recalls: list[float] = []
     run_rates: list[float] = []
     for run, ds in enumerate(campaign):
-        obf_sets = {u: extract_pois(ds.traces[u], attack) for u in eligible}
+        if chosen_pois is None:
+            obf_sets = {u: extract_pois(ds.traces[u], attack) for u in eligible}
+        else:
+            obf_sets = {u: chosen_pois[run][u] for u in eligible}
         recalls = []
         for u in eligible:
             result = remap(obf_sets[u], real_sets[u])
@@ -408,7 +452,7 @@ def run_experiment(
     for level in config.levels:
         campaign = obfuscation_campaign(dataset, level, config.runs, config.master_seed)
         sweep = threshold_sweep(campaign, ground_truth, config.extraction, config.sweep, level)
-        sweeps.append(sweep)
+        sweeps.append(replace(sweep, chosen_pois=None))
         reports.append(
             evaluate(
                 campaign,
@@ -420,6 +464,7 @@ def run_experiment(
                 dataset=dataset,
                 precision_cfg=config.precision,
                 master_seed=config.master_seed,
+                chosen_pois=sweep.chosen_pois,
             )
         )
     combined = EvaluationReport.combine(reports)

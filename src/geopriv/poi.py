@@ -17,12 +17,23 @@ the member count as support.
 
 Both phases are deterministic; per-user extraction is pure and can run in
 parallel across a dataset.
+
+Phase one runs on a projection of the trace: its latitude, longitude and
+time columns plus 3-D chord coordinates, computed point by point with
+``math``. The projection does not depend on the parameters, so
+:func:`extract_pois_sweep` projects a trace once and walks it once per
+threshold; ``experiment.threshold_sweep`` calls it per (run, user), so
+the observer's sweep loops run -> user -> threshold. Each of its results
+is bit-identical to :func:`extract_pois` at that threshold, because both
+feed the same projection to the one walk that :func:`extract_stays` uses
+and then to :func:`dj_cluster`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -73,34 +84,20 @@ class Stay:
     point_count: int
 
 
-def extract_stays(trace: MobilityTrace, params: ExtractionParams) -> list[Stay]:
-    """Extract stays from a time-sorted trace.
+# A trace as columns: latitudes, longitudes, timestamps, and the 3-D chord
+# coordinates (metres, Earth-centred) that every distance test of the walk
+# compares.
+_Columns = tuple[list[float], list[float], list[int], list[float], list[float], list[float]]
 
-    Semantically this is the naive window walk: admit a point when it is
-    within max_distance of every window member, otherwise flush the window
-    as a stay when it spans min_time, else drop the oldest point and
-    retry. Two observations make it fast without changing its output:
 
-    * dropping the oldest point and retrying repeats until every member
-      older than the newest violator is gone (the emission check cannot
-      newly succeed while popping, because the spanned time only shrinks),
-      so one backward scan finds the violator and batches the pops;
-    * a bounding box over the window's chord coordinates gives an O(1)
-      "definitely fits" test that short-circuits the scan for the long
-      stationary runs that dominate real traces. The box may go stale
-      (too wide) after pops, which is only ever conservative.
-
-    Distances compare squared 3-D chord lengths against the chord of
-    max_distance, which orders point pairs exactly like the great-circle
-    distance.
-    """
-    n = len(trace.locations)
-    if n == 0:
-        return []
-
-    lats = [loc.point.lat for loc in trace.locations]
-    lons = [loc.point.lon for loc in trace.locations]
-    ts = [loc.t for loc in trace.locations]
+def _project(trace: MobilityTrace) -> _Columns:
+    """The trace's columns and chord projection; they do not depend on the
+    extraction parameters, so a threshold sweep computes them once."""
+    locs = trace.locations
+    lats = [loc.point.lat for loc in locs]
+    lons = [loc.point.lon for loc in locs]
+    ts = [loc.t for loc in locs]
+    n = len(locs)
     xs = [0.0] * n
     ys = [0.0] * n
     zs = [0.0] * n
@@ -111,8 +108,21 @@ def extract_stays(trace: MobilityTrace, params: ExtractionParams) -> list[Stay]:
         xs[j] = cp * math.cos(lam)
         ys[j] = cp * math.sin(lam)
         zs[j] = math.sin(phi) * EARTH_RADIUS_M
+    return lats, lons, ts, xs, ys, zs
+
+
+def _walk(cols: _Columns, params: ExtractionParams) -> list[Stay]:
+    """The stay walk over a projected trace (see :func:`extract_stays`).
+
+    The hot loop makes no builtin calls per point: ``max``/``min`` are
+    written as ``if b > a``/``if b < a``, which keep the same operand on
+    ties, and list items are read into locals once.
+    """
+    lats, lons, ts, xs, ys, zs = cols
+    n = len(ts)
     chord = chord_m(params.max_distance)
     chord2 = chord * chord
+    min_time = params.min_time
 
     def emit(start: int, end: int) -> Stay:
         m = end - start
@@ -138,14 +148,20 @@ def extract_stays(trace: MobilityTrace, params: ExtractionParams) -> list[Stay]:
             bz0 = bz1 = z
             i += 1
             continue
-        dx = max(bx1 - x, x - bx0)
-        dy = max(by1 - y, y - by0)
-        dz = max(bz1 - z, z - bz0)
+        dx = bx1 - x
+        if x - bx0 > dx: dx = x - bx0
+        dy = by1 - y
+        if y - by0 > dy: dy = y - by0
+        dz = bz1 - z
+        if z - bz0 > dz: dz = z - bz0
         if dx * dx + dy * dy + dz * dz <= chord2:
             # within max_distance of the whole box, hence of every member
-            bx0 = min(bx0, x); bx1 = max(bx1, x)
-            by0 = min(by0, y); by1 = max(by1, y)
-            bz0 = min(bz0, z); bz1 = max(bz1, z)
+            if x < bx0: bx0 = x
+            if x > bx1: bx1 = x
+            if y < by0: by0 = y
+            if y > by1: by1 = y
+            if z < bz0: bz0 = z
+            if z > bz1: bz1 = z
             i += 1
             continue
         # scan newest-first: the first violator is the one every pop must
@@ -155,23 +171,26 @@ def extract_stays(trace: MobilityTrace, params: ExtractionParams) -> list[Stay]:
         sy0 = sy1 = y
         sz0 = sz1 = z
         for j in range(i - 1, start - 1, -1):
-            dx = x - xs[j]
-            dy = y - ys[j]
-            dz = z - zs[j]
+            xj = xs[j]
+            yj = ys[j]
+            zj = zs[j]
+            dx = x - xj
+            dy = y - yj
+            dz = z - zj
             if dx * dx + dy * dy + dz * dz > chord2:
                 violator = j
                 break
-            if xs[j] < sx0: sx0 = xs[j]
-            elif xs[j] > sx1: sx1 = xs[j]
-            if ys[j] < sy0: sy0 = ys[j]
-            elif ys[j] > sy1: sy1 = ys[j]
-            if zs[j] < sz0: sz0 = zs[j]
-            elif zs[j] > sz1: sz1 = zs[j]
+            if xj < sx0: sx0 = xj
+            elif xj > sx1: sx1 = xj
+            if yj < sy0: sy0 = yj
+            elif yj > sy1: sy1 = yj
+            if zj < sz0: sz0 = zj
+            elif zj > sz1: sz1 = zj
         if violator < 0:
             # fits every member: admit and refresh the box exactly
             bx0, bx1, by0, by1, bz0, bz1 = sx0, sx1, sy0, sy1, sz0, sz1
             i += 1
-        elif ts[i - 1] - ts[start] >= params.min_time:
+        elif ts[i - 1] - ts[start] >= min_time:
             stays.append(emit(start, i))
             start = i
         else:
@@ -180,9 +199,33 @@ def extract_stays(trace: MobilityTrace, params: ExtractionParams) -> list[Stay]:
             start = violator + 1
             bx0, bx1, by0, by1, bz0, bz1 = sx0, sx1, sy0, sy1, sz0, sz1
             i += 1
-    if start < n and ts[n - 1] - ts[start] >= params.min_time:
+    if start < n and ts[n - 1] - ts[start] >= min_time:
         stays.append(emit(start, n))
     return stays
+
+
+def extract_stays(trace: MobilityTrace, params: ExtractionParams) -> list[Stay]:
+    """Extract stays from a time-sorted trace.
+
+    Semantically this is the naive window walk: admit a point when it is
+    within max_distance of every window member, otherwise flush the window
+    as a stay when it spans min_time, else drop the oldest point and
+    retry. Two observations make it fast without changing its output:
+
+    * dropping the oldest point and retrying repeats until every member
+      older than the newest violator is gone (the emission check cannot
+      newly succeed while popping, because the spanned time only shrinks),
+      so one backward scan finds the violator and batches the pops;
+    * a bounding box over the window's chord coordinates gives an O(1)
+      "definitely fits" test that short-circuits the scan for the long
+      stationary runs that dominate real traces. The box may go stale
+      (too wide) after pops, which is only ever conservative.
+
+    Distances compare squared 3-D chord lengths against the chord of
+    max_distance, which orders point pairs exactly like the great-circle
+    distance.
+    """
+    return _walk(_project(trace), params)
 
 
 def dj_cluster(stays: list[Stay], params: ExtractionParams) -> list[Poi]:
@@ -230,3 +273,20 @@ def extract_pois(trace: MobilityTrace, params: ExtractionParams) -> PoiSet:
     """Full extraction: stays, then clustering, as a deterministic PoiSet."""
     stays = extract_stays(trace, params)
     return PoiSet(user=trace.user, pois=tuple(dj_cluster(stays, params)))
+
+
+def extract_pois_sweep(
+    trace: MobilityTrace, params: ExtractionParams, thresholds: Sequence[float]
+) -> list[PoiSet]:
+    """``extract_pois`` at each ``max_distance`` in ``thresholds``, every
+    other parameter kept: one PoiSet per threshold, in order.
+
+    The trace is projected once and walked once per threshold, so each
+    result equals ``extract_pois(trace, replace(params, max_distance=t))``.
+    """
+    cols = _project(trace)
+    out = []
+    for threshold in thresholds:
+        attack = replace(params, max_distance=float(threshold))
+        out.append(PoiSet(user=trace.user, pois=tuple(dj_cluster(_walk(cols, attack), attack))))
+    return out

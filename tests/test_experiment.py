@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -110,6 +112,20 @@ class TestThresholdSweep:
             threshold_sweep(campaign, {}, PARAMS, SweepConfig(), MEDIUM)
 
 
+def test_run_missing_users_rejected_by_name(small_world):
+    # runs are loaded from separate files, so one may lack users run 0 has
+    dataset, _, store = small_world
+    truth = extract_ground_truth(dataset, PARAMS)
+    campaign = obfuscation_campaign(dataset, MEDIUM, 3, 5)
+    kept = {u: tr for u, tr in campaign[2].traces.items() if u not in ("u00", "u03")}
+    campaign[2] = Dataset(kept)
+    message = "campaign run 2 lacks users that run 0 covers: u00, u03"
+    with pytest.raises(ValueError, match=message):
+        threshold_sweep(campaign, truth, PARAMS, SweepConfig(1000, 2000, 1000), MEDIUM)
+    with pytest.raises(ValueError, match=message):
+        evaluate(campaign, truth, MEDIUM, 2000, store, PARAMS)
+
+
 class TestEvaluate:
     def test_zero_noise_identity_pipeline(self, small_world):
         dataset, _, store = small_world
@@ -139,6 +155,55 @@ class TestEvaluate:
         assert list(values) == sorted(values)
         assert list(fractions) == sorted(fractions)
         assert fractions[-1] == 1.0
+
+
+class TestSweepReuse:
+    """run_experiment hands the sweep's POI sets at the chosen threshold to
+    evaluate; the reports must equal those of the command-line chain,
+    which sweeps, then evaluates at chosen_m extracting afresh."""
+
+    @pytest.mark.parametrize("runs", [1, 2])
+    @pytest.mark.parametrize(
+        "sweep_cfg, reached",
+        [
+            (SweepConfig(min_m=1600, max_m=4000, step_m=800, recall_target=0.5), True),
+            (SweepConfig(min_m=2000, max_m=2800, step_m=400, recall_target=0.99), False),
+        ],
+    )
+    def test_reports_byte_identical_to_cli_chain(self, small_world, tmp_path, runs, sweep_cfg, reached):
+        dataset, _, store = small_world
+        config = ExperimentConfig(
+            levels=(MEDIUM,),
+            runs=runs,
+            master_seed=21,
+            extraction=PARAMS,
+            sweep=sweep_cfg,
+            precision=PrecisionConfig(samples=10),
+        )
+        manifest = write_report(run_experiment(dataset, config, store), tmp_path / "api")
+
+        truth = extract_ground_truth(dataset, PARAMS)
+        campaign = obfuscation_campaign(dataset, MEDIUM, runs, config.master_seed)
+        sweep = threshold_sweep(campaign, truth, PARAMS, sweep_cfg, MEDIUM)
+        assert sweep.reached == reached
+        report = evaluate(
+            campaign,
+            truth,
+            MEDIUM,
+            sweep.chosen_m,
+            store,
+            PARAMS,
+            dataset=dataset,
+            precision_cfg=config.precision,
+            master_seed=config.master_seed,
+        )
+        assert report.pair_rows  # the chosen threshold finds obfuscated POIs
+        chain = write_report(replace(report, sweeps=(sweep,)), tmp_path / "cli")
+
+        assert manifest["files"] == chain["files"]
+        assert manifest["metadata"]["per_level"] == [json.loads(json.dumps(report.metadata))]
+        for name in manifest["files"]:
+            assert (tmp_path / "api" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
 
 
 class TestPrecisionSummary:

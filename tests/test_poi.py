@@ -1,8 +1,19 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from geopriv.core import GeoPoint, MobilityTrace, TimestampedLocation as TL, distance, offset
 from geopriv.mechanism import PrivacyLevel, RandomSource, obfuscate_trace
-from geopriv.poi import ExtractionParams, Stay, dj_cluster, extract_pois, extract_stays
+from geopriv.poi import (
+    ExtractionParams,
+    Stay,
+    dj_cluster,
+    extract_pois,
+    extract_pois_sweep,
+    extract_stays,
+)
 
 from oracles import dj_cluster_literal, extract_stays_literal
 from synth import random_params, random_trace
@@ -180,3 +191,64 @@ class TestOracleEquivalence:
     def test_matches_literal_transcription(self):
         for seed in range(50):
             self._assert_same(random_trace(seed, max_points=30), random_params(seed))
+
+
+@st.composite
+def _sweep_cases(draw):
+    """A trace of dwells, drifts, runs of one repeated point and moves, with
+    extraction parameters and an ascending list of thresholds.
+
+    Dwells of hundreds of points jittered within a few metres up to a few
+    hundred keep the walk's box fast path and its batched pops busy;
+    drifts (random walks) grow the box until a point breaks the window.
+    Time steps are 0, 1 or 2 units, so timestamps repeat and windows often
+    span exactly min_time. Positions and thresholds come from a drawn
+    seed, as hypothesis's own floats favour a few simple values.
+    """
+    gen = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    x = y = 0.0
+    t = 0
+    locations = []
+    kinds = st.sampled_from(("dwell", "drift", "repeat", "move"))
+    for kind in draw(st.lists(kinds, min_size=1, max_size=4)):
+        unit = draw(st.sampled_from((1, 30, 60, 120)))
+        step = spread = 0.0
+        if kind == "dwell":
+            n, spread = draw(st.integers(100, 300)), draw(st.sampled_from((3.0, 40.0, 150.0, 400.0)))
+        elif kind == "drift":
+            n, step = draw(st.integers(50, 200)), draw(st.sampled_from((5.0, 20.0, 60.0)))
+        elif kind == "repeat":
+            n = draw(st.integers(2, 60))
+        else:
+            n, spread = draw(st.integers(1, 20)), 1500.0
+        for _ in range(n):
+            x += float(gen.normal(0.0, step)) if step else 0.0
+            y += float(gen.normal(0.0, step)) if step else 0.0
+            jx, jy = gen.uniform(-spread, spread, 2) if spread else (0.0, 0.0)
+            locations.append(TL(t, offset(BASE, x + float(jx), y + float(jy))))
+            t += unit * int(gen.integers(0, 3))
+        x += float(gen.uniform(-2000.0, 2000.0))
+        y += float(gen.uniform(-2000.0, 2000.0))
+    params = ExtractionParams(
+        min_time=draw(st.sampled_from((60, 600, 1800, 3600))),
+        min_pts=draw(st.integers(1, 3)),
+    )
+    # log-uniform, so thresholds near every dwell spread and drift step are common
+    n_thresholds = draw(st.integers(1, 3))
+    thresholds = sorted(np.exp(gen.uniform(np.log(20.0), np.log(1200.0), n_thresholds)).tolist())
+    return MobilityTrace("u", tuple(locations)), params, thresholds
+
+
+class TestSweepExtraction:
+    @settings(max_examples=80, deadline=None)
+    @given(_sweep_cases())
+    @example((MobilityTrace("u", ()), DEFAULTS, [100.0, 250.0]))
+    @example((MobilityTrace("u", (TL(0, BASE),)), ExtractionParams(min_pts=1), [100.0]))
+    def test_sweep_matches_single_threshold_and_oracle(self, case):
+        trace, params, thresholds = case
+        swept = extract_pois_sweep(trace, params, thresholds)
+        assert len(swept) == len(thresholds)
+        for threshold, got in zip(thresholds, swept):
+            attack = replace(params, max_distance=threshold)
+            assert got == extract_pois(trace, attack)
+            TestOracleEquivalence()._assert_same(trace, attack)
