@@ -22,10 +22,9 @@ from .mechanism import (
     RandomSource,
     derive_seed,
     inverse_radius_cdf,
-    obfuscate_point,
     obfuscate_trace,
+    perturb,
     radius_cdf,
-    sample_radius,
 )
 from .poi import ExtractionParams, Stay, dj_cluster, extract_pois, extract_stays
 from .features import Feature, FeatureStore, generate_synthetic_features

@@ -118,6 +118,11 @@ def _load_campaign(directory: str) -> tuple[list[Dataset], dict]:
     for path in run_files:
         with open(path, encoding="utf-8") as fh:
             campaign.append(ingest.parse_canonical(fh))
+        missing = sorted(set(campaign[0].traces) - set(campaign[-1].traces))
+        if missing:
+            raise click.UsageError(
+                f"{path.name} lacks users that {run_files[0].name} covers: {', '.join(missing)}"
+            )
     return campaign, meta
 
 
@@ -272,9 +277,9 @@ def reident(real_path: str, obf_path: str, epsilon: float | None, out_path: str)
     rate = reidentification_rate(
         {u: real_sets[u] for u in common}, {u: obf_sets[u] for u in common}
     )
+    row = experiment.ReidentRow(epsilon, rate, len(common))
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("epsilon,rate,n_users\n")
-        fh.write(f"{'' if epsilon is None else repr(epsilon)},{rate!r},{len(common)}\n")
+        experiment.write_rows(fh, experiment.ReidentRow, [row])
     click.echo(f"re-identification rate {rate:.4f} over {len(common)} users")
 
 
@@ -305,11 +310,7 @@ def precision(input_path: str, features_path: str | None, synthetic_spec: str | 
     )
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("epsilon,alpha,radius_m,mean_precision,n_samples,n_empty\n")
-            fh.write(
-                f"{row.epsilon!r},{row.alpha!r},{row.radius_m!r},"
-                f"{row.mean_precision!r},{row.n_samples},{row.n_empty}\n"
-            )
+            experiment.write_rows(fh, experiment.PrecisionRow, [row])
 
 
 if __name__ == "__main__":

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 EARTH_RADIUS_M = 6_371_000.0
 
 # Metres per degree of latitude for local tangent-plane offsets.
@@ -158,6 +160,16 @@ def chord_m(arc_m: float) -> float:
     coordinates orders point pairs exactly like ``distance``.
     """
     return 2.0 * EARTH_RADIUS_M * math.sin(min(arc_m / (2.0 * EARTH_RADIUS_M), math.pi / 2.0))
+
+
+def chord_xyz(lats, lons) -> np.ndarray:
+    """Earth-centred 3-D coordinates in metres, one ``(x, y, z)`` row per
+    point: the one chord projection that every walk, cluster and feature
+    query compares (squared chord against ``chord_m(arc) ** 2``)."""
+    phi = np.radians(np.asarray(lats, dtype=float))
+    lam = np.radians(np.asarray(lons, dtype=float))
+    cp = np.cos(phi) * EARTH_RADIUS_M
+    return np.column_stack((cp * np.cos(lam), cp * np.sin(lam), np.sin(phi) * EARTH_RADIUS_M))
 
 
 def centroid(points: Sequence[GeoPoint]) -> GeoPoint:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence, TextIO
 
 from .core import Dataset, PoiSet
 from .ingest import dataset_digest
@@ -472,24 +472,9 @@ def run_experiment(
         "master_seed": config.master_seed,
         "runs": config.runs,
         "dataset_digest": dataset_digest(dataset),
-        "extraction": {
-            "min_time": config.extraction.min_time,
-            "max_distance": config.extraction.max_distance,
-            "min_pts": config.extraction.min_pts,
-            "merge_factor": config.extraction.merge_factor,
-        },
-        "sweep": {
-            "min_m": config.sweep.min_m,
-            "max_m": config.sweep.max_m,
-            "step_m": config.sweep.step_m,
-            "recall_target": config.sweep.recall_target,
-        },
-        "precision": {
-            "radius_m": config.precision.radius_m,
-            "alpha": config.precision.alpha,
-            "samples": config.precision.samples,
-            "category": config.precision.category,
-        },
+        "extraction": asdict(config.extraction),
+        "sweep": asdict(config.sweep),
+        "precision": asdict(config.precision),
         "levels": [
             {
                 "epsilon": s.epsilon,
@@ -512,86 +497,70 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header: str, rows) -> int:
+def write_csv(out: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> int:
+    """Write a header line, then one line per row; returns the row count.
+
+    Floats are written with repr (so they round-trip exactly), None as an
+    empty field.
+    """
+    out.write(",".join(header) + "\n")
     count = 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-            count += 1
+    for row in rows:
+        out.write(",".join(_fmt(v) for v in row) + "\n")
+        count += 1
     return count
+
+
+def _columns(row_type: type, rows: Iterable) -> tuple[list[str], Iterable[list]]:
+    """Dataclass rows as a CSV table headed by the dataclass's field names."""
+    names = [f.name for f in fields(row_type)]
+    return names, ([getattr(r, name) for name in names] for r in rows)
+
+
+def write_rows(out: TextIO, row_type: type, rows: Iterable) -> int:
+    """Write rows of the dataclass ``row_type`` as CSV; returns the row count."""
+    return write_csv(out, *_columns(row_type, rows))
+
+
+def _sweep_table(sweeps: Sequence[SweepResult]):
+    return ("epsilon", "threshold_m", "mean_recall"), (
+        (s.epsilon, thr, rec) for s in sweeps for thr, rec in s.rows
+    )
+
+
+def _cdf_table(value_name: str, cdfs: Mapping[float, Cdf]):
+    return ("epsilon", value_name, "fraction"), (
+        (eps, v, f) for eps in sorted(cdfs) for v, f in zip(*cdfs[eps])
+    )
 
 
 def write_sweep_csv(sweeps: Sequence[SweepResult], out: TextIO) -> int:
-    out.write("epsilon,threshold_m,mean_recall\n")
-    count = 0
-    for s in sweeps:
-        for thr, rec in s.rows:
-            out.write(f"{_fmt(s.epsilon)},{thr},{_fmt(rec)}\n")
-            count += 1
-    return count
+    return write_csv(out, *_sweep_table(sweeps))
 
 
 def write_report(report: EvaluationReport, out_dir: str | Path) -> dict:
     """Write every report CSV plus a manifest; returns the manifest.
 
+    A table of row dataclasses is headed by the dataclass's field names.
     Output is byte-stable for a fixed master seed: floats are written with
     repr and the manifest carries no timestamps.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    tables = {
+        "recall_users.csv": _columns(UserRecallRow, report.user_rows),
+        "distances.csv": _columns(PairRow, report.pair_rows),
+        "recall.csv": _columns(LevelRecallRow, report.recall_rows),
+        "reident.csv": _columns(ReidentRow, report.reident_rows),
+        "precision.csv": _columns(PrecisionRow, report.precision_rows),
+        "cdf_geo.csv": _cdf_table("geo_m", report.geo_cdf),
+        "cdf_semantic.csv": _cdf_table("semantic", report.sem_cdf),
+        "sweep.csv": _sweep_table(report.sweeps),
+    }
     counts = {}
-    counts["recall_users.csv"] = _write_csv(
-        out / "recall_users.csv",
-        "user,epsilon,run,recall,n_real,n_obf",
-        ((r.user, r.epsilon, r.run, r.recall, r.n_real, r.n_obf) for r in report.user_rows),
-    )
-    counts["distances.csv"] = _write_csv(
-        out / "distances.csv",
-        "user,epsilon,run,geo_m,semantic",
-        ((r.user, r.epsilon, r.run, r.geo_m, r.semantic) for r in report.pair_rows),
-    )
-    counts["recall.csv"] = _write_csv(
-        out / "recall.csv",
-        "epsilon,threshold_m,mean_recall,n_users,runs",
-        (
-            (r.epsilon, r.threshold_m, r.mean_recall, r.n_users, r.runs)
-            for r in report.recall_rows
-        ),
-    )
-    counts["reident.csv"] = _write_csv(
-        out / "reident.csv",
-        "epsilon,rate,n_users",
-        ((r.epsilon, r.rate, r.n_users) for r in report.reident_rows),
-    )
-    counts["precision.csv"] = _write_csv(
-        out / "precision.csv",
-        "epsilon,alpha,radius_m,mean_precision,n_samples,n_empty",
-        (
-            (r.epsilon, r.alpha, r.radius_m, r.mean_precision, r.n_samples, r.n_empty)
-            for r in report.precision_rows
-        ),
-    )
-    counts["cdf_geo.csv"] = _write_csv(
-        out / "cdf_geo.csv",
-        "epsilon,geo_m,fraction",
-        (
-            (eps, v, f)
-            for eps in sorted(report.geo_cdf)
-            for v, f in zip(*report.geo_cdf[eps])
-        ),
-    )
-    counts["cdf_semantic.csv"] = _write_csv(
-        out / "cdf_semantic.csv",
-        "epsilon,semantic,fraction",
-        (
-            (eps, v, f)
-            for eps in sorted(report.sem_cdf)
-            for v, f in zip(*report.sem_cdf[eps])
-        ),
-    )
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
-        counts["sweep.csv"] = write_sweep_csv(report.sweeps, fh)
+    for name, (header, rows) in tables.items():
+        with open(out / name, "w", encoding="utf-8", newline="") as fh:
+            counts[name] = write_csv(fh, header, rows)
 
     manifest = {"files": counts, "metadata": report.metadata}
     with open(out / "manifest.json", "w", encoding="utf-8", newline="") as fh:

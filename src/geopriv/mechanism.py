@@ -33,7 +33,6 @@ from .core import (
     METERS_PER_DEGREE,
     MobilityTrace,
     TimestampedLocation,
-    offset,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -107,21 +106,13 @@ def derive_seed(base_seed: int, label: str) -> int:
     return (base_seed ^ stable_hash64(label)) & _SEED_MASK
 
 
-def sample_radius(level: PrivacyLevel, rng: RandomSource) -> float:
-    """One draw of the noise radius: Gamma(2, eps) as a sum of two exponentials.
-
-    Uniforms are mapped to (0, 1] so the logs are always defined; a
-    degenerate stream of zeros yields radius 0.
-    """
-    if level.disabled:
-        return 0.0
-    u1 = 1.0 - rng.uniform()
-    u2 = 1.0 - rng.uniform()
-    return -(math.log(u1) + math.log(u2)) / level.epsilon
-
-
 def sample_radii(level: PrivacyLevel, rng: RandomSource, n: int) -> np.ndarray:
-    """Vectorised sample_radius: n independent draws."""
+    """n independent noise radii: Gamma(2, eps) as a sum of two exponentials.
+
+    Draws one block of n uniforms per exponential; uniforms are mapped to
+    (0, 1] so the logs are always defined, and a degenerate stream of
+    zeros yields radius 0. A disabled level draws nothing.
+    """
     if level.disabled:
         return np.zeros(n)
     u1 = 1.0 - rng.uniforms(n)
@@ -153,47 +144,46 @@ def inverse_radius_cdf(level: PrivacyLevel, p: float) -> float:
     return -(float(w.real) + 1.0) / level.epsilon
 
 
-def obfuscate_point(p: GeoPoint, level: PrivacyLevel, rng: RandomSource) -> GeoPoint:
-    """Report a noisy location for p.
+def perturb(
+    lat: np.ndarray, lon: np.ndarray, level: PrivacyLevel, rng: RandomSource
+) -> tuple[np.ndarray, np.ndarray]:
+    """Noisy latitudes and longitudes for n points: the one obfuscation path.
 
-    Draw order is fixed (bearing, then the two radius uniforms) so that a
-    freshly seeded source reproduces the same output.
+    Draws three blocks of n uniforms in a fixed order (bearings, then the
+    two radius blocks), so a freshly seeded source reproduces the output.
+    The displacement is core.offset's equirectangular step, longitude
+    wrapped at the antimeridian. A disabled level returns its input and
+    draws nothing; any point beyond MAX_OFFSET_LAT raises.
     """
     if level.disabled:
-        return p
-    theta = TWO_PI * rng.uniform()
-    r = sample_radius(level, rng)
-    return offset(p, r * math.cos(theta), r * math.sin(theta))
+        return lat, lon
+    if np.any(np.abs(lat) > MAX_OFFSET_LAT):
+        raise ValueError("polar region unsupported")
+    n = len(lat)
+    theta = TWO_PI * rng.uniforms(n)
+    r = sample_radii(level, rng, n)
+    new_lat = lat + r * np.sin(theta) / METERS_PER_DEGREE
+    new_lon = lon + r * np.cos(theta) / (METERS_PER_DEGREE * np.cos(np.radians(lat)))
+    return new_lat, (new_lon + 180.0) % 360.0 - 180.0
 
 
 def obfuscate_trace(trace: MobilityTrace, level: PrivacyLevel, rng: RandomSource) -> MobilityTrace:
-    """Obfuscate every point of a trace independently.
+    """Obfuscate every point of a trace independently through :func:`perturb`.
 
-    User, timestamps and ordering are preserved. Consumes the stream as
-    three blocks (bearings, then two uniform blocks for the radii), which
-    is deterministic for a given source but not interleaved like repeated
-    obfuscate_point calls.
+    User, timestamps and ordering are preserved; a disabled level or an
+    empty trace returns the trace itself. ``metrics.precision_trial``
+    perturbs its one query point through the same function (n = 1).
     """
     n = len(trace.locations)
     if level.disabled or n == 0:
         return trace
     lat = np.fromiter((loc.point.lat for loc in trace.locations), dtype=float, count=n)
     lon = np.fromiter((loc.point.lon for loc in trace.locations), dtype=float, count=n)
-    if np.any(np.abs(lat) > MAX_OFFSET_LAT):
-        raise ValueError("polar region unsupported")
-
-    theta = TWO_PI * rng.uniforms(n)
-    r = sample_radii(level, rng, n)
-    dx = r * np.cos(theta)
-    dy = r * np.sin(theta)
-    new_lat = lat + dy / METERS_PER_DEGREE
-    new_lon = lon + dx / (METERS_PER_DEGREE * np.cos(np.radians(lat)))
-    new_lon = (new_lon + 180.0) % 360.0 - 180.0
-
-    lat_list = new_lat.tolist()
-    lon_list = new_lon.tolist()
-    locations = tuple(
-        TimestampedLocation(loc.t, GeoPoint(lat_list[i], lon_list[i]))
-        for i, loc in enumerate(trace.locations)
+    new_lat, new_lon = perturb(lat, lon, level, rng)
+    return MobilityTrace(
+        trace.user,
+        tuple(
+            TimestampedLocation(loc.t, GeoPoint(a, b))
+            for loc, a, b in zip(trace.locations, new_lat.tolist(), new_lon.tolist())
+        ),
     )
-    return MobilityTrace(trace.user, locations)

@@ -19,9 +19,11 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .core import GeoPoint, Poi, PoiSet, distance
 from .features import DEFAULT_TOP_K, FeatureStore
-from .mechanism import PrivacyLevel, RandomSource, inverse_radius_cdf, obfuscate_point
+from .mechanism import PrivacyLevel, RandomSource, inverse_radius_cdf, perturb
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,10 +167,11 @@ def precision_trial(
 ) -> tuple[float, int]:
     """One precision measurement; returns (precision, retrieved count).
 
-    The query is issued from an obfuscated location with its radius
-    enlarged by the alpha-quantile of the noise radius, so the true disc
-    is fully covered with probability alpha; precision is the fraction of
-    retrieved features that the honest query would also have returned.
+    The query is issued from a location obfuscated like any trace point
+    (``mechanism.perturb`` with n = 1), with its radius enlarged by the
+    alpha-quantile of the noise radius, so the true disc is fully covered
+    with probability alpha; precision is the fraction of retrieved
+    features that the honest query would also have returned.
     A retrieved count of 0 signals the empty-result convention (precision
     1 by definition), which callers should tally separately.
     """
@@ -176,7 +179,8 @@ def precision_trial(
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     if not radius_m > 0.0:
         raise ValueError(f"radius must be > 0, got {radius_m!r}")
-    z = obfuscate_point(c, level, rng)
+    lat, lon = perturb(np.array([c.lat]), np.array([c.lon]), level, rng)
+    z = GeoPoint(float(lat[0]), float(lon[0]))
     enlargement = inverse_radius_cdf(level, alpha)
     retrieved = store.range_query(z, radius_m + enlargement, category)
     if not retrieved:

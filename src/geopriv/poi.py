@@ -18,9 +18,12 @@ the member count as support.
 Both phases are deterministic; per-user extraction is pure and can run in
 parallel across a dataset.
 
-Phase one runs on a projection of the trace: its latitude, longitude and
-time columns plus 3-D chord coordinates, computed point by point with
-``math``. The projection does not depend on the parameters, so
+Both phases compare distances as squared chords between Earth-centred
+coordinates from ``core.chord_xyz``, the one chord projection, against
+``core.chord_m`` of the threshold; chord length orders point pairs like
+great-circle distance. Phase one runs on a projection of the trace: its
+latitude, longitude and time columns plus those chord coordinates. The
+projection does not depend on the parameters, so
 :func:`extract_pois_sweep` projects a trace once and walks it once per
 threshold; ``experiment.threshold_sweep`` calls it per (run, user), so
 the observer's sweep loops run -> user -> threshold. Each of its results
@@ -38,13 +41,13 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    EARTH_RADIUS_M,
     GeoPoint,
     MobilityTrace,
     Poi,
     PoiSet,
     centroid,
     chord_m,
+    chord_xyz,
 )
 
 
@@ -96,19 +99,8 @@ def _project(trace: MobilityTrace) -> _Columns:
     locs = trace.locations
     lats = [loc.point.lat for loc in locs]
     lons = [loc.point.lon for loc in locs]
-    ts = [loc.t for loc in locs]
-    n = len(locs)
-    xs = [0.0] * n
-    ys = [0.0] * n
-    zs = [0.0] * n
-    for j in range(n):
-        phi = math.radians(lats[j])
-        lam = math.radians(lons[j])
-        cp = math.cos(phi) * EARTH_RADIUS_M
-        xs[j] = cp * math.cos(lam)
-        ys[j] = cp * math.sin(lam)
-        zs[j] = math.sin(phi) * EARTH_RADIUS_M
-    return lats, lons, ts, xs, ys, zs
+    xs, ys, zs = chord_xyz(lats, lons).T.tolist()
+    return lats, lons, [loc.t for loc in locs], xs, ys, zs
 
 
 def _walk(cols: _Columns, params: ExtractionParams) -> list[Stay]:
@@ -233,24 +225,19 @@ def dj_cluster(stays: list[Stay], params: ExtractionParams) -> list[Poi]:
 
     Clusters are sets of stay indices; a stay counts as its own neighbour.
     """
-    m = len(stays)
-    if m == 0:
-        return []
-
-    lat = np.fromiter((s.centroid.lat for s in stays), dtype=float, count=m)
-    lon = np.fromiter((s.centroid.lon for s in stays), dtype=float, count=m)
-    phi = np.radians(lat)
-    lam = np.radians(lon)
-    cos_phi = np.cos(phi)
-    merge = params.merge_distance
+    xs, ys, zs = chord_xyz(
+        [s.centroid.lat for s in stays], [s.centroid.lon for s in stays]
+    ).T
+    chord = chord_m(params.merge_distance)
+    chord2 = chord * chord
 
     clusters: list[set[int]] = []
-    for idx in range(m):
-        dphi = phi - phi[idx]
-        dlam = lam - lam[idx]
-        h = np.sin(dphi / 2.0) ** 2 + cos_phi[idx] * cos_phi * np.sin(dlam / 2.0) ** 2
-        d = 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
-        neighborhood = set(np.flatnonzero(d <= merge).tolist())
+    for idx in range(len(stays)):
+        # the walk's own test: squared chord against the merge chord
+        dx = xs - xs[idx]
+        dy = ys - ys[idx]
+        dz = zs - zs[idx]
+        neighborhood = set(np.flatnonzero(dx * dx + dy * dy + dz * dz <= chord2).tolist())
         if len(neighborhood) < params.min_pts:
             continue
         kept: list[set[int]] = []

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 from click.testing import CliRunner
@@ -157,6 +158,25 @@ class TestSweepCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "epsilon,threshold_m,mean_recall"
         assert len(lines) == 4
+
+
+@pytest.mark.parametrize("command", ["sweep", "evaluate"])
+def test_campaign_run_missing_a_user_is_a_usage_error(pipeline, tmp_path, command):
+    work, pois_csv, campaign, synthetic = pipeline
+    broken = tmp_path / "campaign"
+    shutil.copytree(campaign, broken)
+    run_001 = broken / "run_001.csv"
+    lines = run_001.read_text().splitlines(keepends=True)
+    run_001.write_text("".join(line for line in lines if not line.startswith("u01,")))
+    args = {
+        "sweep": ["--min", "1000", "--max", "2000", "--step", "1000"],
+        "evaluate": ["--threshold", "2000", "--synthetic", synthetic, "--out", str(tmp_path / "r")],
+    }[command]
+    result = CliRunner().invoke(
+        main, [command, "--real", str(pois_csv), "--campaign", str(broken), "--min-time", "900", *args]
+    )
+    assert result.exit_code == 2, result.output
+    assert "run_001.csv lacks users that run_000.csv covers: u01" in result.output
 
 
 class TestEvaluateCommand:

@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from geopriv.core import GeoPoint, MobilityTrace, TimestampedLocation, distance
+from geopriv.core import GeoPoint, MobilityTrace, TimestampedLocation, distance, offset
 from geopriv.mechanism import (
     PrivacyLevel,
     RandomSource,
     derive_seed,
     inverse_radius_cdf,
-    obfuscate_point,
     obfuscate_trace,
+    perturb,
     radius_cdf,
     sample_radii,
-    sample_radius,
 )
 
 from oracles import inverse_radius_cdf_bisect
@@ -27,11 +26,15 @@ WEAK = PrivacyLevel.from_level(math.log(4), 200.0)
 class _ZeroStream:
     """Degenerate source: every uniform is 0, so every log argument is 1."""
 
-    def uniform(self):
-        return 0.0
-
     def uniforms(self, n):
         return np.zeros(n)
+
+
+class _NoDraws:
+    """A source that fails the test if anything draws from it."""
+
+    def uniforms(self, n):
+        raise AssertionError("drew from the stream")
 
 
 class TestPrivacyLevel:
@@ -79,10 +82,10 @@ class TestRandomSource:
 
 class TestSampleRadius:
     def test_degenerate_stream_gives_zero(self):
-        assert sample_radius(MEDIUM, _ZeroStream()) == 0.0
+        assert sample_radii(MEDIUM, _ZeroStream(), 4).tolist() == [0.0] * 4
 
     def test_zero_noise_gives_zero(self):
-        assert sample_radius(PrivacyLevel.zero_noise(), RandomSource(1)) == 0.0
+        assert sample_radii(PrivacyLevel.zero_noise(), _NoDraws(), 3).tolist() == [0.0] * 3
 
     def test_mean_matches_gamma(self):
         radii = sample_radii(MEDIUM, RandomSource(7), 200_000)
@@ -150,15 +153,27 @@ class TestInverseRadiusCdf:
 
 
 class TestObfuscatePoint:
+    """One point through the array path (n = 1), as precision_trial uses it."""
+
     def test_zero_noise_identity(self):
-        p = GeoPoint(45.0, 5.0)
-        assert obfuscate_point(p, PrivacyLevel.zero_noise(), RandomSource(3)) is p
+        lat, lon = np.array([45.0]), np.array([5.0])
+        got = perturb(lat, lon, PrivacyLevel.zero_noise(), _NoDraws())
+        assert got[0] is lat and got[1] is lon
 
     def test_fixed_seed_reproduces(self):
+        a = perturb(np.array([45.0]), np.array([5.0]), MEDIUM, RandomSource(11))
+        b = perturb(np.array([45.0]), np.array([5.0]), MEDIUM, RandomSource(11))
+        assert a[0].tolist() == b[0].tolist() and a[1].tolist() == b[1].tolist()
+
+    def test_draw_order_is_bearing_then_two_radius_uniforms(self):
         p = GeoPoint(45.0, 5.0)
-        a = obfuscate_point(p, MEDIUM, RandomSource(11))
-        b = obfuscate_point(p, MEDIUM, RandomSource(11))
-        assert a == b
+        lat, lon = perturb(np.array([p.lat]), np.array([p.lon]), MEDIUM, RandomSource(11))
+        u = RandomSource(11).uniforms(3).tolist()
+        theta = 2.0 * math.pi * u[0]
+        r = -(math.log(1.0 - u[1]) + math.log(1.0 - u[2])) / MEDIUM.epsilon
+        want = offset(p, r * math.cos(theta), r * math.sin(theta))
+        assert float(lat[0]) == pytest.approx(want.lat, abs=1e-12)
+        assert float(lon[0]) == pytest.approx(want.lon, abs=1e-12)
 
     def test_mean_displacement(self):
         # Monte Carlo against the Gamma(2, eps) mean 2/eps
@@ -170,7 +185,7 @@ class TestObfuscatePoint:
 
     def test_polar_region_propagates(self):
         with pytest.raises(ValueError, match="polar"):
-            obfuscate_point(GeoPoint(89.9, 0.0), MEDIUM, RandomSource(1))
+            perturb(np.array([89.9]), np.array([0.0]), MEDIUM, RandomSource(1))
 
 
 class TestObfuscateTrace:

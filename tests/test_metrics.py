@@ -234,8 +234,8 @@ class TestQueryPrecision:
         # degenerate stream: zero displacement, so the enlarged disc is a
         # superset of the honest one and precision is |real| / |retrieved|
         class _ZeroStream:
-            def uniform(self):
-                return 0.0
+            def uniforms(self, n):
+                return np.zeros(n)
 
         store = self._grid_store()
         level = PrivacyLevel(0.002)

@@ -147,6 +147,40 @@ class TestDjCluster:
             assert counts == sorted(counts, reverse=True)
 
 
+@st.composite
+def _stay_layouts(draw):
+    """Stays whose centroids sit at the merge distance, give or take a few
+    metres, from an earlier stay, plus exact duplicates and far strays,
+    with min_pts from 1 to 5. Positions come from a drawn seed."""
+    gen = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    params = ExtractionParams(
+        max_distance=draw(st.sampled_from((40.0, 250.0, 1000.0))),
+        min_pts=draw(st.integers(1, 5)),
+    )
+    merge = params.merge_distance
+    centroids: list[GeoPoint] = []
+    kinds = st.sampled_from(("step", "step", "duplicate", "stray"))
+    for kind in draw(st.lists(kinds, max_size=30)):
+        if kind == "stray" or not centroids:
+            p = offset(BASE, *gen.uniform(-5.0 * merge, 5.0 * merge, 2).tolist())
+        else:
+            p = centroids[int(gen.integers(len(centroids)))]
+            if kind == "step":
+                bearing = float(gen.uniform(0.0, 2.0 * np.pi))
+                d = merge + float(gen.uniform(-3.0, 3.0))
+                p = offset(p, d * np.cos(bearing), d * np.sin(bearing))
+        centroids.append(p)
+    return [Stay(c, 0, 3600, 1) for c in centroids], params
+
+
+class TestDjClusterOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_stay_layouts())
+    def test_matches_literal_at_merge_distance(self, case):
+        stays, params = case
+        assert dj_cluster(stays, params) == dj_cluster_literal(stays, params)
+
+
 class TestExtractPois:
     def test_empty_trace(self):
         ps = extract_pois(MobilityTrace("u", ()), DEFAULTS)
