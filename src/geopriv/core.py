@@ -5,6 +5,16 @@ great-circle arc on a sphere of radius 6 371 000 m. Everything here is an
 immutable value or a pure function, so instances can be shared freely
 between concurrent workers.
 
+A trace is columnar: :class:`MobilityTrace` holds one user's timestamps
+(int64 UNIX seconds, so at most 2**63 - 1), latitudes and longitudes
+(float64 degrees) as three read-only arrays, validated once, vectorised,
+by :meth:`MobilityTrace.from_columns`. Parsing, writing, filtering,
+obfuscation and extraction work on those columns and build no object per
+point. :class:`TimestampedLocation` and :class:`GeoPoint` remain the
+object API: ``MobilityTrace(user, locations)`` converts such objects into
+columns, and ``trace.locations`` is a view of the columns as objects,
+built on first access and cached.
+
 The model is deliberately city-scale: centroids are arithmetic means in
 degree space and local offsets use an equirectangular approximation, both
 of which are accurate well below the 100 m granularity the evaluation
@@ -55,31 +65,119 @@ class TimestampedLocation:
             raise ValueError(f"timestamp before epoch: {self.t!r}")
 
 
-@dataclass(frozen=True)
-class MobilityTrace:
-    """One user's time-ordered sequence of observed locations.
+def _column(values, dtype) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``. An array that already
+    is one and owns its memory is shared; anything else is copied, so no
+    caller can change a trace's columns afterwards."""
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == dtype
+        and not values.flags.writeable
+        and values.base is None
+    ):
+        return values
+    column = np.array(values, dtype=dtype)
+    column.flags.writeable = False
+    return column
 
-    Locations must be sorted by timestamp, non-decreasing; ties keep their
-    original relative order. Use :meth:`from_unsorted` when the source
-    order is unknown.
+
+class MobilityTrace:
+    """One user's time-ordered sequence of observed locations, held as
+    three read-only columns: ``t`` (int64 UNIX seconds), ``lat`` and
+    ``lon`` (float64 degrees).
+
+    Timestamps are non-negative and non-decreasing; ties keep their
+    original relative order. :meth:`from_columns` builds and validates
+    every trace; ``MobilityTrace(user, locations)`` and
+    :meth:`from_unsorted` take TimestampedLocation objects and convert
+    them to columns. Two traces are equal when their users and columns
+    are.
     """
 
-    user: str
-    locations: tuple[TimestampedLocation, ...]
+    __slots__ = ("user", "t", "lat", "lon", "_locations")
 
-    def __post_init__(self) -> None:
-        locs = tuple(self.locations)
-        object.__setattr__(self, "locations", locs)
-        for a, b in zip(locs, locs[1:]):
-            if b.t < a.t:
-                raise ValueError(f"trace for {self.user!r} is not sorted by time")
+    def __init__(self, user: str, locations: Iterable[TimestampedLocation]) -> None:
+        locs = tuple(locations)
+        self._set_columns(
+            user,
+            [loc.t for loc in locs],
+            [loc.point.lat for loc in locs],
+            [loc.point.lon for loc in locs],
+        )
+        object.__setattr__(self, "_locations", locs)
+
+    @classmethod
+    def from_columns(cls, user: str, t, lat, lon) -> "MobilityTrace":
+        """A trace from its timestamp, latitude and longitude columns
+        (sequences or arrays), checked once for the whole trace: equal
+        lengths, ``t >= 0`` and non-decreasing, latitudes in [-90, 90] and
+        longitudes in [-180, 180] (NaN fails both)."""
+        trace = cls.__new__(cls)
+        trace._set_columns(user, t, lat, lon)
+        return trace
+
+    def _set_columns(self, user: str, t, lat, lon) -> None:
+        try:
+            t = _column(t, np.int64)
+        except OverflowError:
+            raise ValueError(f"trace for {user!r}: timestamp beyond int64") from None
+        lat = _column(lat, np.float64)
+        lon = _column(lon, np.float64)
+        if not (t.ndim == lat.ndim == lon.ndim == 1 and len(t) == len(lat) == len(lon)):
+            raise ValueError(f"trace for {user!r}: columns must be 1-D and of equal length")
+        if len(t):
+            if np.any(t[1:] < t[:-1]):
+                raise ValueError(f"trace for {user!r} is not sorted by time")
+            if t[0] < 0:
+                raise ValueError(f"trace for {user!r}: timestamp before epoch: {int(t[0])!r}")
+            for name, column, limit in (("latitude", lat, 90.0), ("longitude", lon, 180.0)):
+                bad = ~((column >= -limit) & (column <= limit))  # NaN is bad too
+                if bad.any():
+                    value = float(column[bad][0])
+                    raise ValueError(f"trace for {user!r}: {name} out of range: {value!r}")
+        for name, value in (("user", user), ("t", t), ("lat", lat), ("lon", lon), ("_locations", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"MobilityTrace is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return (MobilityTrace.from_columns, (self.user, self.t, self.lat, self.lon))
 
     @classmethod
     def from_unsorted(cls, user: str, locations: Iterable[TimestampedLocation]) -> "MobilityTrace":
-        return cls(user, tuple(sorted(locations, key=lambda loc: loc.t)))
+        return cls(user, sorted(locations, key=lambda loc: loc.t))
+
+    @property
+    def locations(self) -> tuple[TimestampedLocation, ...]:
+        """The trace as TimestampedLocation objects, built on first access."""
+        if self._locations is None:
+            object.__setattr__(self, "_locations", tuple(
+                TimestampedLocation(t, GeoPoint(lat, lon))
+                for t, lat, lon in zip(self.t.tolist(), self.lat.tolist(), self.lon.tolist())
+            ))
+        return self._locations
 
     def __len__(self) -> int:
-        return len(self.locations)
+        return len(self.t)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MobilityTrace):
+            return NotImplemented
+        return (
+            self.user == other.user
+            and np.array_equal(self.t, other.t)
+            and np.array_equal(self.lat, other.lat)
+            and np.array_equal(self.lon, other.lon)
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"MobilityTrace.from_columns({self.user!r}, {self.t.tolist()!r}, "
+            f"{self.lat.tolist()!r}, {self.lon.tolist()!r})"
+        )
 
 
 @dataclass(frozen=True)

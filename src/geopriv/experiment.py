@@ -19,7 +19,9 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
-from .core import Dataset, PoiSet
+import numpy as np
+
+from .core import Dataset, GeoPoint, PoiSet
 from .ingest import dataset_digest
 from .features import FeatureStore
 from .mechanism import PrivacyLevel, RandomSource, derive_seed, obfuscate_trace
@@ -318,14 +320,19 @@ def precision_summary(
     Empty-result trials count as precision 1 by convention and are tallied
     in ``n_empty`` so they cannot silently inflate the mean.
     """
-    points = [loc.point for user in dataset.users() for loc in dataset.traces[user].locations]
-    if not points:
+    traces = [dataset.traces[user] for user in dataset.users()]
+    n = sum(len(trace) for trace in traces)
+    if n == 0:
         raise ValueError("cannot sample query locations from an empty dataset")
+    # every user's points, concatenated in sorted user order
+    lats = np.concatenate([trace.lat for trace in traces])
+    lons = np.concatenate([trace.lon for trace in traces])
     rng = RandomSource(seed)
     values = []
     n_empty = 0
     for _ in range(cfg.samples):
-        c = points[int(rng.uniform() * len(points))]
+        i = int(rng.uniform() * n)
+        c = GeoPoint(float(lats[i]), float(lons[i]))
         value, n_retrieved = precision_trial(
             c, level, store, cfg.radius_m, cfg.alpha, rng, cfg.category
         )

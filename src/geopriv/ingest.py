@@ -25,13 +25,15 @@ from __future__ import annotations
 import csv
 import io
 import logging
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import Iterable, Mapping, TextIO
 
-from .core import Dataset, GeoPoint, MobilityTrace, TimestampedLocation
+import numpy as np
+
+from .core import Dataset, GeoPoint, MobilityTrace
 from .features import Feature
 from .core import Poi, PoiSet
 
@@ -67,20 +69,56 @@ def _fmt_degrees(x: float) -> str:
     return s if float(s) == x else repr(x)
 
 
-def _build_dataset(records: Mapping[str, list[TimestampedLocation]]) -> Dataset:
-    traces = {
-        user: MobilityTrace.from_unsorted(user, locs) for user, locs in records.items()
-    }
-    return Dataset(traces)
+def _fmt_degrees_column(x: np.ndarray) -> list[str]:
+    """``_fmt_degrees`` of every value of a coordinate column.
+
+    A value whose six-decimal form round-trips lies within float error
+    (below 1e-7 for magnitudes up to 180) of a whole number of millionths
+    once scaled by 1e6; a value farther than 1e-3 from one therefore takes
+    the repr form without the six-decimal attempt, as noisy points do.
+    """
+    scaled = x * 1e6
+    off_grid = (np.abs(scaled - np.rint(scaled)) > 1e-3).tolist()
+    return [repr(v) if off else _fmt_degrees(v) for v, off in zip(x.tolist(), off_grid)]
+
+
+# One user's records as read: timestamps, latitudes, longitudes.
+_Records = tuple[list[int], list[float], list[float]]
+
+def _timestamps(ts: list[int]) -> np.ndarray:
+    try:
+        return np.array(ts, dtype=np.int64)
+    except OverflowError:
+        # beyond int64: -1 makes the record fail the epoch check below
+        return np.array([t if 0 <= t < 2**63 else -1 for t in ts], dtype=np.int64)
+
+
+def _build_dataset(records: Mapping[str, _Records]) -> tuple[Dataset, int]:
+    """One trace per user, sorted stably by time, and the number of records
+    dropped as invalid: a timestamp before the epoch or beyond int64, a
+    coordinate out of range or NaN. Every user of ``records`` gets a trace,
+    an empty one when no record survives."""
+    traces = {}
+    dropped = 0
+    for user, (ts, lats, lons) in records.items():
+        t = _timestamps(ts)
+        lat = np.array(lats, dtype=np.float64)
+        lon = np.array(lons, dtype=np.float64)
+        ok = (t >= 0) & (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
+        keep = np.flatnonzero(ok)
+        dropped += len(t) - len(keep)
+        order = keep[np.argsort(t[keep], kind="stable")]
+        traces[user] = MobilityTrace.from_columns(user, t[order], lat[order], lon[order])
+    return Dataset(traces), dropped
 
 
 def parse_canonical(lines: Iterable[str] | TextIO) -> Dataset:
     """Parse the canonical trace CSV into a Dataset.
 
     Traces come out sorted by timestamp. Malformed lines (wrong field
-    count, unparseable numbers, out-of-range coordinates, negative
-    timestamps) are counted and logged; more than 1 % of them makes the
-    input corrupt.
+    count, unparseable numbers, out-of-range or NaN coordinates, negative
+    timestamps or timestamps beyond int64) are counted and logged; more
+    than 1 % of them makes the input corrupt.
     """
     it = iter(lines)
     try:
@@ -90,7 +128,7 @@ def parse_canonical(lines: Iterable[str] | TextIO) -> Dataset:
     if header.strip() != CANONICAL_HEADER:
         raise ValueError(f"missing or wrong header, expected {CANONICAL_HEADER!r}")
 
-    by_user: dict[str, list[TimestampedLocation]] = defaultdict(list)
+    by_user: dict[str, _Records] = {}
     total = 0
     malformed = 0
     for line in it:
@@ -98,24 +136,27 @@ def parse_canonical(lines: Iterable[str] | TextIO) -> Dataset:
         if not line:
             continue
         total += 1
-        parts = line.split(",")
-        if len(parts) != 4:
-            malformed += 1
-            continue
         try:
-            loc = TimestampedLocation(
-                int(parts[1]), GeoPoint(float(parts[2]), float(parts[3]))
-            )
+            user, t, lat, lon = line.split(",")
+            t, lat, lon = int(t), float(lat), float(lon)
         except ValueError:
             malformed += 1
             continue
-        by_user[parts[0]].append(loc)
+        cols = by_user.get(user)
+        if cols is None:
+            cols = by_user[user] = ([], [], [])
+        cols[0].append(t)
+        cols[1].append(lat)
+        cols[2].append(lon)
+    dataset, dropped = _build_dataset(by_user)
+    malformed += dropped
 
     if malformed:
         logger.warning("canonical input: %d of %d lines malformed", malformed, total)
         if malformed / total > MALFORMED_TOLERANCE:
             raise ValueError(f"corrupt input: {malformed} of {total} lines malformed")
-    return _build_dataset(by_user)
+    # a user appears through a valid line only
+    return Dataset({user: tr for user, tr in dataset.traces.items() if len(tr)})
 
 
 def write_canonical(dataset: Dataset, out: TextIO) -> int:
@@ -127,11 +168,12 @@ def write_canonical(dataset: Dataset, out: TextIO) -> int:
     out.write(CANONICAL_HEADER + "\n")
     count = 0
     for user in dataset.users():
-        for loc in dataset.traces[user].locations:
-            out.write(
-                f"{user},{loc.t},{_fmt_degrees(loc.point.lat)},{_fmt_degrees(loc.point.lon)}\n"
-            )
-            count += 1
+        trace = dataset.traces[user]
+        lats = _fmt_degrees_column(trace.lat)
+        lons = _fmt_degrees_column(trace.lon)
+        for t, lat, lon in zip(trace.t.tolist(), lats, lons):
+            out.write(f"{user},{t},{lat},{lon}\n")
+        count += len(trace)
     return count
 
 
@@ -147,7 +189,7 @@ def parse_sfcabs(directory: str | Path) -> Dataset:
     if not files:
         raise ValueError(f"no cab files found in {directory}")
 
-    by_user: dict[str, list[TimestampedLocation]] = {}
+    by_user: dict[str, _Records] = {}
     malformed = 0
     for path in files:
         taxi = path.stem[4:] if path.stem.startswith("new_") else path.stem
@@ -156,7 +198,9 @@ def parse_sfcabs(directory: str | Path) -> Dataset:
         except OSError as exc:
             logger.warning("skipping unreadable cab file %s: %s", path, exc)
             continue
-        locs: list[TimestampedLocation] = []
+        ts: list[int] = []
+        lats: list[float] = []
+        lons: list[float] = []
         for line in text.splitlines():
             parts = line.split()
             if len(parts) != 4:
@@ -164,15 +208,19 @@ def parse_sfcabs(directory: str | Path) -> Dataset:
                     malformed += 1
                 continue
             try:
-                locs.append(
-                    TimestampedLocation(int(parts[3]), GeoPoint(float(parts[0]), float(parts[1])))
-                )
+                t, lat, lon = int(parts[3]), float(parts[0]), float(parts[1])
             except ValueError:
                 malformed += 1
-        by_user[taxi] = locs
+                continue
+            ts.append(t)
+            lats.append(lat)
+            lons.append(lon)
+        by_user[taxi] = (ts, lats, lons)
+    dataset, dropped = _build_dataset(by_user)
+    malformed += dropped
     if malformed:
         logger.warning("cab input: %d malformed lines skipped", malformed)
-    return _build_dataset(by_user)
+    return dataset
 
 
 def _plt_timestamp(date_s: str, time_s: str) -> int:
@@ -194,11 +242,12 @@ def parse_geolife(directory: str | Path) -> Dataset:
     if not user_dirs:
         raise ValueError(f"no user directories found in {directory}")
 
-    by_user: dict[str, list[TimestampedLocation]] = {}
+    by_user: dict[str, _Records] = {}
     malformed = 0
     for user_dir in user_dirs:
-        user = user_dir.name
-        locs: list[TimestampedLocation] = []
+        ts: list[int] = []
+        lats: list[float] = []
+        lons: list[float] = []
         for path in sorted(user_dir.rglob("*.plt")):
             try:
                 lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
@@ -215,18 +264,20 @@ def parse_geolife(directory: str | Path) -> Dataset:
                         malformed += 1
                     continue
                 try:
-                    locs.append(
-                        TimestampedLocation(
-                            _plt_timestamp(parts[5], parts[6].strip()),
-                            GeoPoint(float(parts[0]), float(parts[1])),
-                        )
-                    )
+                    t = _plt_timestamp(parts[5], parts[6].strip())
+                    lat, lon = float(parts[0]), float(parts[1])
                 except ValueError:
                     malformed += 1
-        by_user[user] = locs
+                    continue
+                ts.append(t)
+                lats.append(lat)
+                lons.append(lon)
+        by_user[user_dir.name] = (ts, lats, lons)
+    dataset, dropped = _build_dataset(by_user)
+    malformed += dropped
     if malformed:
         logger.warning("geolife input: %d malformed records skipped", malformed)
-    return _build_dataset(by_user)
+    return dataset
 
 
 def filter_dataset(dataset: Dataset, policy: FilterPolicy) -> Dataset:
@@ -237,12 +288,13 @@ def filter_dataset(dataset: Dataset, policy: FilterPolicy) -> Dataset:
     """
     out: dict[str, MobilityTrace] = {}
     for user, trace in dataset.traces.items():
-        day_counts = Counter(loc.t // 86400 for loc in trace.locations)
-        good_days = {d for d, c in day_counts.items() if c > policy.min_locations_per_day}
+        days = trace.t // 86400
+        day, count = np.unique(days, return_counts=True)
+        good_days = day[count > policy.min_locations_per_day]
         if len(good_days) < policy.min_qualifying_days:
             continue
-        kept = tuple(loc for loc in trace.locations if loc.t // 86400 in good_days)
-        out[user] = MobilityTrace(user, kept)
+        kept = np.isin(days, good_days)
+        out[user] = MobilityTrace.from_columns(user, trace.t[kept], trace.lat[kept], trace.lon[kept])
     return Dataset(out)
 
 

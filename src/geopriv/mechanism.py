@@ -27,13 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import lambertw
 
-from .core import (
-    GeoPoint,
-    MAX_OFFSET_LAT,
-    METERS_PER_DEGREE,
-    MobilityTrace,
-    TimestampedLocation,
-)
+from .core import MAX_OFFSET_LAT, METERS_PER_DEGREE, MobilityTrace
 
 TWO_PI = 2.0 * math.pi
 
@@ -171,19 +165,18 @@ def obfuscate_trace(trace: MobilityTrace, level: PrivacyLevel, rng: RandomSource
     """Obfuscate every point of a trace independently through :func:`perturb`.
 
     User, timestamps and ordering are preserved; a disabled level or an
-    empty trace returns the trace itself. ``metrics.precision_trial``
-    perturbs its one query point through the same function (n = 1).
+    empty trace returns the trace itself. Noise that carries a point past
+    a pole raises, naming the user and the noisy latitude.
+    ``metrics.precision_trial`` perturbs its one query point through the
+    same function (n = 1).
     """
-    n = len(trace.locations)
-    if level.disabled or n == 0:
+    if level.disabled or len(trace) == 0:
         return trace
-    lat = np.fromiter((loc.point.lat for loc in trace.locations), dtype=float, count=n)
-    lon = np.fromiter((loc.point.lon for loc in trace.locations), dtype=float, count=n)
-    new_lat, new_lon = perturb(lat, lon, level, rng)
-    return MobilityTrace(
-        trace.user,
-        tuple(
-            TimestampedLocation(loc.t, GeoPoint(a, b))
-            for loc, a, b in zip(trace.locations, new_lat.tolist(), new_lon.tolist())
-        ),
-    )
+    lat, lon = perturb(trace.lat, trace.lon, level, rng)
+    past_pole = np.flatnonzero(np.abs(lat) > 90.0)
+    if past_pole.size:
+        raise ValueError(
+            f"noise moved a point of user {trace.user!r} to latitude "
+            f"{float(lat[past_pole[0]])!r}, past the pole"
+        )
+    return MobilityTrace.from_columns(trace.user, trace.t, lat, lon)

@@ -96,11 +96,8 @@ _Columns = tuple[list[float], list[float], list[int], list[float], list[float], 
 def _project(trace: MobilityTrace) -> _Columns:
     """The trace's columns and chord projection; they do not depend on the
     extraction parameters, so a threshold sweep computes them once."""
-    locs = trace.locations
-    lats = [loc.point.lat for loc in locs]
-    lons = [loc.point.lon for loc in locs]
-    xs, ys, zs = chord_xyz(lats, lons).T.tolist()
-    return lats, lons, [loc.t for loc in locs], xs, ys, zs
+    xs, ys, zs = chord_xyz(trace.lat, trace.lon).T.tolist()
+    return trace.lat.tolist(), trace.lon.tolist(), trace.t.tolist(), xs, ys, zs
 
 
 def _walk(cols: _Columns, params: ExtractionParams) -> list[Stay]:

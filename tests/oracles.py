@@ -2,14 +2,32 @@
 
 These deliberately stay naive and quadratic, sharing no code with the
 production paths they check (beyond the scalar distance function, which is
-itself pinned by direct arithmetic tests).
+itself pinned by direct arithmetic tests). The parser oracle validates each
+record as TimestampedLocation/GeoPoint objects and shares only the CSV
+header, the malformed-line tolerance and the trace model with
+``ingest.parse_canonical``.
 """
 
 from __future__ import annotations
 
-from geopriv.core import GeoPoint, MobilityTrace, Poi, centroid, distance
+import logging
+from collections import defaultdict
+from typing import Iterable
+
+from geopriv.core import (
+    Dataset,
+    GeoPoint,
+    MobilityTrace,
+    Poi,
+    TimestampedLocation,
+    centroid,
+    distance,
+)
+from geopriv.ingest import CANONICAL_HEADER, MALFORMED_TOLERANCE
 from geopriv.mechanism import PrivacyLevel, radius_cdf
 from geopriv.poi import ExtractionParams, Stay
+
+logger = logging.getLogger(__name__)
 
 
 def extract_stays_literal(trace: MobilityTrace, params: ExtractionParams) -> list[Stay]:
@@ -98,3 +116,46 @@ def brute_force_range(features, c: GeoPoint, radius_m: float, category=None):
         if (category is None or f.category == category) and distance(c, f.point) <= radius_m
     ]
     return sorted(hits, key=lambda f: (distance(c, f.point), f.id))
+
+
+def parse_canonical_literal(lines: Iterable[str]) -> Dataset:
+    """Line-by-line canonical CSV reader: every record is validated as a
+    TimestampedLocation/GeoPoint object, then each user is sorted by time
+    (ties keep their input order). Warns and rejects with the same
+    messages as ``ingest.parse_canonical``."""
+    it = iter(lines)
+    try:
+        header = next(it)
+    except StopIteration:
+        raise ValueError("missing header: empty input") from None
+    if header.strip() != CANONICAL_HEADER:
+        raise ValueError(f"missing or wrong header, expected {CANONICAL_HEADER!r}")
+
+    by_user: dict[str, list[TimestampedLocation]] = defaultdict(list)
+    total = 0
+    malformed = 0
+    for line in it:
+        line = line.strip()
+        if not line:
+            continue
+        total += 1
+        parts = line.split(",")
+        if len(parts) != 4:
+            malformed += 1
+            continue
+        try:
+            loc = TimestampedLocation(
+                int(parts[1]), GeoPoint(float(parts[2]), float(parts[3]))
+            )
+        except ValueError:
+            malformed += 1
+            continue
+        by_user[parts[0]].append(loc)
+
+    if malformed:
+        logger.warning("canonical input: %d of %d lines malformed", malformed, total)
+        if malformed / total > MALFORMED_TOLERANCE:
+            raise ValueError(f"corrupt input: {malformed} of {total} lines malformed")
+    return Dataset(
+        {user: MobilityTrace.from_unsorted(user, locs) for user, locs in by_user.items()}
+    )

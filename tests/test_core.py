@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -127,6 +128,44 @@ class TestTraceModel:
         b = TimestampedLocation(5, GeoPoint(2, 0))
         tr = MobilityTrace.from_unsorted("u", [a, b])
         assert tr.locations == (a, b)
+
+    def test_empty_trace_has_typed_empty_columns(self):
+        tr = MobilityTrace("u", ())
+        assert (tr.t.dtype, tr.lat.dtype, tr.lon.dtype) == (np.int64, np.float64, np.float64)
+        assert len(tr.t) == len(tr.lat) == len(tr.lon) == 0
+        assert tr == MobilityTrace.from_columns("u", [], [], [])
+
+    def test_columns_and_view(self):
+        a = TimestampedLocation(5, GeoPoint(1.5, 2.5))
+        b = TimestampedLocation(7, GeoPoint(-3.0, 4.0))
+        tr = MobilityTrace.from_columns("u", [5, 7], [1.5, -3.0], [2.5, 4.0])
+        assert tr == MobilityTrace("u", (a, b))
+        assert tr.locations == (a, b)
+        assert tr.locations is tr.locations  # built once
+        assert pickle.loads(pickle.dumps(tr)) == tr
+        assert tr != MobilityTrace.from_columns("v", [5, 7], [1.5, -3.0], [2.5, 4.0])
+        assert tr != MobilityTrace.from_columns("u", [5, 7], [1.5, -3.0], [2.5, 4.5])
+        with pytest.raises(ValueError):
+            tr.lat[0] = 0.0
+        with pytest.raises(AttributeError):
+            tr.user = "v"
+
+    @pytest.mark.parametrize(
+        "t, lat, lon, message",
+        [
+            ([2, 1], [0, 0], [0, 0], "sorted"),
+            ([-1, 1], [0, 0], [0, 0], "before epoch"),
+            ([2**63], [0], [0], "int64"),
+            ([1, 2], [0, float("nan")], [0, 0], "latitude"),
+            ([1, 2], [0, -90.5], [0, 0], "latitude"),
+            ([1], [0], [float("nan")], "longitude"),
+            ([1], [0], [180.25], "longitude"),
+            ([1, 2], [0], [0, 0], "equal length"),
+        ],
+    )
+    def test_from_columns_validates(self, t, lat, lon, message):
+        with pytest.raises(ValueError, match=message):
+            MobilityTrace.from_columns("u", t, lat, lon)
 
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ValueError):

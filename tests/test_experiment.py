@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from geopriv.core import Dataset
+from geopriv.core import Dataset, MobilityTrace
 from geopriv.experiment import (
     EvaluationReport,
     ExperimentConfig,
@@ -274,3 +274,26 @@ class TestWriteReport:
         lines = (tmp_path / "cdf_geo.csv").read_text().splitlines()
         assert lines[0] == "epsilon,geo_m,fraction"
         assert lines[-1].endswith(",1.0")
+
+    def test_user_with_empty_trace_is_excluded_and_changes_no_report(self, small_world, tmp_path):
+        # "u02a" sorts between real users, so the precision sample's index
+        # into the concatenated points would shift if it counted
+        dataset, _, store = small_world
+        with_empty = Dataset({**dataset.traces, "u02a": MobilityTrace("u02a", ())})
+        config = ExperimentConfig(
+            levels=(MEDIUM,),
+            runs=2,
+            master_seed=8,
+            extraction=PARAMS,
+            sweep=SweepConfig(min_m=800, max_m=2400, step_m=800),
+            precision=PrecisionConfig(samples=10),
+        )
+        report = run_experiment(with_empty, config, store)
+        assert report.metadata["per_level"][0]["excluded_users"] == ["u02a"]
+        write_report(report, tmp_path / "with")
+        write_report(run_experiment(dataset, config, store), tmp_path / "without")
+        for name in self.EXPECTED_FILES:
+            if name.endswith(".csv"):
+                assert (tmp_path / "with" / name).read_bytes() == (
+                    tmp_path / "without" / name
+                ).read_bytes(), name

@@ -1,11 +1,15 @@
 import io
+import logging
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geopriv.core import Dataset, GeoPoint, MobilityTrace, TimestampedLocation
 from geopriv.ingest import (
     FilterPolicy,
+    _fmt_degrees,
+    _fmt_degrees_column,
     dataset_digest,
     filter_dataset,
     parse_canonical,
@@ -19,6 +23,8 @@ from geopriv.ingest import (
 )
 from geopriv.core import Poi, PoiSet
 from geopriv.features import Feature
+
+from oracles import parse_canonical_literal
 
 DAY = 86_400
 
@@ -54,6 +60,110 @@ class TestParseCanonical:
         lines = ["user_id,timestamp,lat,lon"] + [f"u1,{i},0,0" for i in range(50)] + ["garbage"]
         with pytest.raises(ValueError, match="corrupt input"):
             parse_canonical(_csv(*lines))
+
+    def test_timestamp_beyond_int64_counted_malformed(self, caplog):
+        lines = ["user_id,timestamp,lat,lon"] + [f"u1,{i},10,10" for i in range(200)]
+        lines += [f"u1,{2**63},0,0", f"u2,{2**63 - 1},0,0"]
+        with caplog.at_level("WARNING"):
+            ds = parse_canonical(_csv(*lines))
+        assert len(ds.traces["u1"]) == 200
+        assert ds.traces["u2"].t.tolist() == [2**63 - 1]
+        assert "1 of 202" in caplog.text
+
+
+_HEADER = "user_id,timestamp,lat,lon"
+
+
+def _valid_line(user, t, lat, lon, style):
+    if style == 0:
+        return f"{user},{t},{lat!r},{lon!r}"
+    if style == 1:
+        return f"{user},{t},{lat:.6f},{lon:.6f}"
+    return f"  {user}, {t} ,{lat:.3f} , {lon:.2f}\t"  # padded fields parse too
+
+
+_BAD_LINES = st.one_of(
+    st.sampled_from(["", "   ", "\t \t"]),  # blank: not counted at all
+    st.sampled_from(["garbage", "a,1,2", "a,1,2,3,4", "a,,1,1", ",,,", "a,1,2,3,"]),
+    st.tuples(
+        st.sampled_from(["a", "z"]),  # "z" has no valid line
+        st.sampled_from(["-1", "-86400", "1.5", "nan", "abc", "", "1e3", str(2**63 - 1)]),
+        st.sampled_from(["nan", "-nan", "inf", "-inf", "x", "90.0000001", "-91", "1e400", "45.0"]),
+        st.sampled_from(["nan", "inf", "181", "-180.0000001", "y", "5.0"]),
+    ).map(",".join),
+)
+
+
+@st.composite
+def line_soups(draw):
+    """Canonical input mixing valid records of interleaved users (with
+    repeated timestamps) and malformed or blank lines; about half of the
+    draws sit at or just past the 1 % rejection boundary. Up to 30 valid
+    lines are drawn; longer inputs repeat them, shuffled in."""
+    bad = draw(st.lists(_BAD_LINES, max_size=4))
+    counted_bad = sum(1 for line in bad if line.strip())
+    if draw(st.booleans()):
+        n_valid = max(0, 99 * counted_bad + draw(st.integers(-2, 2) | st.integers(3, 30)))
+    else:
+        n_valid = draw(st.integers(0, 30))
+    lat = st.one_of(
+        st.floats(-90, 90, allow_nan=False),
+        st.sampled_from([90.0, -90.0, 0.0, -0.0, 45.1234565]),
+    )
+    lon = st.one_of(st.floats(-180, 180, allow_nan=False), st.sampled_from([180.0, -180.0]))
+    distinct = draw(st.lists(
+        st.builds(
+            _valid_line,
+            st.sampled_from(["a", "b", "c", "user 4"]),
+            st.integers(0, 12) | st.just(2**63 - 1),
+            lat,
+            lon,
+            st.integers(0, 2),
+        ),
+        min_size=1,
+        max_size=30,
+    ))
+    rnd = draw(st.randoms(use_true_random=False))
+    valid = distinct[:n_valid] + [rnd.choice(distinct) for _ in range(n_valid - len(distinct))]
+    lines = valid + bad
+    rnd.shuffle(lines)
+    return [_HEADER] + lines
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _outcome(parse, logger_name, lines):
+    """The dataset or ValueError message of a parser, with its warnings."""
+    handler = _Messages()
+    log = logging.getLogger(logger_name)
+    log.addHandler(handler)
+    try:
+        result = parse(iter(line + "\n" for line in lines))
+    except ValueError as exc:
+        result = f"ValueError: {exc}"
+    finally:
+        log.removeHandler(handler)
+    return result, handler.messages
+
+
+class TestParserOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(line_soups())
+    @example([_HEADER, "a,5,1,1", "b,5,2,2", "a,5,3,3", "a,4,4,4", "", "b,5,5,5"])
+    @example([_HEADER] + ["a,1,0,0"] * 98 + ["a,1,91,0"])
+    @example([_HEADER] + ["a,1,0,0"] * 99 + ["a,1,nan,0"])
+    @example([_HEADER] + ["a,1,0,0"] * 99 + ["z,-1,45.0,5.0"])
+    def test_matches_line_by_line_parser(self, lines):
+        got = _outcome(parse_canonical, "geopriv.ingest", lines)
+        want = _outcome(parse_canonical_literal, "oracles", lines)
+        assert got == want
 
 
 class TestWriteCanonical:
@@ -109,6 +219,21 @@ def datasets(draw):
         ]
         traces.append(MobilityTrace.from_unsorted(f"user{i}", locs))
     return Dataset.from_traces(traces)
+
+
+_NEAR_GRID = st.builds(
+    lambda k, nudge: float(np.nextafter(k / 1e6, np.inf * nudge)) if nudge else k / 1e6,
+    st.integers(-180_000_000, 180_000_000),
+    st.sampled_from([0, 1, -1]),
+)
+
+
+class TestFormatDegrees:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-180, 180, allow_nan=False), _NEAR_GRID), max_size=20))
+    def test_column_matches_scalar(self, values):
+        column = np.array(values, dtype=np.float64)
+        assert _fmt_degrees_column(column) == [_fmt_degrees(v) for v in values]
 
 
 class TestRoundTripProperty:

@@ -188,7 +188,26 @@ class TestObfuscatePoint:
             perturb(np.array([89.9]), np.array([0.0]), MEDIUM, RandomSource(1))
 
 
+class _Blocks:
+    """A source whose k-th ``uniforms`` call returns ``values[k]`` n times:
+    bearings, then the two radius blocks."""
+
+    def __init__(self, *values):
+        self._values = list(values)
+
+    def uniforms(self, n):
+        return np.full(n, self._values.pop(0))
+
+
 class TestObfuscateTrace:
+    def test_noise_past_the_pole_names_user_and_latitude(self):
+        # bearing 0.25 turns due north; 1 - u of 1e-6 twice gives a radius
+        # of 27.6 / epsilon = 276 km, 2.48 degrees past 88.99
+        trace = MobilityTrace.from_columns("polar", [0, 60], [10.0, 88.99], [5.0, 5.0])
+        with pytest.raises(ValueError, match=r"user 'polar' to latitude 91\.4"):
+            obfuscate_trace(trace, PrivacyLevel(1e-4), _Blocks(0.25, 0.999999, 0.999999))
+
+
     def _trace(self, n=50):
         return MobilityTrace(
             "u", tuple(TimestampedLocation(10 * i, GeoPoint(45.0, 5.0)) for i in range(n))
