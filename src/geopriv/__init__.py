@@ -34,8 +34,6 @@ from .metrics import (
     geographic_distances,
     most_likely_user,
     poi_set_distance,
-    query_precision,
-    recall,
     reidentification_rate,
     remap,
     semantic_distances,

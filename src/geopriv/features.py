@@ -2,13 +2,15 @@
 
 The store keeps the 3-D chord coordinates of every feature in one array,
 projected by ``core.chord_xyz`` like every stay walk and cluster test.
-A query scans that array with one matrix-vector product, keeps every
+A query scans that array with one matrix-vector product and keeps every
 feature whose chord from the query point is within the cutoff plus a
-fixed slack, and re-checks each candidate with the true great-circle
-distance. Chord length orders pairs exactly like arc length, and the
-slack is well above the float error of the scan, so results are identical
-to a brute-force scan anywhere on the sphere. Ties on distance are broken
-by ascending feature id.
+fixed slack. A range query accepts the features more than the slack
+inside the cutoff as they are and re-checks only the band between with
+the true great-circle distance; a top-k query ranks every kept feature by
+it. Chord length orders pairs exactly like arc length, and the slack is
+well above the float error of the scan, so results are identical to a
+brute-force scan anywhere on the sphere. Ties on distance are broken by
+ascending feature id.
 
 The store is immutable after build; concurrent reads are safe.
 """
@@ -29,7 +31,22 @@ DEFAULT_TOP_K = 15
 # by at least 1/(2R) ~ 7.8e-8 m, over ten times the float error of the scan
 # (at most 3.1e-9 m against long-double arithmetic on 200k random
 # near-coincident pairs), so no feature within the cutoff is missed.
+#
+# Raising the cut by the slack instead, to chord rho - 1 for a radius whose
+# chord is rho >= 1 m, accepts only features within that radius. The
+# scan's error adds at most 2R * 3.1e-9 < 0.04 m^2 to a squared chord, so
+# an accepted feature's true chord is below rho - 1 + 0.2 m, and
+# its s = sin(angle / 2) is below rho / 2R by more than 6e-8. core.distance
+# evaluates 2R asin(s) with its s within 1e-14 of the exact one (see
+# there), and asin climbs at least as fast as s, so the distance it
+# returns is below the radius by more than 0.7 m.
 _CHORD_SLACK_M = 1.0
+
+
+def _cut(reach: float) -> float:
+    """The least R cos(angle) of a point within chord ``reach`` of another
+    on the sphere (the squared chord is 2R(R - R cos(angle)))."""
+    return EARTH_RADIUS_M - reach * reach / (2.0 * EARTH_RADIUS_M)
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,12 +88,10 @@ class FeatureStore:
         sphere the squared chord is 2R(R - dot)."""
         return self._xyz @ (chord_xyz([c.lat], [c.lon])[0] / EARTH_RADIUS_M)
 
-    def _near(self, dots: np.ndarray, chord: float) -> list[Feature]:
-        """Every feature within ``chord`` of the point that ``dots`` was
-        taken at, plus those within the slack."""
-        reach = chord + _CHORD_SLACK_M
-        cut = EARTH_RADIUS_M - reach * reach / (2.0 * EARTH_RADIUS_M)
-        return [self._features[i] for i in np.flatnonzero(dots >= cut).tolist()]
+    def _near(self, dots: np.ndarray, chord: float) -> np.ndarray:
+        """Indices of every feature within ``chord`` of the point that
+        ``dots`` was taken at, plus those within the slack."""
+        return np.flatnonzero(dots >= _cut(chord + _CHORD_SLACK_M))
 
     def top_k(self, c: GeoPoint, k: int) -> list[Feature]:
         """The k features nearest to c, distance ascending, ties by id.
@@ -93,23 +108,38 @@ class FeatureStore:
         at = n - min(k, n)
         kth = float(np.partition(dots, at)[at])
         chord = math.sqrt(max(2.0 * EARTH_RADIUS_M * (EARTH_RADIUS_M - kth), 0.0))
-        ranked = sorted(self._near(dots, chord), key=lambda f: (distance(c, f.point), f.id))
-        return ranked[:k]
+        near = [self._features[i] for i in self._near(dots, chord).tolist()]
+        return sorted(near, key=lambda f: (distance(c, f.point), f.id))[:k]
+
+    def _within(self, c: GeoPoint, radius_m: float, category: str | None) -> np.ndarray:
+        """Ascending indices of the features within the closed ball of
+        radius_m around c, optionally of one category.
+
+        Only the features between the cuts for chord_m(radius_m) plus and
+        minus the slack are re-checked with ``distance``; those past the
+        inner cut are within the radius (see _CHORD_SLACK_M).
+        """
+        dots = self._dots(c)
+        chord = chord_m(radius_m)
+        near = self._near(dots, chord)
+        if category is not None:
+            same = [self._features[i].category == category for i in near.tolist()]
+            near = near[np.array(same, dtype=bool)]
+        if chord >= _CHORD_SLACK_M:
+            inside = dots[near] >= _cut(chord - _CHORD_SLACK_M)
+        else:
+            inside = np.zeros(len(near), dtype=bool)
+        for j in np.flatnonzero(~inside).tolist():
+            inside[j] = distance(c, self._features[near[j]].point) <= radius_m
+        return near[inside]
 
     def range_query(self, c: GeoPoint, radius_m: float, category: str | None = None) -> list[Feature]:
         """All features within the closed ball of radius_m around c,
         optionally restricted to one category; ordered by (distance, id)."""
         if radius_m < 0.0:
             raise ValueError(f"radius must be >= 0, got {radius_m!r}")
-        hits: list[tuple[float, str, Feature]] = []
-        for f in self._near(self._dots(c), chord_m(radius_m)):
-            if category is not None and f.category != category:
-                continue
-            d = distance(c, f.point)
-            if d <= radius_m:
-                hits.append((d, f.id, f))
-        hits.sort(key=lambda h: (h[0], h[1]))
-        return [f for _, _, f in hits]
+        hits = [self._features[i] for i in self._within(c, radius_m, category).tolist()]
+        return sorted(hits, key=lambda f: (distance(c, f.point), f.id))
 
 
 def generate_synthetic_features(

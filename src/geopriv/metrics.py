@@ -9,6 +9,16 @@ A separate linking attack scores how often an anonymous POI set can be
 re-associated with its owner, and the precision metric measures the
 utility cost of querying a service through the obfuscation.
 
+Both adversary metrics decide on chord arrays and re-check exactly in a
+proven band. The linking attack scores every candidate at once from the
+``core.chord_xyz`` coordinates of all POIs; only the candidates within
+twice ``_SCORE_SLACK_M`` of the best such score reach the scalar
+``poi_set_distance``, which decides. The precision trial counts features
+through the store's chord scan, which accepts those clearly inside the
+radius and re-checks only the ``_CHORD_SLACK_M`` band with
+``core.distance``. Every reported value and every decision is therefore
+the one the scalar distance gives.
+
 All functions are pure given immutable inputs; the only randomness flows
 through the explicitly passed source of the precision trial.
 """
@@ -21,7 +31,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import GeoPoint, Poi, PoiSet, distance
+from .core import EARTH_RADIUS_M, GeoPoint, Poi, PoiSet, chord_xyz, distance
 from .features import DEFAULT_TOP_K, FeatureStore
 from .mechanism import PrivacyLevel, RandomSource, inverse_radius_cdf, perturb
 
@@ -70,10 +80,6 @@ def remap(obf: PoiSet, real: PoiSet) -> RemapResult:
 def recall_of(result: RemapResult, n_real: int) -> float:
     """Fraction of real POIs receiving at least one remapped POI."""
     return len({p.real_index for p in result.pairs}) / n_real
-
-
-def recall(obf: PoiSet, real: PoiSet) -> float:
-    return recall_of(remap(obf, real), len(real))
 
 
 def geographic_distances(result: RemapResult) -> list[float]:
@@ -139,6 +145,48 @@ def most_likely_user(anon: PoiSet, real_sets: Mapping[str, PoiSet]) -> str:
     return best_user
 
 
+# Bound on |chord score - exact score| for one anonymous set and one
+# candidate, in metres. core.distance and a chord of chord_xyz coordinates
+# both give 2R asin(s) for s = sin(angle / 2) within 1e-14 of the exact
+# value (see core.distance). Over [0, 1], asin moves by at most
+# acos(1 - e) < sqrt(2.01 e) when s moves by e, so one pair's two arcs
+# differ by at most 2R sqrt(4.02e-14) < 2.6 m; only near-antipodal pairs
+# come close (0.33 m measured), city-scale pairs agree within 1e-8 m.
+# Minima, medians and means of two move by no more than the largest error
+# of their inputs, so a score is off by no more than its worst pair plus
+# about 1e-8 m of its last roundings: 4 m bounds it.
+_SCORE_SLACK_M = 4.0
+
+
+def _chord_scores(anon: np.ndarray, real: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """poi_set_distance of one anonymous set against every candidate, each
+    within _SCORE_SLACK_M of the exact score.
+
+    ``anon`` holds chord coordinates as rows, ``real`` as the three rows
+    x, y, z; candidate i owns the ``sizes[i] >= 1`` columns of ``real``
+    from ``starts[i]``. Chords order pairs like arcs, so minima and
+    medians are taken on chords and only the two central values of each
+    candidate become arcs.
+    """
+    chords = np.sqrt(sum((anon[:, k, None] - real[k]) ** 2 for k in range(3)))
+    n, a = len(sizes), len(anon)
+    # per candidate: each anonymous POI's nearest chord, then each real POI's
+    values = np.full((n, a + int(sizes.max())), np.inf)
+    values[:, :a] = np.minimum.reduceat(chords, starts, axis=1).T
+    owner = np.repeat(np.arange(n), sizes)
+    values[owner, a + np.arange(real.shape[1]) - starts[owner]] = chords.min(axis=0)
+    values.sort(axis=1)
+    rows = np.arange(n)
+    count = a + sizes
+    central = np.stack((values[rows, (count - 1) // 2], values[rows, count // 2]))
+    arcs = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(central / (2.0 * EARTH_RADIUS_M), 1.0))
+    return (arcs[0] + arcs[1]) / 2.0
+
+
+def _poi_xyz(pois) -> np.ndarray:
+    return chord_xyz([p.centroid.lat for p in pois], [p.centroid.lon for p in pois])
+
+
 def reidentification_rate(
     real_sets: Mapping[str, PoiSet], obf_sets: Mapping[str, PoiSet]
 ) -> float:
@@ -146,13 +194,34 @@ def reidentification_rate(
 
     ``obf_sets`` is keyed by the true owner for scoring only; each set is
     assigned independently (several may claim the same user, there is no
-    one-to-one matching).
+    one-to-one matching), exactly as :func:`most_likely_user` would assign
+    it. Chord scores rank every candidate first; only those within twice
+    ``_SCORE_SLACK_M`` of the best chord score can hold the best exact
+    score, and only they reach :func:`most_likely_user`.
+
+    An empty obfuscated set scores infinity against every candidate, so it
+    links to the smallest user identifier: ``{'a': A, 'b': B}`` against
+    ``{'a': (), 'b': ()}`` gives 0.5, not 0.
     """
     if not real_sets or not obf_sets:
         raise ValueError("re-identification needs non-empty inputs")
     if set(real_sets) != set(obf_sets):
         raise ValueError("real and obfuscated POI sets must cover the same users")
-    hits = sum(1 for user, anon in obf_sets.items() if most_likely_user(anon, real_sets) == user)
+    users = sorted(real_sets)
+    sizes = np.array([len(real_sets[u]) for u in users])
+    # candidates without POIs keep their infinite score
+    scored = np.flatnonzero(sizes)
+    counts = sizes[scored]
+    starts = np.cumsum(counts) - counts
+    real = np.ascontiguousarray(_poi_xyz([p for u in users for p in real_sets[u].pois]).T)
+    hits = 0
+    for owner, anon in obf_sets.items():
+        scores = np.full(len(users), math.inf)
+        if len(anon) and len(scored):
+            scores[scored] = _chord_scores(_poi_xyz(anon.pois), real, starts, counts)
+        near = np.flatnonzero(scores <= scores.min() + 2.0 * _SCORE_SLACK_M)
+        if most_likely_user(anon, {users[i]: real_sets[users[i]] for i in near.tolist()}) == owner:
+            hits += 1
     return hits / len(obf_sets)
 
 
@@ -182,22 +251,8 @@ def precision_trial(
     lat, lon = perturb(np.array([c.lat]), np.array([c.lon]), level, rng)
     z = GeoPoint(float(lat[0]), float(lon[0]))
     enlargement = inverse_radius_cdf(level, alpha)
-    retrieved = store.range_query(z, radius_m + enlargement, category)
-    if not retrieved:
+    retrieved = store._within(z, radius_m + enlargement, category)
+    if len(retrieved) == 0:
         return 1.0, 0
-    real_ids = {f.id for f in store.range_query(c, radius_m, category)}
-    useless = sum(1 for f in retrieved if f.id not in real_ids)
+    useless = len(np.setdiff1d(retrieved, store._within(c, radius_m, category), assume_unique=True))
     return 1.0 - useless / len(retrieved), len(retrieved)
-
-
-def query_precision(
-    c: GeoPoint,
-    level: PrivacyLevel,
-    store: FeatureStore,
-    radius_m: float,
-    alpha: float,
-    rng: RandomSource,
-    category: str | None = None,
-) -> float:
-    """Precision of one obfuscated range query; see precision_trial."""
-    return precision_trial(c, level, store, radius_m, alpha, rng, category)[0]

@@ -2,17 +2,22 @@
 
 These deliberately stay naive and quadratic, sharing no code with the
 production paths they check (beyond the scalar distance function, which is
-itself pinned by direct arithmetic tests). The parser oracle validates each
-record as TimestampedLocation/GeoPoint objects and shares only the CSV
-header, the malformed-line tolerance and the trace model with
+itself pinned by direct arithmetic tests, and the mechanism's perturb and
+radius quantile, which the precision-trial oracle replays to issue the
+same obfuscated query). The parser oracle validates each record as
+TimestampedLocation/GeoPoint objects and shares only the CSV header, the
+malformed-line tolerance and the trace model with
 ``ingest.parse_canonical``.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from collections import defaultdict
-from typing import Iterable
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from geopriv.core import (
     Dataset,
@@ -24,7 +29,7 @@ from geopriv.core import (
     distance,
 )
 from geopriv.ingest import CANONICAL_HEADER, MALFORMED_TOLERANCE
-from geopriv.mechanism import PrivacyLevel, radius_cdf
+from geopriv.mechanism import PrivacyLevel, inverse_radius_cdf, perturb, radius_cdf
 from geopriv.poi import ExtractionParams, Stay
 
 logger = logging.getLogger(__name__)
@@ -116,6 +121,59 @@ def brute_force_range(features, c: GeoPoint, radius_m: float, category=None):
         if (category is None or f.category == category) and distance(c, f.point) <= radius_m
     ]
     return sorted(hits, key=lambda f: (distance(c, f.point), f.id))
+
+
+def reidentification_rate_literal(real_sets: Mapping, obf_sets: Mapping) -> float:
+    """Every anonymous set scored against every candidate with the scalar
+    distance: median of the symmetric nearest-neighbour distances (infinite
+    when a side is empty), linked to the lowest score, ties to the smallest
+    user identifier."""
+
+    def score(a, b) -> float:
+        if len(a) == 0 or len(b) == 0:
+            return math.inf
+        values = []
+        for p in a.pois:
+            values.append(min(distance(p.centroid, q.centroid) for q in b.pois))
+        for q in b.pois:
+            values.append(min(distance(p.centroid, q.centroid) for p in a.pois))
+        values.sort()
+        m = len(values)
+        if m % 2 == 1:
+            return values[m // 2]
+        return (values[m // 2 - 1] + values[m // 2]) / 2.0
+
+    def link(anon) -> str:
+        best_user = None
+        best_d = math.inf
+        for user in sorted(real_sets):
+            d = score(anon, real_sets[user])
+            if best_user is None or d < best_d:
+                best_user, best_d = user, d
+        return best_user
+
+    if not real_sets or not obf_sets:
+        raise ValueError("re-identification needs non-empty inputs")
+    if set(real_sets) != set(obf_sets):
+        raise ValueError("real and obfuscated POI sets must cover the same users")
+    hits = sum(1 for user, anon in obf_sets.items() if link(anon) == user)
+    return hits / len(obf_sets)
+
+
+def precision_trial_literal(c: GeoPoint, level, features, radius_m, alpha, rng, category=None):
+    """One precision trial from two brute-force range queries: the
+    enlarged one around the obfuscated query point, the honest one around
+    c; returns (precision, retrieved count), (1.0, 0) when nothing is
+    retrieved."""
+    lat, lon = perturb(np.array([c.lat]), np.array([c.lon]), level, rng)
+    z = GeoPoint(float(lat[0]), float(lon[0]))
+    enlargement = inverse_radius_cdf(level, alpha)
+    retrieved = brute_force_range(features, z, radius_m + enlargement, category)
+    if not retrieved:
+        return 1.0, 0
+    real_ids = {f.id for f in brute_force_range(features, c, radius_m, category)}
+    useless = sum(1 for f in retrieved if f.id not in real_ids)
+    return 1.0 - useless / len(retrieved), len(retrieved)
 
 
 def parse_canonical_literal(lines: Iterable[str]) -> Dataset:

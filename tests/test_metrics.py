@@ -2,24 +2,34 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geopriv.core import GeoPoint, Poi, PoiSet, offset
+from geopriv.core import EARTH_RADIUS_M, GeoPoint, Poi, PoiSet, distance, offset
 from geopriv.features import Feature, FeatureStore
-from geopriv.mechanism import PrivacyLevel, RandomSource
+from geopriv.mechanism import PrivacyLevel, RandomSource, inverse_radius_cdf, perturb
 from geopriv.metrics import (
     geographic_distances,
     most_likely_user,
     poi_set_distance,
     precision_trial,
-    query_precision,
-    recall,
+    recall_of,
     reidentification_rate,
     remap,
     semantic_distances,
 )
 
+from oracles import precision_trial_literal, reidentification_rate_literal
+
 BASE = GeoPoint(45.0, 5.0)
 MEDIUM = PrivacyLevel.from_level(math.log(6), 500.0)
+
+
+def recall(obf, real):
+    return recall_of(remap(obf, real), len(real))
+
+
+def query_precision(c, level, store, radius_m, alpha, rng, category=None):
+    return precision_trial(c, level, store, radius_m, alpha, rng, category)[0]
 
 
 def _poi(dx, dy=0.0, support=2):
@@ -207,6 +217,11 @@ class TestReidentificationRate:
         }
         assert reidentification_rate(R, O) == 0.5
 
+    def test_empty_obfuscated_sets_link_to_smallest_identifier(self):
+        # every candidate scores infinity, so the first sorted user wins
+        R = {"b": _poiset("b", (5000, 0)), "a": _poiset("a", (0, 0))}
+        assert reidentification_rate(R, {"a": PoiSet("a", ()), "b": PoiSet("b", ())}) == 0.5
+
     def test_requires_matching_users(self):
         R = {"a": _poiset("a", (0, 0))}
         with pytest.raises(ValueError):
@@ -283,3 +298,121 @@ class TestQueryPrecision:
             ids = {f.id for f in store.range_query(z, radius)}
             assert previous <= ids
             previous = ids
+
+
+# Linking worlds on a coarse degree grid around a drawn origin. Users
+# share one base set through variants: duplicates, mirror images about the
+# origin's parallel or meridian, ulp-translates and metre-translates. At
+# origin (0, 0) mirror images tie exactly; elsewhere they and the
+# ulp-translates tie within float noise, where chord and haversine can rank
+# candidates differently. Anonymous sets on the mirror axes sit at equal
+# distance from both images. Strays sit a continent away or near the
+# antipode of (0, 0).
+_GRID = st.integers(-6, 6).map(lambda i: i * 0.002)
+_STRAYS = (GeoPoint(48.85, 2.35), GeoPoint(0.0, 180.0), GeoPoint(0.0005, -179.9995), GeoPoint(-0.001, 179.999))
+
+
+@st.composite
+def _linking_worlds(draw):
+    lat0, lon0 = draw(st.sampled_from(((0.0, 0.0), (37.7, -122.4), (-33.9, 151.2), (51.5, -0.1))))
+
+    def point():
+        if draw(st.integers(0, 9)) == 0:
+            return draw(st.sampled_from(_STRAYS))
+        on_axis = draw(st.sampled_from((None, "lat", "lon")))
+        lat = lat0 if on_axis == "lat" else lat0 + draw(_GRID)
+        lon = lon0 if on_axis == "lon" else lon0 + draw(_GRID)
+        return GeoPoint(lat, lon)
+
+    def fresh():
+        return tuple(point() for _ in range(draw(st.integers(1, 4))))
+
+    def variant(points):
+        up = draw(st.booleans())
+        move = draw(st.sampled_from((
+            lambda p: p,
+            lambda p: GeoPoint(2 * lat0 - p.lat, p.lon),
+            lambda p: GeoPoint(p.lat, 2 * lon0 - p.lon),
+            lambda p: GeoPoint(p.lat, float(np.nextafter(p.lon, math.inf if up else -math.inf))),
+            lambda p: GeoPoint(p.lat, p.lon + 1e-5),  # about a metre east
+        )))
+        return tuple(p if p in _STRAYS else move(p) for p in points)
+
+    ids = draw(st.permutations(draw(st.lists(
+        st.sampled_from(("a", "b", "c", "u1", "u2", "u10", "u9", "z", "B")),
+        min_size=1, max_size=7, unique=True,
+    ))))
+    base = fresh()
+    real = {}
+    for user in ids:
+        kind = draw(st.sampled_from(("base", "base", "fresh", "empty")))
+        real[user] = variant(base) if kind == "base" else fresh() if kind == "fresh" else ()
+    obf = {}
+    for user in ids:
+        kind = draw(st.sampled_from(("own", "other", "base", "fresh", "empty")))
+        if kind == "own":
+            obf[user] = variant(real[user])
+        elif kind == "other":
+            obf[user] = variant(real[draw(st.sampled_from(ids))])
+        elif kind == "base":
+            obf[user] = variant(base)
+        else:
+            obf[user] = fresh() if kind == "fresh" else ()
+
+    def poiset(user, points):
+        return PoiSet(user, tuple(Poi(p, 1) for p in points))
+
+    return (
+        {u: poiset(u, pts) for u, pts in real.items()},
+        {u: poiset(u, pts) for u, pts in obf.items()},
+    )
+
+
+class TestReidentificationOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(_linking_worlds())
+    def test_rate_matches_literal_loop(self, world):
+        real, obf = world
+        assert reidentification_rate(real, obf) == reidentification_rate_literal(real, obf)
+
+
+def _destination(p: GeoPoint, bearing: float, d: float) -> GeoPoint:
+    """The point d metres from p along the initial bearing (radians)."""
+    phi, lam, delta = math.radians(p.lat), math.radians(p.lon), d / EARTH_RADIUS_M
+    phi2 = math.asin(math.sin(phi) * math.cos(delta) + math.cos(phi) * math.sin(delta) * math.cos(bearing))
+    lam2 = lam + math.atan2(
+        math.sin(bearing) * math.sin(delta) * math.cos(phi), math.cos(delta) - math.sin(phi) * math.sin(phi2)
+    )
+    return GeoPoint(math.degrees(phi2), (math.degrees(lam2) + 180.0) % 360.0 - 180.0)
+
+
+@st.composite
+def _precision_trials(draw):
+    c = GeoPoint(draw(st.floats(-60.0, 60.0)), draw(st.floats(-180.0, 180.0)))
+    level = PrivacyLevel(draw(st.sampled_from((0.0005, 0.002, 0.01))))
+    alpha = draw(st.sampled_from((0.5, 0.85, 0.95)))
+    radius = draw(st.one_of(st.floats(0.1, 3.0), st.floats(3.0, 3000.0)))
+    seed = draw(st.integers(0, 2**32))
+    lat, lon = perturb(np.array([c.lat]), np.array([c.lon]), level, RandomSource(seed))
+    z = GeoPoint(float(lat[0]), float(lon[0]))
+    enlarged = radius + inverse_radius_cdf(level, alpha)
+    bearings = st.floats(0.0, 2.0 * math.pi)
+    shifts = st.sampled_from((-1.0, -1e-3, 0.0, 1e-3, 1.0))
+    points = [_destination(c, draw(bearings), radius + draw(shifts)) for _ in range(draw(st.integers(0, 6)))]
+    points += [_destination(z, draw(bearings), enlarged + draw(shifts)) for _ in range(draw(st.integers(0, 6)))]
+    points += [_destination(c, draw(bearings), draw(st.floats(0.0, 2.0 * enlarged))) for _ in range(draw(st.integers(0, 6)))]
+    features = [Feature(f"f{i:02d}", p, draw(st.sampled_from(("x", "y")))) for i, p in enumerate(points)]
+    if features and draw(st.booleans()):
+        # a radius that lands exactly on one feature's distance
+        radius = max(distance(c, draw(st.sampled_from(features)).point), 0.1)
+    return c, level, features, radius, alpha, seed, draw(st.sampled_from((None, "x")))
+
+
+class TestPrecisionTrialOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_precision_trials())
+    def test_trial_matches_two_brute_force_queries(self, trial):
+        c, level, features, radius, alpha, seed, category = trial
+        store = FeatureStore.build(features)
+        got = precision_trial(c, level, store, radius, alpha, RandomSource(seed), category)
+        assert got == precision_trial_literal(c, level, features, radius, alpha, RandomSource(seed), category)
