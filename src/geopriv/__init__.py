@@ -15,7 +15,6 @@ from .core import (
     TimestampedLocation,
     centroid,
     distance,
-    offset,
 )
 from .mechanism import (
     PrivacyLevel,
@@ -48,6 +47,8 @@ from .experiment import (
     evaluate,
     extract_ground_truth,
     obfuscation_campaign,
+    observe,
+    precision_summary,
     run_experiment,
     threshold_sweep,
     write_report,

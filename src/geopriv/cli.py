@@ -19,6 +19,11 @@ from .mechanism import PrivacyLevel, derive_seed
 from .metrics import reidentification_rate
 from .poi import ExtractionParams
 
+# Option defaults come from the dataclasses the options fill in.
+_EXTRACTION = ExtractionParams()
+_SWEEP = experiment.SweepConfig()
+_PRECISION = experiment.PrecisionConfig()
+
 
 def _read_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
@@ -41,7 +46,17 @@ def main(ctx: click.Context, config_path: str | None) -> None:
     """Location-privacy evaluation pipeline for mobility traces."""
     if config_path:
         values = _read_config(config_path)
-        ctx.default_map = {name: dict(values) for name in main.commands}
+        ctx.default_map = {name: {} for name in main.commands}
+        known: set[str] = set()
+        for name, command in main.commands.items():
+            for param in command.params:
+                # a key names an option by a flag (input for --input) or by its parameter
+                keys = {param.name, *(opt.lstrip("-").replace("-", "_") for opt in param.opts)}
+                known |= keys
+                ctx.default_map[name].update((param.name, values[key]) for key in keys & values.keys())
+        unknown = sorted(values.keys() - known)
+        if unknown:
+            raise click.BadParameter(f"unknown keys: {', '.join(unknown)}", param_hint="--config")
 
 
 def _resolve_level(epsilon: float | None, level_spec: str | None) -> PrivacyLevel:
@@ -162,9 +177,9 @@ def ingest_cmd(fmt: str, input_path: str, output_path: str, filter_days: int | N
 
 @main.command()
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True)
-@click.option("--min-time", type=int, default=3600, show_default=True)
-@click.option("--max-distance", type=float, default=250.0, show_default=True)
-@click.option("--min-pts", type=int, default=2, show_default=True)
+@click.option("--min-time", type=int, default=_EXTRACTION.min_time, show_default=True)
+@click.option("--max-distance", type=float, default=_EXTRACTION.max_distance, show_default=True)
+@click.option("--min-pts", type=int, default=_EXTRACTION.min_pts, show_default=True)
 @click.option("--output", "output_path", type=click.Path(), required=True)
 def pois(input_path: str, min_time: int, max_distance: float, min_pts: int, output_path: str) -> None:
     """Extract per-user POIs from a canonical trace CSV."""
@@ -180,7 +195,7 @@ def pois(input_path: str, min_time: int, max_distance: float, min_pts: int, outp
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True)
 @click.option("--epsilon", type=float, default=None, help="noise scale in 1/metres.")
 @click.option("--level", "level_spec", default=None, help="l=<f>,r=<m> privacy mass within a radius.")
-@click.option("--runs", type=int, default=10, show_default=True)
+@click.option("--runs", type=int, default=experiment.ExperimentConfig().runs, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True, help="64-bit master seed.")
 @click.option("--output-dir", type=click.Path(), required=True)
 def obfuscate(input_path: str, epsilon: float | None, level_spec: str | None, runs: int, seed: int, output_dir: str) -> None:
@@ -201,12 +216,12 @@ def obfuscate(input_path: str, epsilon: float | None, level_spec: str | None, ru
 @main.command()
 @click.option("--real", "real_path", type=click.Path(exists=True), required=True, help="ground-truth POI CSV.")
 @click.option("--campaign", "campaign_dir", type=click.Path(exists=True, file_okay=False), required=True)
-@click.option("--step", type=int, default=100, show_default=True)
-@click.option("--min", "min_m", type=int, default=100, show_default=True)
-@click.option("--max", "max_m", type=int, default=5000, show_default=True)
-@click.option("--target", type=float, default=0.7, show_default=True)
-@click.option("--min-time", type=int, default=3600, show_default=True)
-@click.option("--min-pts", type=int, default=2, show_default=True)
+@click.option("--step", type=int, default=_SWEEP.step_m, show_default=True)
+@click.option("--min", "min_m", type=int, default=_SWEEP.min_m, show_default=True)
+@click.option("--max", "max_m", type=int, default=_SWEEP.max_m, show_default=True)
+@click.option("--target", type=float, default=_SWEEP.recall_target, show_default=True)
+@click.option("--min-time", type=int, default=_EXTRACTION.min_time, show_default=True)
+@click.option("--min-pts", type=int, default=_EXTRACTION.min_pts, show_default=True)
 @click.option("--epsilon", type=float, default=None, help="label for the output; read from campaign.json when absent.")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="also write the sweep table as CSV.")
 def sweep(real_path: str, campaign_dir: str, step: int, min_m: int, max_m: int, target: float,
@@ -236,8 +251,8 @@ def sweep(real_path: str, campaign_dir: str, step: int, min_m: int, max_m: int, 
 @click.option("--threshold", type=int, required=True, help="observer max-distance in metres.")
 @click.option("--features", "features_path", type=click.Path(exists=True), default=None)
 @click.option("--synthetic", "synthetic_spec", default=None)
-@click.option("--min-time", type=int, default=3600, show_default=True)
-@click.option("--min-pts", type=int, default=2, show_default=True)
+@click.option("--min-time", type=int, default=_EXTRACTION.min_time, show_default=True)
+@click.option("--min-pts", type=int, default=_EXTRACTION.min_pts, show_default=True)
 @click.option("--epsilon", type=float, default=None)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def evaluate(real_path: str, campaign_dir: str, threshold: int, features_path: str | None,
@@ -250,9 +265,8 @@ def evaluate(real_path: str, campaign_dir: str, threshold: int, features_path: s
     eps = _campaign_epsilon(meta, epsilon)
     store = _resolve_store(features_path, synthetic_spec)
     params = ExtractionParams(min_time=min_time, min_pts=min_pts)
-    report = experiment.evaluate(
-        campaign, ground_truth, PrivacyLevel(eps), threshold, store, params
-    )
+    observed = experiment.observe(campaign, ground_truth, params, threshold)
+    report = experiment.evaluate(observed, ground_truth, PrivacyLevel(eps), threshold, store)
     experiment.write_report(report, out_dir)
     row = report.recall_rows[0]
     click.echo(f"mean recall {row.mean_recall:.4f} over {row.n_users} users, {row.runs} runs")
@@ -289,9 +303,9 @@ def reident(real_path: str, obf_path: str, epsilon: float | None, out_path: str)
 @click.option("--synthetic", "synthetic_spec", default=None)
 @click.option("--epsilon", type=float, default=None)
 @click.option("--level", "level_spec", default=None)
-@click.option("--radius", type=float, default=500.0, show_default=True)
-@click.option("--alpha", type=float, default=0.85, show_default=True)
-@click.option("--samples", type=int, default=100, show_default=True)
+@click.option("--radius", type=float, default=_PRECISION.radius_m, show_default=True)
+@click.option("--alpha", type=float, default=_PRECISION.alpha, show_default=True)
+@click.option("--samples", type=int, default=_PRECISION.samples, show_default=True)
 @click.option("--category", default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
@@ -299,10 +313,13 @@ def precision(input_path: str, features_path: str | None, synthetic_spec: str | 
               epsilon: float | None, level_spec: str | None, radius: float, alpha: float,
               samples: int, category: str | None, seed: int, out_path: str | None) -> None:
     """Measure query precision under obfuscation at sampled trace points."""
+    try:
+        cfg = experiment.PrecisionConfig(radius_m=radius, alpha=alpha, samples=samples, category=category)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from exc
     level = _resolve_level(epsilon, level_spec)
     dataset = _load_dataset(input_path)
     store = _resolve_store(features_path, synthetic_spec)
-    cfg = experiment.PrecisionConfig(radius_m=radius, alpha=alpha, samples=samples, category=category)
     row = experiment.precision_summary(dataset, level, store, cfg, derive_seed(seed, "precision"))
     click.echo(
         f"mean precision {row.mean_precision:.4f} over {row.n_samples} samples "

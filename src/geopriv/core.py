@@ -35,7 +35,7 @@ EARTH_RADIUS_M = 6_371_000.0
 # Metres per degree of latitude for local tangent-plane offsets.
 METERS_PER_DEGREE = 111_320.0
 
-# offset() is undefined this close to the poles (cos(lat) degenerates).
+# perturb's equirectangular step is undefined this close to the poles (cos(lat) degenerates).
 MAX_OFFSET_LAT = 89.0
 
 
@@ -288,22 +288,4 @@ def centroid(points: Sequence[GeoPoint]) -> GeoPoint:
         raise ValueError("empty point set")
     lat = sum(p.lat for p in points) / len(points)
     lon = sum(p.lon for p in points) / len(points)
-    return GeoPoint(lat, lon)
-
-
-def offset(p: GeoPoint, dx: float, dy: float) -> GeoPoint:
-    """Displace ``p`` by ``dx`` metres east and ``dy`` metres north.
-
-    Equirectangular local approximation, meant for city-scale
-    displacements (below ~100 km): round-tripping through ``distance``
-    recovers sqrt(dx^2 + dy^2) within 0.5 % for displacements up to 10 km
-    at latitudes up to 60 degrees. Longitude wraps at the antimeridian; a
-    displacement that leaves the valid latitude range raises through
-    GeoPoint.
-    """
-    if abs(p.lat) > MAX_OFFSET_LAT:
-        raise ValueError("polar region unsupported")
-    lat = p.lat + dy / METERS_PER_DEGREE
-    lon = p.lon + dx / (METERS_PER_DEGREE * math.cos(math.radians(p.lat)))
-    lon = (lon + 180.0) % 360.0 - 180.0
     return GeoPoint(lat, lon)

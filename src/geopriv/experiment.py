@@ -1,10 +1,16 @@
-"""Orchestration of the four-step study and its report files.
+"""The study in five stages, one plain function each, and its report files.
 
-The pipeline: extract ground-truth POIs per user, obfuscate the whole
-dataset several times with independent seeded noise, sweep the observer's
-distance threshold to pick the smallest one clearing the recall target,
-then score recall, geographic/semantic distance, re-identification and
-query precision at that threshold, averaged over the runs.
+1. :func:`extract_ground_truth`: each user's real POIs;
+2. :func:`obfuscation_campaign`: independently seeded obfuscated copies of
+   the dataset at one privacy level;
+3. :func:`threshold_sweep`: the observer's smallest threshold clearing the
+   recall target, with the POI sets observed there;
+4. :func:`observe`: the observer's POI sets at a given threshold;
+5. :func:`evaluate` scores observed POI sets, :func:`precision_summary`
+   obfuscated queries.
+
+:func:`run_experiment` composes them per level; :func:`write_report`
+writes the result.
 
 Everything is a pure function of (dataset, config, master seed): noise
 streams are derived per run and per user, so two executions with the same
@@ -72,6 +78,14 @@ class PrecisionConfig:
     samples: int = 100
     category: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.samples < 1:
+            raise ValueError("precision samples must be >= 1")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("precision alpha must be in (0, 1)")
+        if not self.radius_m > 0.0:
+            raise ValueError("precision radius must be > 0")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -95,8 +109,8 @@ class SweepResult:
     target, or None when the target was never reached; ``best_m`` is the
     best-effort threshold (highest mean recall, smallest on ties).
     ``chosen_pois`` holds, per run, the observer's POI sets at
-    ``chosen_m``, which :func:`evaluate` can reuse instead of extracting
-    them again; no report file reads it, and equality ignores it.
+    ``chosen_m``, as :func:`observe` would extract them, ready for
+    :func:`evaluate`; no report file reads it, and equality ignores it.
     """
 
     epsilon: float
@@ -164,13 +178,6 @@ class PrecisionRow:
 Cdf = tuple[tuple[float, ...], tuple[float, ...]]
 
 
-def cdf_series(values: Sequence[float]) -> Cdf:
-    """Sorted values with cumulative fractions ending at 1.0."""
-    ordered = sorted(values)
-    n = len(ordered)
-    return tuple(ordered), tuple((i + 1) / n for i in range(n))
-
-
 @dataclass(frozen=True)
 class EvaluationReport:
     user_rows: tuple[UserRecallRow, ...] = ()
@@ -178,30 +185,28 @@ class EvaluationReport:
     recall_rows: tuple[LevelRecallRow, ...] = ()
     reident_rows: tuple[ReidentRow, ...] = ()
     precision_rows: tuple[PrecisionRow, ...] = ()
-    geo_cdf: dict[float, Cdf] = field(default_factory=dict)
-    sem_cdf: dict[float, Cdf] = field(default_factory=dict)
     sweeps: tuple[SweepResult, ...] = ()
     metadata: dict = field(default_factory=dict)
 
-    @staticmethod
-    def combine(reports: Sequence["EvaluationReport"]) -> "EvaluationReport":
-        """Concatenate per-level reports (distinct levels assumed)."""
-        geo: dict[float, Cdf] = {}
-        sem: dict[float, Cdf] = {}
-        for r in reports:
-            geo.update(r.geo_cdf)
-            sem.update(r.sem_cdf)
-        return EvaluationReport(
-            user_rows=tuple(row for r in reports for row in r.user_rows),
-            pair_rows=tuple(row for r in reports for row in r.pair_rows),
-            recall_rows=tuple(row for r in reports for row in r.recall_rows),
-            reident_rows=tuple(row for r in reports for row in r.reident_rows),
-            precision_rows=tuple(row for r in reports for row in r.precision_rows),
-            geo_cdf=geo,
-            sem_cdf=sem,
-            sweeps=tuple(s for r in reports for s in r.sweeps),
-            metadata={"levels": [r.metadata for r in reports if r.metadata]},
-        )
+    def _cdfs(self, value_name: str) -> dict[float, Cdf]:
+        """Per scored level, one ``pair_rows`` column sorted, with
+        cumulative fractions ending at 1.0; empty for a level without pairs."""
+        cdfs = {}
+        for level in self.recall_rows:
+            pool = [getattr(r, value_name) for r in self.pair_rows if r.epsilon == level.epsilon]
+            n = len(pool)
+            cdfs[level.epsilon] = tuple(sorted(pool)), tuple((i + 1) / n for i in range(n))
+        return cdfs
+
+    @property
+    def geo_cdf(self) -> dict[float, Cdf]:
+        """Per level, the pooled geographic distances of ``pair_rows``."""
+        return self._cdfs("geo_m")
+
+    @property
+    def sem_cdf(self) -> dict[float, Cdf]:
+        """Per level, the pooled semantic distances of ``pair_rows``."""
+        return self._cdfs("semantic")
 
 
 def extract_ground_truth(dataset: Dataset, params: ExtractionParams) -> dict[str, PoiSet]:
@@ -275,7 +280,7 @@ def threshold_sweep(
     per threshold, per run, in eligible-user order, the same additions in
     the same order as a threshold -> run -> user loop, so every row is
     bit-identical to it. The POI sets at ``chosen_m`` are kept on the
-    result for :func:`evaluate` to reuse.
+    result for :func:`evaluate`.
     """
     eligible = _eligible_users(campaign, ground_truth)
     thresholds = list(sweep.thresholds())
@@ -349,50 +354,53 @@ def precision_summary(
     )
 
 
-def evaluate(
+def observe(
     campaign: Sequence[Dataset],
+    ground_truth: Mapping[str, PoiSet],
+    params: ExtractionParams,
+    threshold_m: int,
+) -> list[dict[str, PoiSet]]:
+    """Per run, the POI sets the observer extracts at ``threshold_m``.
+
+    The observer keeps min_time and min_pts and sets max_distance to the
+    threshold. Only users with ground-truth POIs are observed, in sorted
+    order; :func:`threshold_sweep` keeps the same sets at its chosen
+    threshold as :attr:`SweepResult.chosen_pois`.
+    """
+    eligible = _eligible_users(campaign, ground_truth)
+    attack = replace(params, max_distance=float(threshold_m))
+    return [{u: extract_pois(ds.traces[u], attack) for u in eligible} for ds in campaign]
+
+
+def evaluate(
+    observed: Sequence[Mapping[str, PoiSet]],
     ground_truth: Mapping[str, PoiSet],
     level: PrivacyLevel,
     threshold_m: int,
     store: FeatureStore,
-    params: ExtractionParams,
-    *,
-    dataset: Dataset | None = None,
-    precision_cfg: PrecisionConfig | None = None,
-    master_seed: int = 0,
-    chosen_pois: Sequence[Mapping[str, PoiSet]] | None = None,
 ) -> EvaluationReport:
-    """Score one privacy level's campaign at a fixed observer threshold.
+    """Score one privacy level's observed POI sets, one mapping per run.
 
-    Produces per-user and per-pair rows, pooled distance CDFs, the mean
-    re-identification rate, and (when the source dataset is supplied) the
-    precision summary.
-
-    ``chosen_pois`` is a sweep's :attr:`SweepResult.chosen_pois` for this
-    campaign with ``threshold_m`` its ``chosen_m``; given it, the observer's
-    POI sets are taken from it instead of being extracted again.
+    Produces per-user and per-pair rows, the mean recall and the mean
+    re-identification rate. Every run must observe the same users, each
+    with ground-truth POIs, as :func:`observe` and :func:`threshold_sweep`
+    do; a run whose users differ from run 0's is refused by name.
     """
-    eligible = _eligible_users(campaign, ground_truth)
-    excluded = sorted(u for u, ps in ground_truth.items() if len(ps) == 0)
-    if chosen_pois is not None and len(chosen_pois) != len(campaign):
-        raise ValueError(f"{len(chosen_pois)} swept POI runs for a campaign of {len(campaign)}")
+    users = sorted(observed[0])
+    for run, sets in enumerate(observed):
+        differ = sorted(set(users).symmetric_difference(sets))
+        if differ:
+            raise ValueError(f"observed run {run} differs from run 0 in users: {', '.join(differ)}")
 
-    attack = replace(params, max_distance=float(threshold_m))
-    real_sets = {u: ground_truth[u] for u in eligible}
-
+    real_sets = {u: ground_truth[u] for u in users}
     user_rows: list[UserRecallRow] = []
     pair_rows: list[PairRow] = []
-    geo_pool: list[float] = []
-    sem_pool: list[float] = []
     run_recalls: list[float] = []
     run_rates: list[float] = []
-    for run, ds in enumerate(campaign):
-        if chosen_pois is None:
-            obf_sets = {u: extract_pois(ds.traces[u], attack) for u in eligible}
-        else:
-            obf_sets = {u: chosen_pois[run][u] for u in eligible}
+    for run, sets in enumerate(observed):
+        obf_sets = {u: sets[u] for u in users}
         recalls = []
-        for u in eligible:
+        for u in users:
             result = remap(obf_sets[u], real_sets[u])
             rec = recall_of(result, len(real_sets[u]))
             recalls.append(rec)
@@ -401,21 +409,11 @@ def evaluate(
             )
             geo = geographic_distances(result)
             sem = semantic_distances(result, store)
-            geo_pool.extend(geo)
-            sem_pool.extend(sem)
             pair_rows.extend(
                 PairRow(u, level.epsilon, run, g, s) for g, s in zip(geo, sem)
             )
         run_recalls.append(sum(recalls) / len(recalls))
         run_rates.append(reidentification_rate(real_sets, obf_sets))
-
-    precision_rows: tuple[PrecisionRow, ...] = ()
-    if dataset is not None and precision_cfg is not None:
-        precision_rows = (
-            precision_summary(
-                dataset, level, store, precision_cfg, derive_seed(master_seed, "precision")
-            ),
-        )
 
     return EvaluationReport(
         user_rows=tuple(user_rows),
@@ -425,26 +423,23 @@ def evaluate(
                 epsilon=level.epsilon,
                 threshold_m=threshold_m,
                 mean_recall=sum(run_recalls) / len(run_recalls),
-                n_users=len(eligible),
-                runs=len(campaign),
+                n_users=len(users),
+                runs=len(observed),
             ),
         ),
         reident_rows=(
             ReidentRow(
                 epsilon=level.epsilon,
                 rate=sum(run_rates) / len(run_rates),
-                n_users=len(eligible),
+                n_users=len(users),
             ),
         ),
-        precision_rows=precision_rows,
-        geo_cdf={level.epsilon: cdf_series(geo_pool)},
-        sem_cdf={level.epsilon: cdf_series(sem_pool)},
         metadata={
             "epsilon": level.epsilon,
             "threshold_m": threshold_m,
-            "runs": len(campaign),
-            "n_users": len(eligible),
-            "excluded_users": excluded,
+            "runs": len(observed),
+            "n_users": len(users),
+            "excluded_users": sorted(u for u, ps in ground_truth.items() if len(ps) == 0),
         },
     )
 
@@ -452,29 +447,19 @@ def evaluate(
 def run_experiment(
     dataset: Dataset, config: ExperimentConfig, store: FeatureStore
 ) -> EvaluationReport:
-    """The full study: ground truth, campaigns, sweeps, evaluation."""
+    """The full study: ground truth, then per level a campaign, its sweep,
+    the scoring of the sweep's chosen POI sets and the precision summary."""
     ground_truth = extract_ground_truth(dataset, config.extraction)
-    reports = []
-    sweeps = []
+    precision_seed = derive_seed(config.master_seed, "precision")
+    reports, sweeps, precision_rows = [], [], []
     for level in config.levels:
         campaign = obfuscation_campaign(dataset, level, config.runs, config.master_seed)
         sweep = threshold_sweep(campaign, ground_truth, config.extraction, config.sweep, level)
+        reports.append(evaluate(sweep.chosen_pois, ground_truth, level, sweep.chosen_m, store))
         sweeps.append(replace(sweep, chosen_pois=None))
-        reports.append(
-            evaluate(
-                campaign,
-                ground_truth,
-                level,
-                sweep.chosen_m,
-                store,
-                config.extraction,
-                dataset=dataset,
-                precision_cfg=config.precision,
-                master_seed=config.master_seed,
-                chosen_pois=sweep.chosen_pois,
-            )
+        precision_rows.append(
+            precision_summary(dataset, level, store, config.precision, precision_seed)
         )
-    combined = EvaluationReport.combine(reports)
     metadata = {
         "master_seed": config.master_seed,
         "runs": config.runs,
@@ -491,9 +476,17 @@ def run_experiment(
             }
             for s in sweeps
         ],
-        "per_level": combined.metadata.get("levels", []),
+        "per_level": [r.metadata for r in reports],
     }
-    return replace(combined, sweeps=tuple(sweeps), metadata=metadata)
+    return EvaluationReport(
+        user_rows=tuple(row for r in reports for row in r.user_rows),
+        pair_rows=tuple(row for r in reports for row in r.pair_rows),
+        recall_rows=tuple(row for r in reports for row in r.recall_rows),
+        reident_rows=tuple(row for r in reports for row in r.reident_rows),
+        precision_rows=tuple(precision_rows),
+        sweeps=tuple(sweeps),
+        metadata=metadata,
+    )
 
 
 def _fmt(x) -> str:

@@ -145,9 +145,9 @@ def perturb(
 
     Draws three blocks of n uniforms in a fixed order (bearings, then the
     two radius blocks), so a freshly seeded source reproduces the output.
-    The displacement is core.offset's equirectangular step, longitude
-    wrapped at the antimeridian. A disabled level returns its input and
-    draws nothing; any point beyond MAX_OFFSET_LAT raises.
+    The displacement is an equirectangular step, longitude wrapped at the
+    antimeridian. A disabled level returns its input and draws nothing;
+    any point beyond MAX_OFFSET_LAT raises.
     """
     if level.disabled:
         return lat, lon

@@ -7,7 +7,9 @@ radius quantile, which the precision-trial oracle replays to issue the
 same obfuscated query). The parser oracle validates each record as
 TimestampedLocation/GeoPoint objects and shares only the CSV header, the
 malformed-line tolerance and the trace model with
-``ingest.parse_canonical``.
+``ingest.parse_canonical``. ``offset`` is the scalar form of the noise
+step that ``mechanism.perturb`` applies to arrays; the synthetic test data
+is built with it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from geopriv.core import (
+    MAX_OFFSET_LAT,
+    METERS_PER_DEGREE,
     Dataset,
     GeoPoint,
     MobilityTrace,
@@ -33,6 +37,24 @@ from geopriv.mechanism import PrivacyLevel, inverse_radius_cdf, perturb, radius_
 from geopriv.poi import ExtractionParams, Stay
 
 logger = logging.getLogger(__name__)
+
+
+def offset(p: GeoPoint, dx: float, dy: float) -> GeoPoint:
+    """Displace ``p`` by ``dx`` metres east and ``dy`` metres north.
+
+    Equirectangular local approximation, meant for city-scale
+    displacements (below ~100 km): round-tripping through ``distance``
+    recovers sqrt(dx^2 + dy^2) within 0.5 % for displacements up to 10 km
+    at latitudes up to 60 degrees. Longitude wraps at the antimeridian; a
+    displacement that leaves the valid latitude range raises through
+    GeoPoint.
+    """
+    if abs(p.lat) > MAX_OFFSET_LAT:
+        raise ValueError("polar region unsupported")
+    lat = p.lat + dy / METERS_PER_DEGREE
+    lon = p.lon + dx / (METERS_PER_DEGREE * math.cos(math.radians(p.lat)))
+    lon = (lon + 180.0) % 360.0 - 180.0
+    return GeoPoint(lat, lon)
 
 
 def extract_stays_literal(trace: MobilityTrace, params: ExtractionParams) -> list[Stay]:

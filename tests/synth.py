@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from geopriv.core import Dataset, GeoPoint, MobilityTrace, TimestampedLocation, offset
+from geopriv.core import Dataset, GeoPoint, MobilityTrace, TimestampedLocation
+
+from oracles import offset
 
 
 def planted_dataset(

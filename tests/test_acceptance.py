@@ -7,6 +7,7 @@ reproduction tier lives in test_acceptance_datasets.py.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from geopriv.experiment import (
     evaluate,
     extract_ground_truth,
     obfuscation_campaign,
+    observe,
+    precision_summary,
     run_experiment,
     threshold_sweep,
     write_report,
@@ -28,6 +31,7 @@ from geopriv.features import Feature, FeatureStore, generate_synthetic_features
 from geopriv.mechanism import (
     PrivacyLevel,
     RandomSource,
+    derive_seed,
     inverse_radius_cdf,
     obfuscate_trace,
     radius_cdf,
@@ -172,16 +176,15 @@ def test_acceptance_4_zero_noise_identity():
     )
     level = PrivacyLevel.zero_noise()
     campaign = obfuscation_campaign(dataset, level, 2, 5)
-    report = evaluate(
-        campaign,
-        ground_truth,
-        level,
-        int(SYNTH_PARAMS.max_distance),
-        store,
-        SYNTH_PARAMS,
-        dataset=dataset,
-        precision_cfg=PrecisionConfig(samples=100),
-        master_seed=5,
+    threshold = int(SYNTH_PARAMS.max_distance)
+    observed = observe(campaign, ground_truth, SYNTH_PARAMS, threshold)
+    report = replace(
+        evaluate(observed, ground_truth, level, threshold, store),
+        precision_rows=(
+            precision_summary(
+                dataset, level, store, PrecisionConfig(samples=100), derive_seed(5, "precision")
+            ),
+        ),
     )
     enlargement = inverse_radius_cdf(level, 0.85)
     ok = (
@@ -263,16 +266,14 @@ def test_acceptance_7_privacy_monotonicity(trend_world):
     precisions = {}
     for level in (WEAK, STRONG):
         campaign = obfuscation_campaign(dataset, level, 10, 99)
-        report = evaluate(
-            campaign,
-            ground_truth,
-            level,
-            threshold,
-            store,
-            SYNTH_PARAMS,
-            dataset=dataset,
-            precision_cfg=PrecisionConfig(samples=100),
-            master_seed=99,
+        observed = observe(campaign, ground_truth, SYNTH_PARAMS, threshold)
+        report = replace(
+            evaluate(observed, ground_truth, level, threshold, store),
+            precision_rows=(
+                precision_summary(
+                    dataset, level, store, PrecisionConfig(samples=100), derive_seed(99, "precision")
+                ),
+            ),
         )
         values = report.geo_cdf[level.epsilon][0]
         medians[level.epsilon] = float(np.median(values)) if values else math.inf

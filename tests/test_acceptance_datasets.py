@@ -132,7 +132,7 @@ def _check_targets(n, name, dataset, truth, targets, store=None):
         thr_ok = sweep.reached and abs(sweep.optimal_m - ref_thr) <= 100
         if (id(targets), level.epsilon) in MAY_BE_UNREACHED and not sweep.reached:
             thr_ok = True
-        report = evaluate(campaign, truth, level, sweep.chosen_m, store, PARAMS) if store else None
+        report = evaluate(sweep.chosen_pois, truth, level, sweep.chosen_m, store) if store else None
         if report is None:
             # distance metrics need a feature store; recall and linking do not
             from geopriv.metrics import recall_of, remap, reidentification_rate

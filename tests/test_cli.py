@@ -224,6 +224,15 @@ class TestPrecisionCommand:
         value = float(lines[1].split(",")[3])
         assert 0.0 <= value <= 1.0
 
+    def test_bad_query_settings_are_usage_errors(self, world):
+        root, dataset, traces, synthetic = world
+        result = CliRunner().invoke(main, [
+            "precision", "--input", str(traces), "--synthetic", synthetic,
+            "--epsilon", "0.00693", "--alpha", "1.0",
+        ])
+        assert result.exit_code == 2, result.output
+        assert "precision alpha must be in (0, 1)" in result.output
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, world, tmp_path):
@@ -251,3 +260,23 @@ class TestConfigFile:
         )
         meta2 = json.loads((out2 / "campaign.json").read_text())
         assert meta2["runs"] == 1 and meta2["epsilon"] == 0.00358
+
+    def test_unknown_keys_are_refused_by_name(self, world, tmp_path):
+        root, dataset, traces, _ = world
+        cfg = tmp_path / "typo.conf"
+        cfg.write_text("min_tme = 900\nmin-time = 900\nthreshhold = 2000\n")
+        result = CliRunner().invoke(
+            main, ["--config", str(cfg), "pois", "--input", str(traces), "--output", str(tmp_path / "p.csv")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "unknown keys: min_tme, threshhold" in result.output
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_keys_may_name_the_flag(self, world, tmp_path):
+        # --input and --output fill parameters named input_path and output_path
+        root, dataset, traces, _ = world
+        cfg = tmp_path / "flags.conf"
+        cfg.write_text(f"input = {traces}\noutput = {tmp_path / 'from_config.csv'}\nmin-time = 900\n")
+        _run("--config", str(cfg), "pois")
+        _run("pois", "--input", str(traces), "--output", str(tmp_path / "from_flags.csv"), "--min-time", "900")
+        assert (tmp_path / "from_config.csv").read_bytes() == (tmp_path / "from_flags.csv").read_bytes()

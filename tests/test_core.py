@@ -4,7 +4,9 @@ import pickle
 import numpy as np
 import pytest
 
-from geopriv.core import GeoPoint, MobilityTrace, PoiSet, Poi, TimestampedLocation, centroid, distance, offset
+from geopriv.core import GeoPoint, MobilityTrace, PoiSet, Poi, TimestampedLocation, centroid, distance
+
+from oracles import offset
 
 EARTH_RADIUS_M = 6_371_000.0
 

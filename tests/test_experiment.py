@@ -13,13 +13,14 @@ from geopriv.experiment import (
     evaluate,
     extract_ground_truth,
     obfuscation_campaign,
+    observe,
     precision_summary,
     run_experiment,
     threshold_sweep,
     write_report,
 )
 from geopriv.features import FeatureStore, generate_synthetic_features
-from geopriv.mechanism import PrivacyLevel
+from geopriv.mechanism import PrivacyLevel, derive_seed
 from geopriv.poi import ExtractionParams
 
 from synth import dataset_bounds, planted_dataset
@@ -123,24 +124,29 @@ def test_run_missing_users_rejected_by_name(small_world):
     with pytest.raises(ValueError, match=message):
         threshold_sweep(campaign, truth, PARAMS, SweepConfig(1000, 2000, 1000), MEDIUM)
     with pytest.raises(ValueError, match=message):
-        evaluate(campaign, truth, MEDIUM, 2000, store, PARAMS)
+        observe(campaign, truth, PARAMS, 2000)
+
+
+def test_evaluate_refuses_runs_observing_other_users(small_world):
+    dataset, _, store = small_world
+    truth = extract_ground_truth(dataset, PARAMS)
+    observed = observe(obfuscation_campaign(dataset, MEDIUM, 2, 5), truth, PARAMS, 2000)
+    observed[1] = {u: ps for u, ps in observed[1].items() if u != "u04"}
+    with pytest.raises(ValueError, match="observed run 1 differs from run 0 in users: u04"):
+        evaluate(observed, truth, MEDIUM, 2000, store)
 
 
 class TestEvaluate:
     def test_zero_noise_identity_pipeline(self, small_world):
         dataset, _, store = small_world
         truth = extract_ground_truth(dataset, PARAMS)
-        campaign = obfuscation_campaign(dataset, PrivacyLevel.zero_noise(), 2, 0)
-        report = evaluate(
-            campaign,
-            truth,
-            PrivacyLevel.zero_noise(),
-            250,
-            store,
-            PARAMS,
-            dataset=dataset,
-            precision_cfg=PrecisionConfig(samples=25),
+        level = PrivacyLevel.zero_noise()
+        campaign = obfuscation_campaign(dataset, level, 2, 0)
+        report = evaluate(observe(campaign, truth, PARAMS, 250), truth, level, 250, store)
+        precision = precision_summary(
+            dataset, level, store, PrecisionConfig(samples=25), derive_seed(0, "precision")
         )
+        report = replace(report, precision_rows=(precision,))
         assert report.recall_rows[0].mean_recall == 1.0
         assert report.reident_rows[0].rate == 1.0
         assert all(row.geo_m == 0.0 and row.semantic == 0.0 for row in report.pair_rows)
@@ -150,7 +156,7 @@ class TestEvaluate:
         dataset, _, store = small_world
         truth = extract_ground_truth(dataset, PARAMS)
         campaign = obfuscation_campaign(dataset, MEDIUM, 2, 3)
-        report = evaluate(campaign, truth, MEDIUM, 2000, store, PARAMS)
+        report = evaluate(observe(campaign, truth, PARAMS, 2000), truth, MEDIUM, 2000, store)
         values, fractions = report.geo_cdf[MEDIUM.epsilon]
         assert list(values) == sorted(values)
         assert list(fractions) == sorted(fractions)
@@ -159,8 +165,9 @@ class TestEvaluate:
 
 class TestSweepReuse:
     """run_experiment hands the sweep's POI sets at the chosen threshold to
-    evaluate; the reports must equal those of the command-line chain,
-    which sweeps, then evaluates at chosen_m extracting afresh."""
+    evaluate; the reports must equal those of the public stage chain the
+    command line follows: sweep, then observe afresh at chosen_m, evaluate
+    and summarise precision."""
 
     @pytest.mark.parametrize("runs", [1, 2])
     @pytest.mark.parametrize(
@@ -186,24 +193,28 @@ class TestSweepReuse:
         campaign = obfuscation_campaign(dataset, MEDIUM, runs, config.master_seed)
         sweep = threshold_sweep(campaign, truth, PARAMS, sweep_cfg, MEDIUM)
         assert sweep.reached == reached
-        report = evaluate(
-            campaign,
-            truth,
-            MEDIUM,
-            sweep.chosen_m,
-            store,
-            PARAMS,
-            dataset=dataset,
-            precision_cfg=config.precision,
-            master_seed=config.master_seed,
+        observed = observe(campaign, truth, PARAMS, sweep.chosen_m)
+        report = evaluate(observed, truth, MEDIUM, sweep.chosen_m, store)
+        precision = precision_summary(
+            dataset, MEDIUM, store, config.precision, derive_seed(config.master_seed, "precision")
         )
         assert report.pair_rows  # the chosen threshold finds obfuscated POIs
-        chain = write_report(replace(report, sweeps=(sweep,)), tmp_path / "cli")
+        chain = write_report(
+            replace(report, precision_rows=(precision,), sweeps=(sweep,)), tmp_path / "cli"
+        )
 
         assert manifest["files"] == chain["files"]
         assert manifest["metadata"]["per_level"] == [json.loads(json.dumps(report.metadata))]
         for name in manifest["files"]:
             assert (tmp_path / "api" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "bad", [{"samples": 0}, {"alpha": 1.0}, {"radius_m": 0.0}], ids=["samples", "alpha", "radius"]
+)
+def test_precision_config_validated(bad):
+    with pytest.raises(ValueError, match="precision"):
+        PrecisionConfig(**bad)
 
 
 class TestPrecisionSummary:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from geopriv.core import GeoPoint, MobilityTrace, TimestampedLocation, distance, offset
+from geopriv.core import GeoPoint, MobilityTrace, TimestampedLocation, distance
 from geopriv.mechanism import (
     PrivacyLevel,
     RandomSource,
@@ -16,7 +16,7 @@ from geopriv.mechanism import (
     sample_radii,
 )
 
-from oracles import inverse_radius_cdf_bisect
+from oracles import inverse_radius_cdf_bisect, offset
 
 STRONG = PrivacyLevel.from_level(math.log(2), 500.0)
 MEDIUM = PrivacyLevel.from_level(math.log(6), 500.0)

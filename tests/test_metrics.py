@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geopriv.core import EARTH_RADIUS_M, GeoPoint, Poi, PoiSet, distance, offset
+from geopriv.core import EARTH_RADIUS_M, GeoPoint, Poi, PoiSet, distance
 from geopriv.features import Feature, FeatureStore
 from geopriv.mechanism import PrivacyLevel, RandomSource, inverse_radius_cdf, perturb
 from geopriv.metrics import (
@@ -18,7 +18,7 @@ from geopriv.metrics import (
     semantic_distances,
 )
 
-from oracles import precision_trial_literal, reidentification_rate_literal
+from oracles import offset, precision_trial_literal, reidentification_rate_literal
 
 BASE = GeoPoint(45.0, 5.0)
 MEDIUM = PrivacyLevel.from_level(math.log(6), 500.0)

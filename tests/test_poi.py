@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from geopriv.core import GeoPoint, MobilityTrace, TimestampedLocation as TL, distance, offset
+from geopriv.core import GeoPoint, MobilityTrace, TimestampedLocation as TL, distance
 from geopriv.mechanism import PrivacyLevel, RandomSource, obfuscate_trace
 from geopriv.poi import (
     ExtractionParams,
@@ -15,7 +15,7 @@ from geopriv.poi import (
     extract_stays,
 )
 
-from oracles import dj_cluster_literal, extract_stays_literal
+from oracles import dj_cluster_literal, extract_stays_literal, offset
 from synth import random_params, random_trace
 
 DEFAULTS = ExtractionParams()
