@@ -38,7 +38,20 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-@click.group()
+class _Command(click.Command):
+    # A ValueError from the library means a bad setting or bad input: a usage error.
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
+class _Group(click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="key = value file supplying defaults for any flag below.")
 @click.pass_context
@@ -313,10 +326,7 @@ def precision(input_path: str, features_path: str | None, synthetic_spec: str | 
               epsilon: float | None, level_spec: str | None, radius: float, alpha: float,
               samples: int, category: str | None, seed: int, out_path: str | None) -> None:
     """Measure query precision under obfuscation at sampled trace points."""
-    try:
-        cfg = experiment.PrecisionConfig(radius_m=radius, alpha=alpha, samples=samples, category=category)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc)) from exc
+    cfg = experiment.PrecisionConfig(radius_m=radius, alpha=alpha, samples=samples, category=category)
     level = _resolve_level(epsilon, level_spec)
     dataset = _load_dataset(input_path)
     store = _resolve_store(features_path, synthetic_spec)

@@ -12,12 +12,16 @@ Three trace sources are supported:
   are latitude/longitude and whose sixth and seventh are date and time,
   interpreted as UTC).
 
+All three share one record reader and one malformed-record policy.
+Blank lines are skipped. A record that does not parse, falls before the
+epoch, exceeds int64, or has an out-of-range or NaN coordinate is counted
+and dropped; any count is logged, and more than ``MALFORMED_TOLERANCE`` of
+the non-blank lines makes the input corrupt. A user appears only through
+a valid record, and each trace is sorted stably by time.
+
 Day-level filtering keeps, per user, only UTC calendar days with strictly
 more than ``min_locations_per_day`` records, and then only users with at
 least ``min_qualifying_days`` such days.
-
-Per-file parsing has no shared state and may run concurrently; the final
-per-user merge is a plain reduction.
 """
 
 from __future__ import annotations
@@ -29,13 +33,12 @@ from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Mapping, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
 
-from .core import Dataset, GeoPoint, MobilityTrace
+from .core import Dataset, GeoPoint, MobilityTrace, Poi, PoiSet
 from .features import Feature
-from .core import Poi, PoiSet
 
 logger = logging.getLogger(__name__)
 
@@ -43,7 +46,7 @@ CANONICAL_HEADER = "user_id,timestamp,lat,lon"
 FEATURE_HEADER = "feature_id,lat,lon,category,name"
 POI_HEADER = "user_id,lat,lon,support"
 
-# Fraction of malformed lines tolerated before canonical input is
+# Fraction of malformed lines tolerated before trace input is
 # considered corrupt rather than merely noisy.
 MALFORMED_TOLERANCE = 0.01
 
@@ -82,81 +85,81 @@ def _fmt_degrees_column(x: np.ndarray) -> list[str]:
     return [repr(v) if off else _fmt_degrees(v) for v, off in zip(x.tolist(), off_grid)]
 
 
-# One user's records as read: timestamps, latitudes, longitudes.
-_Records = tuple[list[int], list[float], list[float]]
+def _after_header(lines: Iterable[str] | TextIO, header: str, what: str) -> Iterator[str]:
+    """The lines after the first, which must be ``header``."""
+    it = iter(lines)
+    first = next(it, None)
+    if first is None:
+        raise ValueError(f"missing header: empty {what}")
+    if first.strip() != header:
+        raise ValueError(f"missing or wrong header, expected {header!r}")
+    return it
 
-def _timestamps(ts: list[int]) -> np.ndarray:
-    try:
-        return np.array(ts, dtype=np.int64)
-    except OverflowError:
-        # beyond int64: -1 makes the record fail the epoch check below
-        return np.array([t if 0 <= t < 2**63 else -1 for t in ts], dtype=np.int64)
+
+# A source's field split: (group's user, stripped non-blank line) to
+# (user, t, lat, lon); raises ValueError when the line does not parse.
+_Split = Callable[[str, str], tuple[str, int, float, float]]
 
 
-def _build_dataset(records: Mapping[str, _Records]) -> tuple[Dataset, int]:
-    """One trace per user, sorted stably by time, and the number of records
-    dropped as invalid: a timestamp before the epoch or beyond int64, a
-    coordinate out of range or NaN. Every user of ``records`` gets a trace,
-    an empty one when no record survives."""
+def _read_traces(source: str, groups: Iterable[tuple[str, Iterable[str]]], split: _Split) -> Dataset:
+    """The Dataset of the records in ``groups``, under the one
+    malformed-record policy of the module docstring."""
+    by_user: dict[str, tuple[list[int], list[float], list[float]]] = {}
+    total = 0
+    malformed = 0
+    for group, lines in groups:
+        for line in map(str.strip, lines):
+            if not line:
+                continue
+            total += 1
+            try:
+                user, t, lat, lon = split(group, line)
+            except ValueError:
+                malformed += 1
+                continue
+            cols = by_user.get(user)
+            if cols is None:
+                cols = by_user[user] = ([], [], [])
+            cols[0].append(t)
+            cols[1].append(lat)
+            cols[2].append(lon)
+
     traces = {}
-    dropped = 0
-    for user, (ts, lats, lons) in records.items():
-        t = _timestamps(ts)
+    for user, (ts, lats, lons) in by_user.items():
+        try:
+            t = np.array(ts, dtype=np.int64)
+        except OverflowError:
+            # beyond int64: -1 makes the record fail the epoch check below
+            t = np.array([v if 0 <= v < 2**63 else -1 for v in ts], dtype=np.int64)
         lat = np.array(lats, dtype=np.float64)
         lon = np.array(lons, dtype=np.float64)
         ok = (t >= 0) & (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
         keep = np.flatnonzero(ok)
-        dropped += len(t) - len(keep)
-        order = keep[np.argsort(t[keep], kind="stable")]
-        traces[user] = MobilityTrace.from_columns(user, t[order], lat[order], lon[order])
-    return Dataset(traces), dropped
+        malformed += len(t) - len(keep)
+        if len(keep):  # a user appears through a valid record only
+            order = keep[np.argsort(t[keep], kind="stable")]
+            traces[user] = MobilityTrace.from_columns(user, t[order], lat[order], lon[order])
+
+    if malformed:
+        logger.warning("%s input: %d of %d lines malformed", source, malformed, total)
+        if malformed / total > MALFORMED_TOLERANCE:
+            raise ValueError(f"corrupt input: {malformed} of {total} lines malformed")
+    return Dataset(traces)
+
+
+def _canonical_record(_: str, line: str) -> tuple[str, int, float, float]:
+    user, t, lat, lon = line.split(",")
+    return user, int(t), float(lat), float(lon)
 
 
 def parse_canonical(lines: Iterable[str] | TextIO) -> Dataset:
-    """Parse the canonical trace CSV into a Dataset.
+    """Parse the canonical trace CSV into a Dataset, traces sorted by time.
 
-    Traces come out sorted by timestamp. Malformed lines (wrong field
-    count, unparseable numbers, out-of-range or NaN coordinates, negative
-    timestamps or timestamps beyond int64) are counted and logged; more
-    than 1 % of them makes the input corrupt.
+    A line with the wrong field count is malformed; more than 1 % of
+    malformed lines makes the input corrupt.
     """
-    it = iter(lines)
-    try:
-        header = next(it)
-    except StopIteration:
-        raise ValueError("missing header: empty input") from None
-    if header.strip() != CANONICAL_HEADER:
-        raise ValueError(f"missing or wrong header, expected {CANONICAL_HEADER!r}")
-
-    by_user: dict[str, _Records] = {}
-    total = 0
-    malformed = 0
-    for line in it:
-        line = line.strip()
-        if not line:
-            continue
-        total += 1
-        try:
-            user, t, lat, lon = line.split(",")
-            t, lat, lon = int(t), float(lat), float(lon)
-        except ValueError:
-            malformed += 1
-            continue
-        cols = by_user.get(user)
-        if cols is None:
-            cols = by_user[user] = ([], [], [])
-        cols[0].append(t)
-        cols[1].append(lat)
-        cols[2].append(lon)
-    dataset, dropped = _build_dataset(by_user)
-    malformed += dropped
-
-    if malformed:
-        logger.warning("canonical input: %d of %d lines malformed", malformed, total)
-        if malformed / total > MALFORMED_TOLERANCE:
-            raise ValueError(f"corrupt input: {malformed} of {total} lines malformed")
-    # a user appears through a valid line only
-    return Dataset({user: tr for user, tr in dataset.traces.items() if len(tr)})
+    body = _after_header(lines, CANONICAL_HEADER, "input")
+    return _read_traces("canonical", [("", body)], _canonical_record)
 
 
 def write_canonical(dataset: Dataset, out: TextIO) -> int:
@@ -177,57 +180,52 @@ def write_canonical(dataset: Dataset, out: TextIO) -> int:
     return count
 
 
+def _file_lines(path: Path, kind: str) -> list[str] | None:
+    """The lines of a source file, or None, with a warning, when it cannot be read."""
+    try:
+        return path.read_text(encoding="utf-8", errors="replace").splitlines()
+    except OSError as exc:
+        logger.warning("skipping unreadable %s file %s: %s", kind, path, exc)
+        return None
+
+
+def _cab_record(taxi: str, line: str) -> tuple[str, int, float, float]:
+    lat, lon, _occupancy, t = line.split()
+    return taxi, int(t), float(lat), float(lon)
+
+
 def parse_sfcabs(directory: str | Path) -> Dataset:
     """Load a directory of per-taxi files (``new_<id>.txt``).
 
     Source files are reverse-chronological; traces come out ascending.
-    Unreadable files are skipped with a warning; malformed lines are
-    counted and skipped.
+    Unreadable files are skipped with a warning; malformed lines fall
+    under the module's one policy.
     """
     directory = Path(directory)
     files = sorted(directory.glob("*.txt"))
     if not files:
         raise ValueError(f"no cab files found in {directory}")
-
-    by_user: dict[str, _Records] = {}
-    malformed = 0
-    for path in files:
-        taxi = path.stem[4:] if path.stem.startswith("new_") else path.stem
-        try:
-            text = path.read_text(encoding="utf-8", errors="replace")
-        except OSError as exc:
-            logger.warning("skipping unreadable cab file %s: %s", path, exc)
-            continue
-        ts: list[int] = []
-        lats: list[float] = []
-        lons: list[float] = []
-        for line in text.splitlines():
-            parts = line.split()
-            if len(parts) != 4:
-                if line.strip():
-                    malformed += 1
-                continue
-            try:
-                t, lat, lon = int(parts[3]), float(parts[0]), float(parts[1])
-            except ValueError:
-                malformed += 1
-                continue
-            ts.append(t)
-            lats.append(lat)
-            lons.append(lon)
-        by_user[taxi] = (ts, lats, lons)
-    dataset, dropped = _build_dataset(by_user)
-    malformed += dropped
-    if malformed:
-        logger.warning("cab input: %d malformed lines skipped", malformed)
-    return dataset
+    groups = ((path.stem.removeprefix("new_"), _file_lines(path, "cab") or []) for path in files)
+    return _read_traces("cab", groups, _cab_record)
 
 
-def _plt_timestamp(date_s: str, time_s: str) -> int:
+def _plt_files(user_dirs: list[Path]) -> Iterator[tuple[str, list[str]]]:
+    for user_dir in user_dirs:
+        for path in sorted(user_dir.rglob("*.plt")):
+            lines = _file_lines(path, "PLT")
+            if lines is not None and len(lines) < 6:
+                logger.warning("skipping PLT file with malformed header: %s", path)
+            elif lines:
+                yield user_dir.name, lines[6:]
+
+
+def _plt_record(user: str, line: str) -> tuple[str, int, float, float]:
+    lat, lon, _, _, _, date_s, time_s, *_ = line.split(",")
     # 'YYYY-MM-DD', 'HH:MM:SS', read as UTC.
     day = date(int(date_s[0:4]), int(date_s[5:7]), int(date_s[8:10]))
+    time_s = time_s.strip()
     secs = int(time_s[0:2]) * 3600 + int(time_s[3:5]) * 60 + int(time_s[6:8])
-    return (day.toordinal() - _EPOCH_ORDINAL) * 86400 + secs
+    return user, (day.toordinal() - _EPOCH_ORDINAL) * 86400 + secs, float(lat), float(lon)
 
 
 def parse_geolife(directory: str | Path) -> Dataset:
@@ -235,49 +233,13 @@ def parse_geolife(directory: str | Path) -> Dataset:
 
     Timestamps are rebuilt from the date/time string fields. Files too
     short to carry the six-line header are skipped with a warning;
-    malformed records are counted and skipped.
+    malformed records fall under the module's one policy.
     """
     directory = Path(directory)
     user_dirs = sorted(p for p in directory.iterdir() if p.is_dir())
     if not user_dirs:
         raise ValueError(f"no user directories found in {directory}")
-
-    by_user: dict[str, _Records] = {}
-    malformed = 0
-    for user_dir in user_dirs:
-        ts: list[int] = []
-        lats: list[float] = []
-        lons: list[float] = []
-        for path in sorted(user_dir.rglob("*.plt")):
-            try:
-                lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
-            except OSError as exc:
-                logger.warning("skipping unreadable PLT file %s: %s", path, exc)
-                continue
-            if len(lines) < 6:
-                logger.warning("skipping PLT file with malformed header: %s", path)
-                continue
-            for line in lines[6:]:
-                parts = line.split(",")
-                if len(parts) < 7:
-                    if line.strip():
-                        malformed += 1
-                    continue
-                try:
-                    t = _plt_timestamp(parts[5], parts[6].strip())
-                    lat, lon = float(parts[0]), float(parts[1])
-                except ValueError:
-                    malformed += 1
-                    continue
-                ts.append(t)
-                lats.append(lat)
-                lons.append(lon)
-        by_user[user_dir.name] = (ts, lats, lons)
-    dataset, dropped = _build_dataset(by_user)
-    malformed += dropped
-    if malformed:
-        logger.warning("geolife input: %d malformed records skipped", malformed)
-    return dataset
+    return _read_traces("geolife", _plt_files(user_dirs), _plt_record)
 
 
 def filter_dataset(dataset: Dataset, policy: FilterPolicy) -> Dataset:
@@ -331,15 +293,8 @@ def write_features(features: Iterable[Feature], out: TextIO) -> int:
 
 def parse_pois(lines: Iterable[str] | TextIO) -> dict[str, PoiSet]:
     """Parse the POI CSV (``user_id,lat,lon,support``) into per-user sets."""
-    it = iter(lines)
-    try:
-        header = next(it)
-    except StopIteration:
-        raise ValueError("missing header: empty POI input") from None
-    if header.strip() != POI_HEADER:
-        raise ValueError(f"missing or wrong header, expected {POI_HEADER!r}")
     by_user: dict[str, list[Poi]] = defaultdict(list)
-    for line in it:
+    for line in _after_header(lines, POI_HEADER, "POI input"):
         line = line.strip()
         if not line:
             continue

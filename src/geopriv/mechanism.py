@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw
 
 from .core import MAX_OFFSET_LAT, METERS_PER_DEGREE, MobilityTrace
 
@@ -134,6 +133,8 @@ def inverse_radius_cdf(level: PrivacyLevel, p: float) -> float:
         raise ValueError(f"probability must be in [0, 1), got {p!r}")
     if p == 0.0 or level.disabled:
         return 0.0
+    from scipy.special import lambertw  # imported here: only quantile queries pay for scipy
+
     w = lambertw((p - 1.0) / math.e, k=-1)
     return -(float(w.real) + 1.0) / level.epsilon
 

@@ -234,6 +234,31 @@ class TestPrecisionCommand:
         assert "precision alpha must be in (0, 1)" in result.output
 
 
+@pytest.mark.parametrize("case", ["pois", "sweep", "evaluate", "obfuscate", "ingest", "corrupt input"])
+def test_bad_settings_and_input_are_usage_errors(world, pipeline, tmp_path, case):
+    root, dataset, traces, synthetic = world
+    work, pois_csv, campaign, _ = pipeline
+    corrupt = tmp_path / "corrupt.csv"
+    corrupt.write_text("user_id,timestamp,lat,lon\nu1,100,0,0\ngarbage\n")
+    downstream = ["--real", pois_csv, "--campaign", campaign, "--min-time", "900"]
+    args, message = {
+        "pois": (["pois", "--input", traces, "--output", tmp_path / "p.csv", "--min-time", "0"],
+                 "min_time must be > 0"),
+        "sweep": (["sweep", *downstream, "--step", "0"], "sweep step must be > 0"),
+        "evaluate": (["evaluate", *downstream, "--threshold", "0", "--synthetic", synthetic,
+                      "--out", tmp_path / "r"], "max_distance must be > 0"),
+        "obfuscate": (["obfuscate", "--input", traces, "--epsilon", "0.01", "--runs", "0",
+                       "--output-dir", tmp_path / "c"], "runs must be >= 1"),
+        "ingest": (["ingest", "--format", "csv", "--input", traces, "--output", tmp_path / "i.csv",
+                    "--filter-days", "0"], "filter thresholds must be >= 1"),
+        "corrupt input": (["pois", "--input", corrupt, "--output", tmp_path / "p.csv"],
+                          "corrupt input: 1 of 2 lines malformed"),
+    }[case]
+    result = CliRunner().invoke(main, [str(arg) for arg in args])
+    assert result.exit_code == 2, result.output
+    assert f"Error: {message}\n" in result.output
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, world, tmp_path):
         root, dataset, traces, _ = world

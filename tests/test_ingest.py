@@ -1,5 +1,9 @@
 import io
 import logging
+import tempfile
+from collections import defaultdict
+from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +170,117 @@ class TestParserOracle:
         assert got == want
 
 
+# A record soup entry is (user, record): a record is either a raw line,
+# the same in every format, or (t, lat, lon) fields that each reader's
+# layout renders. Every bad field is malformed in all three layouts.
+_SOUP_RAW = st.sampled_from(["", "  ", "\t", "garbage", "x;y"])
+_SOUP_BAD_RECORD = st.tuples(
+    st.sampled_from([-1, -86400, "abc", "1.5", "", 7]),
+    st.sampled_from(["nan", "91", "-90.0000001", "x", "inf", "45.0"]),
+    st.sampled_from(["-inf", "181", "nan", "y", "5.0"]),
+).filter(lambda record: record != (7, "45.0", "5.0"))
+
+
+def _soup_record(t, lat, lon):
+    return (t, repr(lat), repr(lon))
+
+
+@st.composite
+def record_soups(draw):
+    """Interleaved users' records, with repeated timestamps, blank lines and
+    bad or out-of-range fields; about half of the draws sit at or just past
+    the 1 % rejection boundary. User "z" has bad records only."""
+    bad = draw(st.lists(
+        st.tuples(st.sampled_from(["a", "b", "z"]), _SOUP_RAW | _SOUP_BAD_RECORD), max_size=4
+    ))
+    counted_bad = sum(1 for _, record in bad if not isinstance(record, str) or record.strip())
+    if draw(st.booleans()):
+        n_valid = max(0, 99 * counted_bad + draw(st.integers(-2, 2) | st.integers(3, 30)))
+    else:
+        n_valid = draw(st.integers(0, 30))
+    distinct = draw(st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", "c"]),
+            st.builds(
+                _soup_record,
+                st.integers(0, 12) | st.integers(0, 2**33),
+                st.floats(-90, 90, allow_nan=False) | st.sampled_from([90.0, -90.0, -0.0]),
+                st.floats(-180, 180, allow_nan=False) | st.sampled_from([180.0, -180.0]),
+            ),
+        ),
+        min_size=1,
+        max_size=30,
+    ))
+    rnd = draw(st.randoms(use_true_random=False))
+    valid = distinct[:n_valid] + [rnd.choice(distinct) for _ in range(n_valid - len(distinct))]
+    entries = valid + bad
+    rnd.shuffle(entries)
+    return entries or [("a", "")]
+
+
+def _plt_when(t):
+    if isinstance(t, str):
+        return f"{t},00:00:00"
+    when = datetime(1970, 1, 1) + timedelta(seconds=t)
+    return f"{when.date().isoformat()},{when.time().isoformat()}"
+
+
+def _render(user, record, layout):
+    if isinstance(record, str):
+        return record
+    t, lat, lon = record
+    if layout == "canonical":
+        return f"{user},{t},{lat},{lon}"
+    if layout == "cab":
+        return f"{lat} {lon} 0 {t}"
+    return f"{lat},{lon},0,0,0,{_plt_when(t)}"
+
+
+def _read_logged(read):
+    """read()'s Dataset or ValueError message, with the counts it logged."""
+    handler = _Messages()
+    log = logging.getLogger("geopriv.ingest")
+    log.addHandler(handler)
+    try:
+        result = read()
+    except ValueError as exc:
+        result = f"ValueError: {exc}"
+    finally:
+        log.removeHandler(handler)
+    return result, [message.split(" input: ", 1)[1] for message in handler.messages]
+
+
+class TestOneReader:
+    @settings(max_examples=100, deadline=None)
+    @given(record_soups())
+    @example([("a", (5, "1.0", "1.0")), ("z", (-1, "45.0", "5.0"))])
+    @example([("a", (1, "0.0", "0.0"))] * 99 + [("b", "garbage")])
+    @example([("a", (1, "0.0", "0.0"))] * 98 + [("z", ("abc", "45.0", "5.0"))])
+    def test_three_layouts_read_alike(self, entries):
+        per_user = defaultdict(list)
+        for user, record in entries:
+            per_user[user].append(record)
+        with tempfile.TemporaryDirectory() as tmp:
+            cab, plt = Path(tmp, "cab"), Path(tmp, "plt")
+            cab.mkdir()
+            for user, records in per_user.items():
+                (cab / f"new_{user}.txt").write_text("".join(_render(user, r, "cab") + "\n" for r in records))
+                (plt / user / "Trajectory").mkdir(parents=True)
+                (plt / user / "Trajectory" / "0.plt").write_text(
+                    "\n".join(TestParseGeolife.HEADER + [_render(user, r, "plt") for r in records]) + "\n"
+                )
+            canonical = [_HEADER] + [_render(user, r, "canonical") for user, r in entries]
+            outcomes = [
+                _read_logged(lambda: parse_canonical(iter(line + "\n" for line in canonical))),
+                _read_logged(lambda: parse_sfcabs(cab)),
+                _read_logged(lambda: parse_geolife(plt)),
+            ]
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
+        result = outcomes[0][0]
+        assert isinstance(result, str) or "z" not in result.traces
+
+
 class TestWriteCanonical:
     def test_empty_dataset(self):
         buf = io.StringIO()
@@ -274,11 +389,33 @@ class TestParseSfcabs:
         assert [loc.t for loc in trace.locations] == [1213084540, 1213084659, 1213084687]
 
     def test_non_numeric_latitude_skipped(self, tmp_path, caplog):
-        (tmp_path / "new_x.txt").write_text("bogus -122.0 0 100\n37.0 -122.0 0 200\n")
+        valid = "".join(f"37.0 -122.0 0 {200 + i}\n" for i in range(199))
+        (tmp_path / "new_x.txt").write_text("bogus -122.0 0 100\n" + valid)
         with caplog.at_level("WARNING"):
             ds = parse_sfcabs(tmp_path)
-        assert len(ds.traces["x"]) == 1
+        assert len(ds.traces["x"]) == 199
         assert "malformed" in caplog.text
+
+    def test_one_bad_line_of_two_is_corrupt(self, tmp_path):
+        (tmp_path / "new_x.txt").write_text("bogus -122.0 0 100\n37.0 -122.0 0 200\n")
+        with pytest.raises(ValueError, match="corrupt input: 1 of 2 lines malformed"):
+            parse_sfcabs(tmp_path)
+
+    @pytest.mark.parametrize("n_valid, corrupt", [(99, False), (98, True)])
+    def test_tolerance_boundary(self, tmp_path, n_valid, corrupt):
+        # one out-of-range record: 1 of 100 lines is tolerated, 1 of 99 is not
+        lines = [f"37.0 -122.0 0 {i}" for i in range(n_valid)] + ["37.0 -181.0 0 5"]
+        (tmp_path / "new_x.txt").write_text("\n".join(lines) + "\n")
+        if corrupt:
+            with pytest.raises(ValueError, match=f"corrupt input: 1 of {n_valid + 1} lines malformed"):
+                parse_sfcabs(tmp_path)
+        else:
+            assert len(parse_sfcabs(tmp_path).traces["x"]) == n_valid
+
+    def test_file_without_valid_line_adds_no_user(self, tmp_path):
+        (tmp_path / "new_good.txt").write_text("".join(f"37.0 -122.0 0 {i}\n" for i in range(200)))
+        (tmp_path / "new_bad.txt").write_text("bogus -122.0 0 100\n91.0 -122.0 0 200\n\n")
+        assert parse_sfcabs(tmp_path).users() == ["good"]
 
     def test_empty_directory(self, tmp_path):
         with pytest.raises(ValueError, match="no cab files"):
@@ -335,6 +472,23 @@ class TestParseGeolife:
             ds = parse_geolife(tmp_path)
         assert len(ds.traces["001"]) == 1
         assert "malformed header" in caplog.text
+
+    @pytest.mark.parametrize("n_valid, corrupt", [(99, False), (98, True)])
+    def test_tolerance_boundary(self, tmp_path, n_valid, corrupt):
+        # one record before the epoch: 1 of 100 lines is tolerated, 1 of 99 is not
+        records = [f"39.0,116.0,0,0,0,2008-10-23,03:00:{i % 60:02d}" for i in range(n_valid)]
+        self._write_plt(tmp_path / "001" / "a.plt", records + ["39.0,116.0,0,0,0,1969-12-31,23:59:59"])
+        if corrupt:
+            with pytest.raises(ValueError, match=f"corrupt input: 1 of {n_valid + 1} lines malformed"):
+                parse_geolife(tmp_path)
+        else:
+            assert len(parse_geolife(tmp_path).traces["001"]) == n_valid
+
+    def test_user_without_valid_record_is_absent(self, tmp_path):
+        self._write_plt(tmp_path / "001" / "a.plt", ["39.0,116.0,0,0,0,2008-10-23,03:00:00"] * 200)
+        self._write_plt(tmp_path / "002" / "a.plt", ["91.0,116.0,0,0,0,2008-10-23,03:00:00"])
+        (tmp_path / "003").mkdir()
+        assert parse_geolife(tmp_path).users() == ["001"]
 
 
 def _day_trace(user, day_points):

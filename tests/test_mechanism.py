@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import geopriv
 from geopriv.core import GeoPoint, MobilityTrace, TimestampedLocation, distance
 from geopriv.mechanism import (
     PrivacyLevel,
@@ -150,6 +155,13 @@ class TestInverseRadiusCdf:
 
     def test_zero_noise_quantile_is_zero(self):
         assert inverse_radius_cdf(PrivacyLevel.zero_noise(), 0.85) == 0.0
+
+    def test_package_import_leaves_scipy_unloaded(self):
+        # a fresh interpreter: this one has scipy from other tests
+        src = str(Path(geopriv.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import geopriv, sys; assert 'scipy' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestObfuscatePoint:
