@@ -9,12 +9,13 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
+from typing import Any, Callable
 
 import click
 
 from . import experiment, ingest
 from .core import Dataset
-from .features import FeatureStore, generate_synthetic_features
+from .features import Feature, FeatureStore, generate_synthetic_features
 from .mechanism import PrivacyLevel, derive_seed
 from .metrics import reidentification_rate
 from .poi import ExtractionParams
@@ -72,6 +73,34 @@ def main(ctx: click.Context, config_path: str | None) -> None:
             raise click.BadParameter(f"unknown keys: {', '.join(unknown)}", param_hint="--config")
 
 
+def _from_spec(spec: str, form: str, option: str, build: Callable[[dict[str, list[str]]], Any]) -> Any:
+    """``build`` of the values by key of a ``key=value,...`` spec; a comma
+    item without ``=`` is one more value of the key before it. The spec
+    must have the keys of ``form`` (such as ``l=<f>,r=<m>``), in any order,
+    with as many values each. Any other spec, and values that ``build``
+    refuses with a ValueError, are a usage error that quotes ``form``."""
+
+    def read(text: str) -> dict[str, list[str]]:
+        values: dict[str, list[str]] = {}
+        for item in text.split(","):
+            key, eq, value = item.partition("=")
+            if eq and key not in values:
+                values[key] = [value]
+            elif eq or not values:
+                raise ValueError(f"repeated key or no key: {item!r}")
+            else:
+                values[next(reversed(values))].append(item)
+        return values
+
+    try:
+        values = read(spec)
+        if {k: len(v) for k, v in values.items()} != {k: len(v) for k, v in read(form).items()}:
+            raise ValueError("keys or value counts differ from the form")
+        return build(values)
+    except ValueError as exc:
+        raise click.BadParameter(f"expected {form}, got {spec!r}", param_hint=option) from exc
+
+
 def _resolve_level(epsilon: float | None, level_spec: str | None) -> PrivacyLevel:
     if (epsilon is None) == (level_spec is None):
         raise click.UsageError("give exactly one of --epsilon or --level l=<f>,r=<m>")
@@ -80,11 +109,10 @@ def _resolve_level(epsilon: float | None, level_spec: str | None) -> PrivacyLeve
             return PrivacyLevel(epsilon)
         except ValueError as exc:
             raise click.BadParameter(str(exc), param_hint="--epsilon") from exc
-    parts = dict(p.split("=", 1) for p in level_spec.split(",") if "=" in p)
-    try:
-        return PrivacyLevel.from_level(float(parts["l"]), float(parts["r"]))
-    except (KeyError, ValueError) as exc:
-        raise click.BadParameter(f"expected l=<f>,r=<m>, got {level_spec!r}", param_hint="--level") from exc
+    return _from_spec(
+        level_spec, "l=<f>,r=<m>", "--level",
+        lambda v: PrivacyLevel.from_level(float(v["l"][0]), float(v["r"][0])),
+    )
 
 
 def _resolve_store(features_path: str | None, synthetic_spec: str | None) -> FeatureStore:
@@ -93,39 +121,14 @@ def _resolve_store(features_path: str | None, synthetic_spec: str | None) -> Fea
     if features_path is not None:
         with open(features_path, encoding="utf-8", newline="") as fh:
             return FeatureStore.build(ingest.parse_features(fh))
-    # density=<f>,seed=<u64>,bbox=<lat1,lon1,lat2,lon2>
-    tokens = synthetic_spec.split(",")
-    params: dict[str, str] = {}
-    i = 0
-    while i < len(tokens):
-        if "=" not in tokens[i]:
-            raise click.BadParameter(f"bad synthetic spec near {tokens[i]!r}", param_hint="--synthetic")
-        key, _, value = tokens[i].partition("=")
-        if key == "bbox":
-            if i + 3 >= len(tokens):
-                raise click.BadParameter("bbox needs four comma-separated values", param_hint="--synthetic")
-            params["bbox"] = ",".join([value] + tokens[i + 1 : i + 4])
-            i += 4
-        else:
-            params[key] = value
-            i += 1
-    try:
-        corners = [float(v) for v in params["bbox"].split(",")]
-        bounds = (
-            min(corners[0], corners[2]),
-            min(corners[1], corners[3]),
-            max(corners[0], corners[2]),
-            max(corners[1], corners[3]),
-        )
-        features = generate_synthetic_features(
-            seed=int(params["seed"]), bounds=bounds, density_per_km2=float(params["density"])
-        )
-    except (KeyError, ValueError) as exc:
-        raise click.BadParameter(
-            f"expected density=<f>,seed=<u64>,bbox=<lat1,lon1,lat2,lon2>, got {synthetic_spec!r}",
-            param_hint="--synthetic",
-        ) from exc
-    return FeatureStore.build(features)
+
+    def synthetic(v: dict[str, list[str]]) -> list[Feature]:
+        lat1, lon1, lat2, lon2 = map(float, v["bbox"])
+        bounds = (min(lat1, lat2), min(lon1, lon2), max(lat1, lat2), max(lon1, lon2))
+        return generate_synthetic_features(int(v["seed"][0]), bounds, float(v["density"][0]))
+
+    form = "density=<f>,seed=<u64>,bbox=<lat1,lon1,lat2,lon2>"
+    return FeatureStore.build(_from_spec(synthetic_spec, form, "--synthetic", synthetic))
 
 
 def _load_dataset(path: str) -> Dataset:

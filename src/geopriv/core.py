@@ -88,10 +88,9 @@ class MobilityTrace:
 
     Timestamps are non-negative and non-decreasing; ties keep their
     original relative order. :meth:`from_columns` builds and validates
-    every trace; ``MobilityTrace(user, locations)`` and
-    :meth:`from_unsorted` take TimestampedLocation objects and convert
-    them to columns. Two traces are equal when their users and columns
-    are.
+    every trace; ``MobilityTrace(user, locations)`` takes
+    TimestampedLocation objects and converts them to columns. Two traces
+    are equal when their users and columns are.
     """
 
     __slots__ = ("user", "t", "lat", "lon", "_locations")
@@ -144,10 +143,6 @@ class MobilityTrace:
     def __reduce__(self):
         return (MobilityTrace.from_columns, (self.user, self.t, self.lat, self.lon))
 
-    @classmethod
-    def from_unsorted(cls, user: str, locations: Iterable[TimestampedLocation]) -> "MobilityTrace":
-        return cls(user, sorted(locations, key=lambda loc: loc.t))
-
     @property
     def locations(self) -> tuple[TimestampedLocation, ...]:
         """The trace as TimestampedLocation objects, built on first access."""
@@ -190,15 +185,6 @@ class Dataset:
         for user, trace in self.traces.items():
             if trace.user != user:
                 raise ValueError(f"trace user {trace.user!r} does not match key {user!r}")
-
-    @classmethod
-    def from_traces(cls, traces: Iterable[MobilityTrace]) -> "Dataset":
-        out: dict[str, MobilityTrace] = {}
-        for trace in traces:
-            if trace.user in out:
-                raise ValueError(f"duplicate user identifier: {trace.user!r}")
-            out[trace.user] = trace
-        return cls(out)
 
     def users(self) -> list[str]:
         """User identifiers in deterministic (sorted) order."""

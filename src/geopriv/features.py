@@ -142,11 +142,12 @@ class FeatureStore:
         return sorted(hits, key=lambda f: (distance(c, f.point), f.id))
 
 
+# Categories of the synthetic features, drawn uniformly.
+_SYNTHETIC_CATEGORIES = ("restaurant", "shop", "cafe", "park")
+
+
 def generate_synthetic_features(
-    seed: int,
-    bounds: tuple[float, float, float, float],
-    density_per_km2: float,
-    categories: tuple[str, ...] = ("restaurant", "shop", "cafe", "park"),
+    seed: int, bounds: tuple[float, float, float, float], density_per_km2: float
 ) -> list[Feature]:
     """Uniform random features over a bounding box, Poisson-sized.
 
@@ -161,8 +162,6 @@ def generate_synthetic_features(
         raise ValueError("density must be >= 0")
     if density_per_km2 == 0.0:
         return []
-    if not categories:
-        raise ValueError("at least one category required")
 
     mid_phi = math.radians((lat_min + lat_max) / 2.0)
     height_km = (lat_max - lat_min) * 111.32
@@ -173,13 +172,13 @@ def generate_synthetic_features(
     count = int(gen.poisson(density_per_km2 * area_km2))
     lats = gen.uniform(lat_min, lat_max, count)
     lons = gen.uniform(lon_min, lon_max, count)
-    cats = gen.integers(0, len(categories), count)
+    cats = gen.integers(0, len(_SYNTHETIC_CATEGORIES), count)
     return [
         Feature(
             id=f"syn{i:06d}",
             point=GeoPoint(float(lats[i]), float(lons[i])),
-            category=categories[int(cats[i])],
-            name=f"{categories[int(cats[i])]} {i}",
+            category=_SYNTHETIC_CATEGORIES[int(cats[i])],
+            name=f"{_SYNTHETIC_CATEGORIES[int(cats[i])]} {i}",
         )
         for i in range(count)
     ]

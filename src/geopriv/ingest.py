@@ -5,8 +5,8 @@ Three trace sources are supported:
 * the canonical CSV format (header ``user_id,timestamp,lat,lon``), which is
   also what every other command consumes;
 * San-Francisco-cabs-style directories: one whitespace-separated file per
-  taxi (``latitude longitude occupancy timestamp``), newest record first,
-  with the taxi id in the file name;
+  taxi, ``new_<id>.txt`` (``latitude longitude occupancy timestamp``),
+  newest record first;
 * Geolife-style directories: one directory per user containing PLT files
   (six header lines, then comma-separated records whose first two fields
   are latitude/longitude and whose sixth and seventh are date and time,
@@ -195,14 +195,15 @@ def _cab_record(taxi: str, line: str) -> tuple[str, int, float, float]:
 
 
 def parse_sfcabs(directory: str | Path) -> Dataset:
-    """Load a directory of per-taxi files (``new_<id>.txt``).
+    """Load a directory of per-taxi files (``new_<id>.txt``); other files,
+    such as the dataset's ``_cabs.txt`` index, are not read.
 
     Source files are reverse-chronological; traces come out ascending.
     Unreadable files are skipped with a warning; malformed lines fall
     under the module's one policy.
     """
     directory = Path(directory)
-    files = sorted(directory.glob("*.txt"))
+    files = sorted(directory.glob("new_*.txt"))
     if not files:
         raise ValueError(f"no cab files found in {directory}")
     groups = ((path.stem.removeprefix("new_"), _file_lines(path, "cab") or []) for path in files)
@@ -279,16 +280,6 @@ def parse_features(lines: Iterable[str] | TextIO) -> list[Feature]:
             Feature(id=row[0], point=GeoPoint(float(row[1]), float(row[2])), category=row[3], name=row[4])
         )
     return features
-
-
-def write_features(features: Iterable[Feature], out: TextIO) -> int:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(FEATURE_HEADER.split(","))
-    count = 0
-    for f in features:
-        writer.writerow([f.id, _fmt_degrees(f.point.lat), _fmt_degrees(f.point.lon), f.category, f.name])
-        count += 1
-    return count
 
 
 def parse_pois(lines: Iterable[str] | TextIO) -> dict[str, PoiSet]:

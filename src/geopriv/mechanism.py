@@ -83,20 +83,16 @@ class RandomSource:
         return self._gen.random(n)
 
 
-def stable_hash64(label: str) -> int:
-    """Platform-independent 64-bit hash of a string label."""
-    digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
-
-
 def derive_seed(base_seed: int, label: str) -> int:
-    """Derive a child seed: base XOR hash(label).
+    """Derive a child seed: base XOR hash(label), where the hash is the
+    label's platform-independent 64-bit blake2b digest.
 
     Used to partition the seed space deterministically: a run stream is
     derived from the master seed and the run index, a per-user stream from
     the run seed and the user id, so results never depend on scheduling.
     """
-    return (base_seed ^ stable_hash64(label)) & _SEED_MASK
+    digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
+    return (base_seed ^ int.from_bytes(digest, "little")) & _SEED_MASK
 
 
 def sample_radii(level: PrivacyLevel, rng: RandomSource, n: int) -> np.ndarray:

@@ -87,20 +87,20 @@ def geographic_distances(result: RemapResult) -> list[float]:
     return [p.distance_m for p in result.pairs]
 
 
-def semantic_distances(result: RemapResult, store: FeatureStore, k: int = DEFAULT_TOP_K) -> list[float]:
-    """Per remapped pair: 1 - overlap of the k nearest features around the
-    obfuscated POI versus around its remap target.
+def semantic_distances(result: RemapResult, store: FeatureStore) -> list[float]:
+    """Per remapped pair: 1 - overlap of the ``DEFAULT_TOP_K`` nearest
+    features around the obfuscated POI versus around its remap target.
 
     Overlap is by feature id; the denominator is the actual number of
     features returned around the target (relevant only when the store
-    holds fewer than k features).
+    holds fewer than ``DEFAULT_TOP_K`` features).
     """
     if len(store) == 0:
         raise ValueError("semantic distance needs a non-empty feature store")
     out = []
     for p in result.pairs:
-        around_obf = {f.id for f in store.top_k(p.obfuscated.centroid, k)}
-        around_real = [f.id for f in store.top_k(p.real.centroid, k)]
+        around_obf = {f.id for f in store.top_k(p.obfuscated.centroid, DEFAULT_TOP_K)}
+        around_real = [f.id for f in store.top_k(p.real.centroid, DEFAULT_TOP_K)]
         overlap = sum(1 for fid in around_real if fid in around_obf)
         out.append(1.0 - overlap / len(around_real))
     return out

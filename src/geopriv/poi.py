@@ -125,18 +125,13 @@ def _walk(cols: _Columns, params: ExtractionParams) -> list[Stay]:
     stays: list[Stay] = []
     start = 0  # window is the slice [start, i)
     i = 0
-    # bounding box of (a superset of) the window's chord coordinates
+    # bounding box of (a superset of) the window's chord coordinates; the
+    # empty window's box of +-inf fails the box test, and its scan finds
+    # no violator, so it admits like any window that fits
     bx0 = by0 = bz0 = math.inf
     bx1 = by1 = bz1 = -math.inf
     while i < n:
         x, y, z = xs[i], ys[i], zs[i]
-        if i == start:
-            # empty window admits by convention
-            bx0 = bx1 = x
-            by0 = by1 = y
-            bz0 = bz1 = z
-            i += 1
-            continue
         dx = bx1 - x
         if x - bx0 > dx: dx = x - bx0
         dy = by1 - y
@@ -154,8 +149,9 @@ def _walk(cols: _Columns, params: ExtractionParams) -> list[Stay]:
             i += 1
             continue
         # scan newest-first: the first violator is the one every pop must
-        # outlive; members behind it are already verified compatible
-        violator = -1
+        # outlive; members behind it are already verified compatible, and
+        # a window with no violator keeps every member
+        violator = start - 1
         sx0 = sx1 = x
         sy0 = sy1 = y
         sz0 = sz1 = z
@@ -175,16 +171,14 @@ def _walk(cols: _Columns, params: ExtractionParams) -> list[Stay]:
             elif yj > sy1: sy1 = yj
             if zj < sz0: sz0 = zj
             elif zj > sz1: sz1 = zj
-        if violator < 0:
-            # fits every member: admit and refresh the box exactly
-            bx0, bx1, by0, by1, bz0, bz1 = sx0, sx1, sy0, sy1, sz0, sz1
-            i += 1
-        elif ts[i - 1] - ts[start] >= min_time:
+        if violator >= start and ts[i - 1] - ts[start] >= min_time:
             stays.append(emit(start, i))
             start = i
+            bx0 = by0 = bz0 = math.inf
+            bx1 = by1 = bz1 = -math.inf
         else:
             # pop everything up to the violator, then admit; the scan
-            # already verified the surviving members
+            # verified the surviving members and rebuilt their box exactly
             start = violator + 1
             bx0, bx1, by0, by1, bz0, bz1 = sx0, sx1, sy0, sy1, sz0, sz1
             i += 1

@@ -237,5 +237,5 @@ def parse_canonical_literal(lines: Iterable[str]) -> Dataset:
         if malformed / total > MALFORMED_TOLERANCE:
             raise ValueError(f"corrupt input: {malformed} of {total} lines malformed")
     return Dataset(
-        {user: MobilityTrace.from_unsorted(user, locs) for user, locs in by_user.items()}
+        {user: MobilityTrace(user, sorted(locs, key=lambda loc: loc.t)) for user, locs in by_user.items()}
     )

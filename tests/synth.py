@@ -56,7 +56,7 @@ def planted_dataset(
                     )
                 t += (dwell_sizes[k] - 1) * point_interval_s + gap_s
         traces.append(MobilityTrace(user, tuple(locations)))
-    return Dataset.from_traces(traces), centers
+    return Dataset({trace.user: trace for trace in traces}), centers
 
 
 def random_trace(seed: int, max_points: int = 30, origin: GeoPoint = GeoPoint(45.0, 5.0)) -> MobilityTrace:

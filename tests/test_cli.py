@@ -61,12 +61,12 @@ class TestIngest:
         # one day each, with one record more / exactly as many records as
         # the policy's default day threshold
         per_day = FilterPolicy().min_locations_per_day
-        dataset = Dataset.from_traces(
-            MobilityTrace(user, tuple(
+        dataset = Dataset({
+            user: MobilityTrace(user, tuple(
                 TimestampedLocation(86400 + 60 * i, GeoPoint(37.75, -122.39)) for i in range(n)
             ))
             for user, n in (("busy", per_day + 1), ("quiet", per_day))
-        )
+        })
         source = tmp_path / "in.csv"
         with open(source, "w", newline="") as fh:
             write_canonical(dataset, fh)
@@ -257,6 +257,25 @@ def test_bad_settings_and_input_are_usage_errors(world, pipeline, tmp_path, case
     result = CliRunner().invoke(main, [str(arg) for arg in args])
     assert result.exit_code == 2, result.output
     assert f"Error: {message}\n" in result.output
+
+
+@pytest.mark.parametrize("option, spec", [
+    ("--level", "l=0.69,l=0.1,r=500"),
+    ("--level", "l=0.69,r=500,junk"),
+    ("--synthetic", "{synthetic},colour=red"),
+    ("--synthetic", "{synthetic},seed=6"),
+    ("--synthetic", "density=8,seed=5,bbox=37.7,-122.5,37.8"),
+], ids=["repeated key", "item without key", "unknown key", "repeated seed", "value count"])
+def test_specs_must_match_their_form(world, option, spec):
+    root, dataset, traces, synthetic = world
+    spec = spec.format(synthetic=synthetic)
+    form, other = {
+        "--level": ("l=<f>,r=<m>", ["--synthetic", synthetic]),
+        "--synthetic": ("density=<f>,seed=<u64>,bbox=<lat1,lon1,lat2,lon2>", ["--epsilon", "0.00693"]),
+    }[option]
+    result = CliRunner().invoke(main, ["precision", "--input", str(traces), *other, option, spec])
+    assert result.exit_code == 2, result.output
+    assert f"expected {form}, got {spec!r}" in result.output
 
 
 class TestConfigFile:

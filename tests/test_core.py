@@ -123,12 +123,11 @@ class TestTraceModel:
         b = TimestampedLocation(5, GeoPoint(0, 0))
         with pytest.raises(ValueError, match="sorted"):
             MobilityTrace("u", (a, b))
-        assert MobilityTrace.from_unsorted("u", [a, b]).locations == (b, a)
 
     def test_trace_keeps_tie_order(self):
         a = TimestampedLocation(5, GeoPoint(1, 0))
         b = TimestampedLocation(5, GeoPoint(2, 0))
-        tr = MobilityTrace.from_unsorted("u", [a, b])
+        tr = MobilityTrace("u", [a, b])
         assert tr.locations == (a, b)
 
     def test_empty_trace_has_typed_empty_columns(self):

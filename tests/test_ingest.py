@@ -1,3 +1,4 @@
+import csv
 import io
 import logging
 import tempfile
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from geopriv.core import Dataset, GeoPoint, MobilityTrace, TimestampedLocation
 from geopriv.ingest import (
+    FEATURE_HEADER,
     FilterPolicy,
     _fmt_degrees,
     _fmt_degrees_column,
@@ -22,7 +24,6 @@ from geopriv.ingest import (
     parse_pois,
     parse_sfcabs,
     write_canonical,
-    write_features,
     write_pois,
 )
 from geopriv.core import Poi, PoiSet
@@ -288,27 +289,27 @@ class TestWriteCanonical:
         assert buf.getvalue() == "user_id,timestamp,lat,lon\n"
 
     def test_count_is_total_locations(self):
-        ds = Dataset.from_traces(
-            [
-                MobilityTrace("a", (TimestampedLocation(1, GeoPoint(1, 1)),)),
-                MobilityTrace("b", (TimestampedLocation(1, GeoPoint(2, 2)), TimestampedLocation(2, GeoPoint(3, 3)))),
-                MobilityTrace("c", ()),
-            ]
+        ds = Dataset(
+            {
+                "a": MobilityTrace("a", (TimestampedLocation(1, GeoPoint(1, 1)),)),
+                "b": MobilityTrace("b", (TimestampedLocation(1, GeoPoint(2, 2)), TimestampedLocation(2, GeoPoint(3, 3)))),
+                "c": MobilityTrace("c", ()),
+            }
         )
         buf = io.StringIO()
         assert write_canonical(ds, buf) == 3
 
     def test_round_trip(self):
-        ds = Dataset.from_traces(
-            [
-                MobilityTrace(
+        ds = Dataset(
+            {
+                "u1": MobilityTrace(
                     "u1",
                     (
                         TimestampedLocation(5, GeoPoint(48.8566969, 2.3514616)),
                         TimestampedLocation(9, GeoPoint(-33.0, 151.12345678901)),
                     ),
                 )
-            ]
+            }
         )
         buf = io.StringIO()
         write_canonical(ds, buf)
@@ -332,8 +333,8 @@ def datasets(draw):
             )
             for _ in range(n)
         ]
-        traces.append(MobilityTrace.from_unsorted(f"user{i}", locs))
-    return Dataset.from_traces(traces)
+        traces.append(MobilityTrace(f"user{i}", sorted(locs, key=lambda loc: loc.t)))
+    return Dataset({trace.user: trace for trace in traces})
 
 
 _NEAR_GRID = st.builds(
@@ -363,7 +364,7 @@ class TestRoundTripProperty:
     def test_empty_trace_cannot_round_trip(self):
         # A row-based format has no row to carry a user with no locations;
         # such users vanish on write/parse.
-        ds = Dataset.from_traces([MobilityTrace("ghost", ())])
+        ds = Dataset({"ghost": MobilityTrace("ghost", ())})
         buf = io.StringIO()
         write_canonical(ds, buf)
         buf.seek(0)
@@ -418,6 +419,15 @@ class TestParseSfcabs:
         assert parse_sfcabs(tmp_path).users() == ["good"]
 
     def test_empty_directory(self, tmp_path):
+        with pytest.raises(ValueError, match="no cab files"):
+            parse_sfcabs(tmp_path)
+
+    def test_index_beside_taxi_files_is_not_read(self, tmp_path):
+        (tmp_path / "new_abboip.txt").write_text("".join(f"37.0 -122.0 0 {i}\n" for i in range(50)))
+        (tmp_path / "_cabs.txt").write_text('<cab id="abboip" updates="50"/>\n')
+        ds = parse_sfcabs(tmp_path)
+        assert ds.users() == ["abboip"] and len(ds.traces["abboip"]) == 50
+        (tmp_path / "new_abboip.txt").unlink()
         with pytest.raises(ValueError, match="no cab files"):
             parse_sfcabs(tmp_path)
 
@@ -498,28 +508,39 @@ def _day_trace(user, day_points):
         locs.extend(
             TimestampedLocation(day * DAY + i, GeoPoint(0, 0)) for i in range(n)
         )
-    return MobilityTrace.from_unsorted(user, locs)
+    return MobilityTrace(user, sorted(locs, key=lambda loc: loc.t))
 
 
 class TestFilterDataset:
     def test_boundary_is_strictly_more(self):
-        ds = Dataset.from_traces([_day_trace("u", {0: 481})])
+        ds = Dataset({"u": _day_trace("u", {0: 481})})
         policy = FilterPolicy(min_locations_per_day=480, min_qualifying_days=1)
         assert filter_dataset(ds, policy) == ds
-        ds_eq = Dataset.from_traces([_day_trace("u", {0: 480})])
+        ds_eq = Dataset({"u": _day_trace("u", {0: 480})})
         assert filter_dataset(ds_eq, policy).traces == {}
 
     def test_too_few_qualifying_days_drops_user(self):
-        ds = Dataset.from_traces([_day_trace("u", {d: 481 for d in range(29)})])
+        ds = Dataset({"u": _day_trace("u", {d: 481 for d in range(29)})})
         policy = FilterPolicy(min_locations_per_day=480, min_qualifying_days=30)
         assert filter_dataset(ds, policy).traces == {}
 
     def test_nonqualifying_days_are_dropped(self):
-        ds = Dataset.from_traces([_day_trace("u", {0: 5, 1: 2})])
+        ds = Dataset({"u": _day_trace("u", {0: 5, 1: 2})})
         policy = FilterPolicy(min_locations_per_day=4, min_qualifying_days=1)
         out = filter_dataset(ds, policy)
         assert len(out.traces["u"]) == 5
         assert all(loc.t < DAY for loc in out.traces["u"].locations)
+
+
+def _write_features(features, out):
+    """Write features as the CSV that parse_features reads; returns the row count."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(FEATURE_HEADER.split(","))
+    count = 0
+    for f in features:
+        writer.writerow([f.id, _fmt_degrees(f.point.lat), _fmt_degrees(f.point.lon), f.category, f.name])
+        count += 1
+    return count
 
 
 class TestFeatureAndPoiCsv:
@@ -529,7 +550,7 @@ class TestFeatureAndPoiCsv:
             Feature("f2", GeoPoint(45.1, 5.1), "shop", "corner store"),
         ]
         buf = io.StringIO()
-        assert write_features(feats, buf) == 2
+        assert _write_features(feats, buf) == 2
         buf.seek(0)
         assert parse_features(buf) == feats
 
@@ -546,7 +567,7 @@ class TestFeatureAndPoiCsv:
         assert got == {"u1": sets["u1"]}
 
     def test_digest_is_stable_and_sensitive(self):
-        ds = Dataset.from_traces([MobilityTrace("u", (TimestampedLocation(1, GeoPoint(1, 2)),))])
-        other = Dataset.from_traces([MobilityTrace("u", (TimestampedLocation(2, GeoPoint(1, 2)),))])
+        ds = Dataset({"u": MobilityTrace("u", (TimestampedLocation(1, GeoPoint(1, 2)),))})
+        other = Dataset({"u": MobilityTrace("u", (TimestampedLocation(2, GeoPoint(1, 2)),))})
         assert dataset_digest(ds) == dataset_digest(ds)
         assert dataset_digest(ds) != dataset_digest(other)

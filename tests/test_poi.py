@@ -1,10 +1,11 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from geopriv.core import GeoPoint, MobilityTrace, TimestampedLocation as TL, distance
+from geopriv.core import EARTH_RADIUS_M, GeoPoint, MobilityTrace, TimestampedLocation as TL, distance
 from geopriv.mechanism import PrivacyLevel, RandomSource, obfuscate_trace
 from geopriv.poi import (
     ExtractionParams,
@@ -282,6 +283,99 @@ class TestSweepExtraction:
         trace, params, thresholds = case
         swept = extract_pois_sweep(trace, params, thresholds)
         assert len(swept) == len(thresholds)
+        for threshold, got in zip(thresholds, swept):
+            attack = replace(params, max_distance=threshold)
+            assert got == extract_pois(trace, attack)
+            TestOracleEquivalence()._assert_same(trace, attack)
+
+
+# Metres per degree along the equator, where a small east/north layout in
+# metres keeps its distances to well under a millimetre.
+_M_PER_DEG = EARTH_RADIUS_M * math.pi / 180.0
+
+# A block of the boundary traces: (kind, points, spread - max_distance,
+# step from the block before - max_distance or None for a far jump,
+# span - min_time, seconds since the block before).
+_BLOCKS = st.tuples(
+    st.sampled_from(("zigzag", "segment", "cloud")),
+    st.integers(1, 6),
+    st.sampled_from((-1e-3, 1e-3)),
+    st.sampled_from((-1e-3, 1e-3, None)),
+    st.sampled_from((0, -1)),
+    st.integers(0, 1),
+)
+
+
+def _boundary_case(seed, blocks, max_distance, min_time, min_pts):
+    """A trace near (0, 0) of back-to-back blocks, each starting at its
+    step from the last point of the block before and spanning min_time or
+    min_time - 1 s. A zigzag alternates between the ends of a segment as
+    long as its spread, so every step is that long; a segment has its first
+    point at one end, another at the other and the rest between; a cloud
+    lies within max_distance - 1 mm. Returns the trace, its parameters
+    and the thresholds max_distance and max_distance +- 2 mm."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    x = y = 0.0
+    t = 0
+    locations = []
+    for kind, n, spread, step, span, gap in blocks:
+        if locations:
+            d = 3.0 * max_distance if step is None else max_distance + step
+            bearing = gen.uniform(0.0, 2.0 * math.pi)
+            x, y, t = x + d * math.cos(bearing), y + d * math.sin(bearing), t + gap
+        bearing = gen.uniform(0.0, 2.0 * math.pi)
+        inner = max(n - 2, 0)
+        if kind == "cloud":
+            radius = (max_distance - 1e-3) / 2.0 * np.sqrt(gen.uniform(0.0, 1.0, n))
+            radius[0] = 0.0
+            angle = gen.uniform(0.0, 2.0 * math.pi, n)
+        else:
+            if kind == "zigzag":
+                fractions = [i % 2 for i in range(n)]
+            else:
+                fractions = [0.0, *gen.permutation([1.0, *gen.uniform(0.0, 1.0, inner)])][:n]
+            radius = (max_distance + spread) * np.array(fractions, dtype=float)
+            angle = np.full(n, bearing)
+        span_s = min_time + span
+        offsets = [0, *sorted(gen.integers(0, span_s + 1, inner).tolist()), span_s][:n]
+        xs = x + radius * np.cos(angle)
+        ys = y + radius * np.sin(angle)
+        locations += [
+            TL(t + dt, GeoPoint(py / _M_PER_DEG, px / _M_PER_DEG))
+            for dt, px, py in zip(offsets, xs.tolist(), ys.tolist())
+        ]
+        x, y, t = float(xs[-1]), float(ys[-1]), t + offsets[-1]
+    params = ExtractionParams(min_time=min_time, max_distance=max_distance, min_pts=min_pts)
+    thresholds = [max_distance - 2e-3, max_distance, max_distance + 2e-3]
+    return MobilityTrace("u", tuple(locations)), params, thresholds
+
+
+@st.composite
+def _boundary_cases(draw):
+    return _boundary_case(
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.lists(_BLOCKS, min_size=1, max_size=5)),
+        draw(st.sampled_from((30.0, 250.0))),
+        draw(st.sampled_from((60, 3600))),
+        draw(st.integers(1, 2)),
+    )
+
+
+class TestWalkBoundaries:
+    @settings(max_examples=150, deadline=None)
+    @given(_boundary_cases())
+    @example(_boundary_case(1, [("zigzag", 4, -1e-3, None, 0, 0), ("zigzag", 4, -1e-3, 1e-3, 0, 0)], 30.0, 60, 1))
+    @example(_boundary_case(2, [("segment", 5, 1e-3, None, 0, 0), ("cloud", 3, 1e-3, 1e-3, -1, 1)], 250.0, 60, 1))
+    def test_walk_matches_oracle_on_the_boundaries(self, case):
+        trace, params, thresholds = case
+        # a pair within float error of a threshold may fall either way in
+        # chord and in arc arithmetic; the layout keeps every pair clear
+        points = [loc.point for loc in trace.locations]
+        assume(all(
+            abs(distance(p, q) - threshold) > 1e-6
+            for i, p in enumerate(points) for q in points[i + 1:] for threshold in thresholds
+        ))
+        swept = extract_pois_sweep(trace, params, thresholds)
         for threshold, got in zip(thresholds, swept):
             attack = replace(params, max_distance=threshold)
             assert got == extract_pois(trace, attack)
