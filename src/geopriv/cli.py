@@ -124,7 +124,14 @@ def _resolve_store(features_path: str | None, synthetic_spec: str | None) -> Fea
 
     def synthetic(v: dict[str, list[str]]) -> list[Feature]:
         lat1, lon1, lat2, lon2 = map(float, v["bbox"])
-        bounds = (min(lat1, lat2), min(lon1, lon2), max(lat1, lat2), max(lon1, lon2))
+        # the box runs east from lon1 to lon2, so lon1 > lon2 would cross
+        # the antimeridian, which the generator's bounds cannot express
+        if lon1 > lon2:
+            raise click.BadParameter(
+                f"bbox may not cross the antimeridian: lon1 {lon1} > lon2 {lon2}",
+                param_hint="--synthetic",
+            )
+        bounds = (min(lat1, lat2), lon1, max(lat1, lat2), lon2)
         return generate_synthetic_features(int(v["seed"][0]), bounds, float(v["density"][0]))
 
     form = "density=<f>,seed=<u64>,bbox=<lat1,lon1,lat2,lon2>"

@@ -6,7 +6,11 @@ when its distance to every point already in the window stays within
 window is flushed as a stay if it spans at least ``min_time`` seconds,
 otherwise its oldest point is dropped and the same point is retried. The
 window is therefore always a contiguous slice of the trace, which is what
-the implementation exploits.
+the implementation exploits. A step between consecutive points longer than
+``max_distance`` ends every window: the walk restarts after it as if the
+trace began there. The walk therefore splits the trace at such steps and
+walks only the segments that span ``min_time``; a shorter one cannot hold
+a stay.
 
 Phase two runs density-join clustering on the stay centroids: each stay's
 neighbourhood (all stays within ``max_distance * merge_factor``, itself
@@ -22,18 +26,19 @@ Both phases compare distances as squared chords between Earth-centred
 coordinates from ``core.chord_xyz``, the one chord projection, against
 ``core.chord_m`` of the threshold; chord length orders point pairs like
 great-circle distance. Phase one runs on a projection of the trace: its
-latitude, longitude and time columns plus those chord coordinates. The
-projection does not depend on the parameters, so
-:func:`extract_pois_sweep` projects a trace once and walks it once per
-threshold; ``experiment.threshold_sweep`` calls it per (run, user), so
-the observer's sweep loops run -> user -> threshold. Each of its results
-is bit-identical to :func:`extract_pois` at that threshold, because both
-feed the same projection to the one walk that :func:`extract_stays` uses
-and then to :func:`dj_cluster`.
+latitude, longitude and time columns plus those chord coordinates and the
+squared chord steps between consecutive points. The projection does not
+depend on the parameters, so :func:`extract_pois_sweep` projects a trace
+once and walks it once per threshold; ``experiment.threshold_sweep`` calls
+it per (run, user), so the observer's sweep loops run -> user ->
+threshold. Each of its results is bit-identical to :func:`extract_pois` at
+that threshold, because both feed the same projection to the one walk that
+:func:`extract_stays` uses and then to :func:`dj_cluster`.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -49,6 +54,8 @@ from .core import (
     chord_m,
     chord_xyz,
 )
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -87,31 +94,54 @@ class Stay:
     point_count: int
 
 
-# A trace as columns: latitudes, longitudes, timestamps, and the 3-D chord
+# A trace as columns: latitudes, longitudes, timestamps, the 3-D chord
 # coordinates (metres, Earth-centred) that every distance test of the walk
-# compares.
-_Columns = tuple[list[float], list[float], list[int], list[float], list[float], list[float]]
+# compares, and as arrays the timestamps and the squared chord step from
+# each point to the next, which split the walk into segments.
+_Columns = tuple[
+    list[float], list[float], list[int], list[float], list[float], list[float], np.ndarray, np.ndarray
+]
 
 
 def _project(trace: MobilityTrace) -> _Columns:
     """The trace's columns and chord projection; they do not depend on the
-    extraction parameters, so a threshold sweep computes them once."""
-    xs, ys, zs = chord_xyz(trace.lat, trace.lon).T.tolist()
-    return trace.lat.tolist(), trace.lon.tolist(), trace.t.tolist(), xs, ys, zs
+    extraction parameters, so a threshold sweep computes them once.
+
+    ``step2[i - 1]`` is the same float arithmetic, in the same order, as
+    the walk's first scan comparison at point i, against point i - 1."""
+    xyz = chord_xyz(trace.lat, trace.lon)
+    dx, dy, dz = (xyz[1:] - xyz[:-1]).T
+    step2 = dx * dx + dy * dy + dz * dz
+    xs, ys, zs = xyz.T.tolist()
+    return trace.lat.tolist(), trace.lon.tolist(), trace.t.tolist(), xs, ys, zs, trace.t, step2
 
 
 def _walk(cols: _Columns, params: ExtractionParams) -> list[Stay]:
     """The stay walk over a projected trace (see :func:`extract_stays`).
 
-    The hot loop makes no builtin calls per point: ``max``/``min`` are
-    written as ``if b > a``/``if b < a``, which keep the same operand on
-    ties, and list items are read into locals once.
+    It walks only the segments between steps longer than max_distance that
+    span at least min_time, one after another. The hot loop makes no
+    builtin calls per point: ``max``/``min`` are written as
+    ``if b > a``/``if b < a``, which keep the same operand on ties, and
+    list items are read into locals once.
     """
-    lats, lons, ts, xs, ys, zs = cols
+    lats, lons, ts, xs, ys, zs, t, step2 = cols
     n = len(ts)
+    if n == 0:
+        return []
     chord = chord_m(params.max_distance)
     chord2 = chord * chord
     min_time = params.min_time
+    cuts = np.flatnonzero(step2 > chord2) + 1
+    starts = np.concatenate(([0], cuts))
+    ends = np.concatenate((cuts, [n]))
+    kept = t[ends - 1] - t[starts] >= min_time
+    found = len(starts)
+    starts, ends = starts[kept], ends[kept]
+    logger.debug(
+        "max_distance %r m: walking %d of %d segments, %d of %d points",
+        params.max_distance, len(starts), found, int((ends - starts).sum()), n,
+    )
 
     def emit(start: int, end: int) -> Stay:
         m = end - start
@@ -123,67 +153,69 @@ def _walk(cols: _Columns, params: ExtractionParams) -> list[Stay]:
         )
 
     stays: list[Stay] = []
-    start = 0  # window is the slice [start, i)
-    i = 0
-    # bounding box of (a superset of) the window's chord coordinates; the
-    # empty window's box of +-inf fails the box test, and its scan finds
-    # no violator, so it admits like any window that fits
-    bx0 = by0 = bz0 = math.inf
-    bx1 = by1 = bz1 = -math.inf
-    while i < n:
-        x, y, z = xs[i], ys[i], zs[i]
-        dx = bx1 - x
-        if x - bx0 > dx: dx = x - bx0
-        dy = by1 - y
-        if y - by0 > dy: dy = y - by0
-        dz = bz1 - z
-        if z - bz0 > dz: dz = z - bz0
-        if dx * dx + dy * dy + dz * dz <= chord2:
-            # within max_distance of the whole box, hence of every member
-            if x < bx0: bx0 = x
-            if x > bx1: bx1 = x
-            if y < by0: by0 = y
-            if y > by1: by1 = y
-            if z < bz0: bz0 = z
-            if z > bz1: bz1 = z
-            i += 1
-            continue
-        # scan newest-first: the first violator is the one every pop must
-        # outlive; members behind it are already verified compatible, and
-        # a window with no violator keeps every member
-        violator = start - 1
-        sx0 = sx1 = x
-        sy0 = sy1 = y
-        sz0 = sz1 = z
-        for j in range(i - 1, start - 1, -1):
-            xj = xs[j]
-            yj = ys[j]
-            zj = zs[j]
-            dx = x - xj
-            dy = y - yj
-            dz = z - zj
-            if dx * dx + dy * dy + dz * dz > chord2:
-                violator = j
-                break
-            if xj < sx0: sx0 = xj
-            elif xj > sx1: sx1 = xj
-            if yj < sy0: sy0 = yj
-            elif yj > sy1: sy1 = yj
-            if zj < sz0: sz0 = zj
-            elif zj > sz1: sz1 = zj
-        if violator >= start and ts[i - 1] - ts[start] >= min_time:
-            stays.append(emit(start, i))
-            start = i
-            bx0 = by0 = bz0 = math.inf
-            bx1 = by1 = bz1 = -math.inf
-        else:
-            # pop everything up to the violator, then admit; the scan
-            # verified the surviving members and rebuilt their box exactly
-            start = violator + 1
-            bx0, bx1, by0, by1, bz0, bz1 = sx0, sx1, sy0, sy1, sz0, sz1
-            i += 1
-    if start < n and ts[n - 1] - ts[start] >= min_time:
-        stays.append(emit(start, n))
+    for start, end in zip(starts.tolist(), ends.tolist()):
+        i = start  # window is the slice [start, i)
+        # bounding box of (a superset of) the window's chord coordinates; the
+        # empty window's box of +-inf fails the box test, and its scan finds
+        # no violator, so it admits like any window that fits
+        bx0 = by0 = bz0 = math.inf
+        bx1 = by1 = bz1 = -math.inf
+        while i < end:
+            x, y, z = xs[i], ys[i], zs[i]
+            dx = bx1 - x
+            if x - bx0 > dx: dx = x - bx0
+            dy = by1 - y
+            if y - by0 > dy: dy = y - by0
+            dz = bz1 - z
+            if z - bz0 > dz: dz = z - bz0
+            if dx * dx + dy * dy + dz * dz <= chord2:
+                # within max_distance of the whole box, hence of every member
+                if x < bx0: bx0 = x
+                if x > bx1: bx1 = x
+                if y < by0: by0 = y
+                if y > by1: by1 = y
+                if z < bz0: bz0 = z
+                if z > bz1: bz1 = z
+                i += 1
+                continue
+            # scan newest-first: the first violator is the one every pop must
+            # outlive; members behind it are already verified compatible, and
+            # a window with no violator keeps every member
+            violator = start - 1
+            sx0 = sx1 = x
+            sy0 = sy1 = y
+            sz0 = sz1 = z
+            for j in range(i - 1, start - 1, -1):
+                xj = xs[j]
+                yj = ys[j]
+                zj = zs[j]
+                dx = x - xj
+                dy = y - yj
+                dz = z - zj
+                if dx * dx + dy * dy + dz * dz > chord2:
+                    violator = j
+                    break
+                if xj < sx0: sx0 = xj
+                elif xj > sx1: sx1 = xj
+                if yj < sy0: sy0 = yj
+                elif yj > sy1: sy1 = yj
+                if zj < sz0: sz0 = zj
+                elif zj > sz1: sz1 = zj
+            if violator >= start and ts[i - 1] - ts[start] >= min_time:
+                stays.append(emit(start, i))
+                start = i
+                bx0 = by0 = bz0 = math.inf
+                bx1 = by1 = bz1 = -math.inf
+            else:
+                # pop everything up to the violator, then admit; the scan
+                # verified the surviving members and rebuilt their box exactly
+                start = violator + 1
+                bx0, bx1, by0, by1, bz0, bz1 = sx0, sx1, sy0, sy1, sz0, sz1
+                i += 1
+        # the step that ends the segment, or the trace's end, emits the
+        # last window when it spans min_time
+        if ts[end - 1] - ts[start] >= min_time:
+            stays.append(emit(start, end))
     return stays
 
 
@@ -202,7 +234,19 @@ def extract_stays(trace: MobilityTrace, params: ExtractionParams) -> list[Stay]:
     * a bounding box over the window's chord coordinates gives an O(1)
       "definitely fits" test that short-circuits the scan for the long
       stationary runs that dominate real traces. The box may go stale
-      (too wide) after pops, which is only ever conservative.
+      (too wide) after pops, which is only ever conservative;
+    * segments between steps longer than max_distance are independent.
+      When the step into point i is that long, the box holds point i - 1,
+      so the box test fails; the newest-first scan names i - 1 as the
+      violator; and both outcomes, emitting the window or popping up to
+      the violator and admitting, restart the window at i with the box of
+      {i}, as a walk starting at i would. The window the step ends emits
+      exactly when the trace-end rule would at the end of the segment. So
+      the walk splits the trace at such steps, skips every segment that
+      spans less than min_time (it cannot hold a stay, as timestamps are
+      sorted), and walks the rest one after another. The split compares
+      the squared chord step from the projection, the same float
+      operations as the scan's first comparison, so it is exact.
 
     Distances compare squared 3-D chord lengths against the chord of
     max_distance, which orders point pairs exactly like the great-circle

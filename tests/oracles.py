@@ -9,7 +9,9 @@ TimestampedLocation/GeoPoint objects and shares only the CSV header, the
 malformed-line tolerance and the trace model with
 ``ingest.parse_canonical``. ``offset`` is the scalar form of the noise
 step that ``mechanism.perturb`` applies to arrays; the synthetic test data
-is built with it.
+is built with it. ``walk_unpruned`` is the stay walk as it was before it
+split the trace into segments, kept verbatim so that the pruned walk can be
+held to it bit for bit; it shares the chord projection with it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from geopriv.core import (
     Poi,
     TimestampedLocation,
     centroid,
+    chord_m,
+    chord_xyz,
     distance,
 )
 from geopriv.ingest import CANONICAL_HEADER, MALFORMED_TOLERANCE
@@ -88,6 +92,92 @@ def extract_stays_literal(trace: MobilityTrace, params: ExtractionParams) -> lis
                 candidate.pop(0)
     if candidate and candidate[-1].t - candidate[0].t >= params.min_time:
         stays.append(emit(candidate))
+    return stays
+
+
+def walk_unpruned(trace: MobilityTrace, params: ExtractionParams) -> list[Stay]:
+    """The stay walk as it was before segment pruning: ``poi._project``
+    and ``poi._walk`` verbatim, one window over the whole trace. Every
+    decision is the same float operation as the pruned walk's, so their
+    stays must be equal field for field."""
+    xs, ys, zs = chord_xyz(trace.lat, trace.lon).T.tolist()
+    lats, lons, ts = trace.lat.tolist(), trace.lon.tolist(), trace.t.tolist()
+    n = len(ts)
+    chord = chord_m(params.max_distance)
+    chord2 = chord * chord
+    min_time = params.min_time
+
+    def emit(start: int, end: int) -> Stay:
+        m = end - start
+        return Stay(
+            centroid=GeoPoint(math.fsum(lats[start:end]) / m, math.fsum(lons[start:end]) / m),
+            start_t=ts[start],
+            end_t=ts[end - 1],
+            point_count=m,
+        )
+
+    stays: list[Stay] = []
+    start = 0  # window is the slice [start, i)
+    i = 0
+    # bounding box of (a superset of) the window's chord coordinates; the
+    # empty window's box of +-inf fails the box test, and its scan finds
+    # no violator, so it admits like any window that fits
+    bx0 = by0 = bz0 = math.inf
+    bx1 = by1 = bz1 = -math.inf
+    while i < n:
+        x, y, z = xs[i], ys[i], zs[i]
+        dx = bx1 - x
+        if x - bx0 > dx: dx = x - bx0
+        dy = by1 - y
+        if y - by0 > dy: dy = y - by0
+        dz = bz1 - z
+        if z - bz0 > dz: dz = z - bz0
+        if dx * dx + dy * dy + dz * dz <= chord2:
+            # within max_distance of the whole box, hence of every member
+            if x < bx0: bx0 = x
+            if x > bx1: bx1 = x
+            if y < by0: by0 = y
+            if y > by1: by1 = y
+            if z < bz0: bz0 = z
+            if z > bz1: bz1 = z
+            i += 1
+            continue
+        # scan newest-first: the first violator is the one every pop must
+        # outlive; members behind it are already verified compatible, and
+        # a window with no violator keeps every member
+        violator = start - 1
+        sx0 = sx1 = x
+        sy0 = sy1 = y
+        sz0 = sz1 = z
+        for j in range(i - 1, start - 1, -1):
+            xj = xs[j]
+            yj = ys[j]
+            zj = zs[j]
+            dx = x - xj
+            dy = y - yj
+            dz = z - zj
+            if dx * dx + dy * dy + dz * dz > chord2:
+                violator = j
+                break
+            if xj < sx0: sx0 = xj
+            elif xj > sx1: sx1 = xj
+            if yj < sy0: sy0 = yj
+            elif yj > sy1: sy1 = yj
+            if zj < sz0: sz0 = zj
+            elif zj > sz1: sz1 = zj
+        if violator >= start and ts[i - 1] - ts[start] >= min_time:
+            stays.append(emit(start, i))
+            start = i
+            bx0 = by0 = bz0 = math.inf
+            bx1 = by1 = bz1 = -math.inf
+        else:
+            # pop everything up to the violator, then admit; the scan
+            # verified the surviving members and rebuilt their box exactly
+            start = violator + 1
+            bx0, bx1, by0, by1, bz0, bz1 = sx0, sx1, sy0, sy1, sz0, sz1
+            i += 1
+    if start < n and ts[n - 1] - ts[start] >= min_time:
+        stays.append(emit(start, n))
     return stays
 
 

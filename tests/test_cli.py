@@ -278,6 +278,31 @@ def test_specs_must_match_their_form(world, option, spec):
     assert f"expected {form}, got {spec!r}" in result.output
 
 
+def test_synthetic_bbox_may_not_cross_the_antimeridian(world):
+    root, dataset, traces, synthetic = world
+    spec = "density=0.00001,seed=5,bbox=0,179.9,0.1,-179.9"
+    result = CliRunner().invoke(main, [
+        "precision", "--input", str(traces), "--epsilon", "0.00693", "--synthetic", spec,
+    ])
+    assert result.exit_code == 2, result.output
+    assert "bbox may not cross the antimeridian: lon1 179.9 > lon2 -179.9" in result.output
+
+
+def test_synthetic_bbox_takes_latitudes_in_either_order(world, tmp_path):
+    root, dataset, traces, synthetic = world
+    head, bbox = synthetic.split("bbox=")
+    lat1, lon1, lat2, lon2 = bbox.split(",")
+    outputs = []
+    for corners in ((lat1, lon1, lat2, lon2), (lat2, lon1, lat1, lon2)):
+        out = tmp_path / f"precision-{len(outputs)}.csv"
+        _run(
+            "precision", "--input", str(traces), "--epsilon", "0.00693", "--samples", "5",
+            "--synthetic", head + "bbox=" + ",".join(corners), "--out", str(out),
+        )
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1]
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, world, tmp_path):
         root, dataset, traces, _ = world

@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 
@@ -5,7 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from geopriv.core import EARTH_RADIUS_M, GeoPoint, MobilityTrace, TimestampedLocation as TL, distance
+from geopriv.core import (
+    EARTH_RADIUS_M,
+    GeoPoint,
+    MobilityTrace,
+    PoiSet,
+    TimestampedLocation as TL,
+    chord_m,
+    chord_xyz,
+    distance,
+)
 from geopriv.mechanism import PrivacyLevel, RandomSource, obfuscate_trace
 from geopriv.poi import (
     ExtractionParams,
@@ -16,7 +26,7 @@ from geopriv.poi import (
     extract_stays,
 )
 
-from oracles import dj_cluster_literal, extract_stays_literal, offset
+from oracles import dj_cluster_literal, extract_stays_literal, offset, walk_unpruned
 from synth import random_params, random_trace
 
 DEFAULTS = ExtractionParams()
@@ -380,3 +390,157 @@ class TestWalkBoundaries:
             attack = replace(params, max_distance=threshold)
             assert got == extract_pois(trace, attack)
             TestOracleEquivalence()._assert_same(trace, attack)
+
+
+def _scan_steps(trace):
+    """The squared chord step into each point from the one before, as the
+    walk's scan computes it (newer minus older, x, y then z)."""
+    xs, ys, zs = chord_xyz(trace.lat, trace.lon).T.tolist()
+    steps = []
+    for i in range(1, len(xs)):
+        dx, dy, dz = xs[i] - xs[i - 1], ys[i] - ys[i - 1], zs[i] - zs[i - 1]
+        steps.append(dx * dx + dy * dy + dz * dz)
+    return steps
+
+
+def _threshold_at(step2):
+    """A threshold whose chord squares to exactly ``step2``, found within
+    64 ulps of the arc of that chord, or None when no float reaches it."""
+    arc = 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(step2) / (2.0 * EARTH_RADIUS_M))
+    up = down = arc
+    for _ in range(65):
+        for threshold in (up, down):
+            chord = chord_m(threshold)
+            if chord * chord == step2:
+                return threshold
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+    return None
+
+
+def _pruning_case(seed, blocks, lead, trail, max_distance, min_time, nudge):
+    """A noisy trace near BASE of blocks, each spanning min_time or
+    min_time - 1 s and joined to the one before by a far jump or a step of
+    about max_distance: dwells (clouds up to twice max_distance across),
+    drifts (random walks of steps near max_distance), pairs (two points
+    max_distance apart) and single points. ``lead`` and ``trail`` add a
+    single point a far jump before and after. Thresholds are half, once
+    and twice max_distance; with ``nudge`` also one whose chord squares to
+    exactly the step into a drawn point of a block, or None when no step
+    can be reached."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    blocks = [("single", 1, 0, True), *blocks] if lead else list(blocks)
+    if trail:
+        blocks.append(("single", 1, 0, True))
+    x = y = 0.0
+    t = 0
+    locations = []
+    inner = []  # indices of points whose step in lies inside their block
+    for kind, n, span, far in blocks:
+        if locations:
+            d = 4.0 * max_distance if far else max_distance * float(gen.uniform(0.5, 1.5))
+            bearing = float(gen.uniform(0.0, 2.0 * math.pi))
+            x, y, t = x + d * math.cos(bearing), y + d * math.sin(bearing), t + int(gen.integers(0, 2))
+        n = {"single": 1, "pair": 2}.get(kind, n)
+        if kind == "dwell":
+            radius = max_distance * float(gen.choice((0.25, 0.45, 0.6, 1.0)))
+            px = x + gen.uniform(-radius, radius, n)
+            py = y + gen.uniform(-radius, radius, n)
+        elif kind == "drift":
+            px = x + np.cumsum(gen.normal(0.0, 0.7 * max_distance, n))
+            py = y + np.cumsum(gen.normal(0.0, 0.7 * max_distance, n))
+        else:
+            bearing = float(gen.uniform(0.0, 2.0 * math.pi))
+            px = x + max_distance * math.cos(bearing) * np.arange(n)
+            py = y + max_distance * math.sin(bearing) * np.arange(n)
+        span_s = min_time + span if n > 1 else 0
+        offsets = [0, *sorted(gen.integers(0, span_s + 1, max(n - 2, 0)).tolist()), span_s][:n]
+        inner += range(len(locations) + 1, len(locations) + n)
+        locations += [
+            TL(t + dt, offset(BASE, ox, oy)) for dt, ox, oy in zip(offsets, px.tolist(), py.tolist())
+        ]
+        x, y, t = float(px[-1]), float(py[-1]), t + offsets[-1]
+    trace = MobilityTrace("u", tuple(locations))
+    thresholds = [0.5 * max_distance, max_distance, 2.0 * max_distance]
+    if nudge:
+        steps = _scan_steps(trace)
+        reached = (_threshold_at(steps[i - 1]) for i in gen.permutation(inner).tolist() if steps[i - 1] > 0.0)
+        exact = next((threshold for threshold in reached if threshold is not None), None)
+        if exact is None:
+            return None
+        thresholds.append(exact)
+    return trace, ExtractionParams(min_time=min_time, max_distance=max_distance, min_pts=1), thresholds
+
+
+_PRUNING_BLOCKS = st.tuples(
+    st.sampled_from(("dwell", "drift", "pair", "single")),
+    st.integers(2, 30),
+    st.sampled_from((0, -1)),
+    st.booleans(),
+)
+
+
+@st.composite
+def _pruning_cases(draw):
+    return _pruning_case(
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.lists(_PRUNING_BLOCKS, max_size=6)),
+        draw(st.booleans()),
+        draw(st.booleans()),
+        draw(st.sampled_from((30.0, 250.0))),
+        draw(st.sampled_from((60, 600, 3600))),
+        draw(st.booleans()),
+    )
+
+
+class _WalkCounts(logging.Handler):
+    """Collects the arguments of the walk's DEBUG line: max_distance, the
+    segments walked, the segments found, the points walked and n."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.counts = []
+
+    def emit(self, record):
+        self.counts.append(record.args)
+
+
+class TestSegmentPruning:
+    """The pruned walk against the walk before pruning, with no tolerance:
+    every decision is the same float operation, so any difference in the
+    stays, POIs or pruning counts is a fault of the segment split."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_pruning_cases())
+    @example((MobilityTrace("u", ()), DEFAULTS, [100.0, 250.0]))
+    @example((MobilityTrace("u", (TL(0, BASE),)), ExtractionParams(min_pts=1), [100.0]))
+    @example(_pruning_case(3, [("pair", 2, 0, True)], False, False, 250.0, 600, True))
+    @example(_pruning_case(4, [("dwell", 20, 0, True), ("dwell", 12, -1, False)], True, True, 30.0, 60, False))
+    def test_pruned_walk_equals_unpruned(self, case):
+        assume(case is not None)
+        trace, params, thresholds = case
+        log = logging.getLogger("geopriv.poi")
+        handler, level = _WalkCounts(), log.level
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
+        try:
+            swept = extract_pois_sweep(trace, params, thresholds)
+        finally:
+            log.removeHandler(handler)
+            log.setLevel(level)
+        steps = _scan_steps(trace)
+        times = trace.t.tolist()
+        expected_counts = []
+        for threshold, got in zip(thresholds, swept):
+            attack = replace(params, max_distance=threshold)
+            want = walk_unpruned(trace, attack)
+            assert extract_stays(trace, attack) == want
+            assert got == PoiSet("u", tuple(dj_cluster(want, attack)))
+            chord = chord_m(threshold)
+            cuts = [i for i in range(1, len(times)) if steps[i - 1] > chord * chord]
+            segments = list(zip([0, *cuts], [*cuts, len(times)])) if times else []
+            kept = [(s, e) for s, e in segments if times[e - 1] - times[s] >= params.min_time]
+            expected_counts.append(
+                (threshold, len(kept), len(segments), sum(e - s for s, e in kept), len(times))
+            )
+        # an empty trace has no segments and logs nothing
+        assert handler.counts == (expected_counts if times else [])
