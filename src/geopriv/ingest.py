@@ -27,7 +27,7 @@ least ``min_qualifying_days`` such days.
 from __future__ import annotations
 
 import csv
-import io
+import hashlib
 import logging
 from collections import defaultdict
 from dataclasses import dataclass
@@ -312,9 +312,23 @@ def write_pois(poi_sets: Mapping[str, PoiSet], out: TextIO) -> int:
 
 
 def dataset_digest(dataset: Dataset) -> str:
-    """Short content hash of a dataset via its canonical serialization."""
-    import hashlib
+    """Short content hash of a dataset's columns: blake2b, 8 bytes, as hex.
 
-    buf = io.StringIO()
-    write_canonical(dataset, buf)
-    return hashlib.blake2b(buf.getvalue().encode("utf-8"), digest_size=8).hexdigest()
+    For each user in ``dataset.users()`` order it hashes the byte length of
+    the UTF-8 user id, the id's bytes, the point count, then the ``t``
+    column as little-endian int64 and the ``lat`` and ``lon`` columns as
+    little-endian float64; both lengths are 8-byte little-endian integers.
+    A user with an empty trace is framed with a count of 0, though
+    canonical CSV has no row to carry it.
+    """
+    h = hashlib.blake2b(digest_size=8)
+    for user in dataset.users():
+        trace = dataset.traces[user]
+        uid = user.encode("utf-8")
+        h.update(len(uid).to_bytes(8, "little"))
+        h.update(uid)
+        h.update(len(trace).to_bytes(8, "little"))
+        h.update(np.ascontiguousarray(trace.t, dtype="<i8"))
+        h.update(np.ascontiguousarray(trace.lat, dtype="<f8"))
+        h.update(np.ascontiguousarray(trace.lon, dtype="<f8"))
+    return h.hexdigest()

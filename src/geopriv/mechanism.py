@@ -37,14 +37,12 @@ _SEED_MASK = (1 << 64) - 1
 class PrivacyLevel:
     """Noise scale of the mechanism: epsilon in reciprocal metres.
 
-    ``disabled`` marks the distinguished zero-noise configuration used by
-    end-to-end identity tests: obfuscation becomes the identity and the
-    quantile used for query enlargement becomes 0. It is a switch, not a
-    limit of epsilon.
+    epsilon = infinity is zero noise, the limit of the law: obfuscation is
+    the identity, no uniform is drawn, and the quantile used for query
+    enlargement is 0. End-to-end identity tests run at that level.
     """
 
     epsilon: float
-    disabled: bool = False
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0.0:
@@ -61,7 +59,7 @@ class PrivacyLevel:
 
     @classmethod
     def zero_noise(cls) -> "PrivacyLevel":
-        return cls(epsilon=math.inf, disabled=True)
+        return cls(math.inf)
 
 
 class RandomSource:
@@ -100,9 +98,9 @@ def sample_radii(level: PrivacyLevel, rng: RandomSource, n: int) -> np.ndarray:
 
     Draws one block of n uniforms per exponential; uniforms are mapped to
     (0, 1] so the logs are always defined, and a degenerate stream of
-    zeros yields radius 0. A disabled level draws nothing.
+    zeros yields radius 0. Zero noise draws nothing.
     """
-    if level.disabled:
+    if level.epsilon == math.inf:
         return np.zeros(n)
     u1 = 1.0 - rng.uniforms(n)
     u2 = 1.0 - rng.uniforms(n)
@@ -113,7 +111,7 @@ def radius_cdf(level: PrivacyLevel, r: float) -> float:
     """P(noise radius <= r) = 1 - (1 + eps*r) * exp(-eps*r)."""
     if r < 0.0:
         raise ValueError(f"radius must be >= 0, got {r!r}")
-    if level.disabled:
+    if level.epsilon == math.inf:
         return 1.0
     x = level.epsilon * r
     return 1.0 - (1.0 + x) * math.exp(-x)
@@ -127,7 +125,7 @@ def inverse_radius_cdf(level: PrivacyLevel, p: float) -> float:
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"probability must be in [0, 1), got {p!r}")
-    if p == 0.0 or level.disabled:
+    if p == 0.0 or level.epsilon == math.inf:
         return 0.0
     from scipy.special import lambertw  # imported here: only quantile queries pay for scipy
 
@@ -143,10 +141,10 @@ def perturb(
     Draws three blocks of n uniforms in a fixed order (bearings, then the
     two radius blocks), so a freshly seeded source reproduces the output.
     The displacement is an equirectangular step, longitude wrapped at the
-    antimeridian. A disabled level returns its input and draws nothing;
+    antimeridian. Zero noise returns the input and draws nothing;
     any point beyond MAX_OFFSET_LAT raises.
     """
-    if level.disabled:
+    if level.epsilon == math.inf:
         return lat, lon
     if np.any(np.abs(lat) > MAX_OFFSET_LAT):
         raise ValueError("polar region unsupported")
@@ -161,13 +159,13 @@ def perturb(
 def obfuscate_trace(trace: MobilityTrace, level: PrivacyLevel, rng: RandomSource) -> MobilityTrace:
     """Obfuscate every point of a trace independently through :func:`perturb`.
 
-    User, timestamps and ordering are preserved; a disabled level or an
-    empty trace returns the trace itself. Noise that carries a point past
+    User, timestamps and ordering are preserved; zero noise or an empty
+    trace returns the trace itself. Noise that carries a point past
     a pole raises, naming the user and the noisy latitude.
     ``metrics.precision_trial`` perturbs its one query point through the
     same function (n = 1).
     """
-    if level.disabled or len(trace) == 0:
+    if level.epsilon == math.inf or len(trace) == 0:
         return trace
     lat, lon = perturb(trace.lat, trace.lon, level, rng)
     past_pole = np.flatnonzero(np.abs(lat) > 90.0)

@@ -199,9 +199,9 @@ def reidentification_rate(
     ``_SCORE_SLACK_M`` of the best chord score can hold the best exact
     score, and only they reach :func:`most_likely_user`.
 
-    An empty obfuscated set scores infinity against every candidate, so it
-    links to the smallest user identifier: ``{'a': A, 'b': B}`` against
-    ``{'a': (), 'b': ()}`` gives 0.5, not 0.
+    An empty obfuscated set names no one: it counts as not re-identified
+    and is never scored, so ``{'a': A, 'b': B}`` against
+    ``{'a': (), 'b': ()}`` gives 0.
     """
     if not real_sets or not obf_sets:
         raise ValueError("re-identification needs non-empty inputs")
@@ -216,8 +216,10 @@ def reidentification_rate(
     real = np.ascontiguousarray(_poi_xyz([p for u in users for p in real_sets[u].pois]).T)
     hits = 0
     for owner, anon in obf_sets.items():
+        if not len(anon):
+            continue
         scores = np.full(len(users), math.inf)
-        if len(anon) and len(scored):
+        if len(scored):
             scores[scored] = _chord_scores(_poi_xyz(anon.pois), real, starts, counts)
         near = np.flatnonzero(scores <= scores.min() + 2.0 * _SCORE_SLACK_M)
         if most_likely_user(anon, {users[i]: real_sets[users[i]] for i in near.tolist()}) == owner:

@@ -236,10 +236,10 @@ def brute_force_range(features, c: GeoPoint, radius_m: float, category=None):
 
 
 def reidentification_rate_literal(real_sets: Mapping, obf_sets: Mapping) -> float:
-    """Every anonymous set scored against every candidate with the scalar
-    distance: median of the symmetric nearest-neighbour distances (infinite
-    when a side is empty), linked to the lowest score, ties to the smallest
-    user identifier."""
+    """Every non-empty anonymous set scored against every candidate with the
+    scalar distance: median of the symmetric nearest-neighbour distances
+    (infinite when the candidate has no POIs), linked to the lowest score,
+    ties to the smallest user identifier. An empty anonymous set is a miss."""
 
     def score(a, b) -> float:
         if len(a) == 0 or len(b) == 0:
@@ -268,7 +268,7 @@ def reidentification_rate_literal(real_sets: Mapping, obf_sets: Mapping) -> floa
         raise ValueError("re-identification needs non-empty inputs")
     if set(real_sets) != set(obf_sets):
         raise ValueError("real and obfuscated POI sets must cover the same users")
-    hits = sum(1 for user, anon in obf_sets.items() if link(anon) == user)
+    hits = sum(1 for user, anon in obf_sets.items() if len(anon) and link(anon) == user)
     return hits / len(obf_sets)
 
 

@@ -30,7 +30,7 @@ GOLDEN = {
     "cdf_geo.csv": "524ae38d4baef31e27df4c329a7914c0",
     "cdf_semantic.csv": "a04b9a4c895d9dcb52c6755bbe48b63e",
     "distances.csv": "253efbb485fae7d323eb72286a038e22",
-    "manifest.json": "f596d2abab745ef6ab2eb54d6e52f81c",
+    "manifest.json": "48c2e2097c832040125c6c13c6690c21",
     "precision.csv": "a33a09cead07b62b58699fb56777cbe4",
     "recall.csv": "61f729e19bd796eb5e49a770dd30a231",
     "recall_users.csv": "27bb49bdd5e0235845faadf7baa17dd3",

@@ -571,3 +571,69 @@ class TestFeatureAndPoiCsv:
         other = Dataset({"u": MobilityTrace("u", (TimestampedLocation(2, GeoPoint(1, 2)),))})
         assert dataset_digest(ds) == dataset_digest(ds)
         assert dataset_digest(ds) != dataset_digest(other)
+
+
+def _columns_dataset(traces):
+    """A Dataset of ``{user: (t, lat, lon)}`` column triples."""
+    return Dataset({u: MobilityTrace.from_columns(u, *cols) for u, cols in traces.items()})
+
+
+# A few shared values make equal columns likely between two draws; -0.0 is
+# left out because np.array_equal calls it equal to 0.0 while its bytes differ.
+_DIGEST_LATS = st.one_of(st.sampled_from([0.0, 1.5, 45.000001]), st.floats(-90, 90).map(lambda x: x + 0.0))
+_DIGEST_LONS = st.one_of(st.sampled_from([0.0, 1.5, 5.1234567891]), st.floats(-180, 180).map(lambda x: x + 0.0))
+
+
+@st.composite
+def _digest_datasets(draw):
+    traces = {}
+    for user in draw(st.lists(st.sampled_from(["a", "b", "ab", "é"]), unique=True, max_size=3)):
+        n = draw(st.integers(0, 2))
+        traces[user] = (
+            sorted(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))),
+            draw(st.lists(_DIGEST_LATS, min_size=n, max_size=n)),
+            draw(st.lists(_DIGEST_LONS, min_size=n, max_size=n)),
+        )
+    return _columns_dataset(traces)
+
+
+def _same_columns(a: Dataset, b: Dataset) -> bool:
+    return a.users() == b.users() and all(
+        np.array_equal(getattr(a.traces[u], c), getattr(b.traces[u], c))
+        for u in a.users()
+        for c in ("t", "lat", "lon")
+    )
+
+
+class TestDatasetDigest:
+    def test_known_answer(self):
+        ds = _columns_dataset(
+            {"u1": ([0, 60], [45.0, 45.000001], [5.0, 5.1234567891]), "u2": ([10], [-33.5], [151.25])}
+        )
+        assert dataset_digest(ds) == "f0626ca68d0a4aa6"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_digest_datasets(), _digest_datasets())
+    def test_equal_exactly_when_columns_are(self, a, b):
+        copy = _columns_dataset({u: (tr.t.copy(), tr.lat.copy(), tr.lon.copy()) for u, tr in a.traces.items()})
+        assert dataset_digest(copy) == dataset_digest(a)
+        assert (dataset_digest(a) == dataset_digest(b)) == _same_columns(a, b)
+
+    def test_user_ids_are_framed(self):
+        # same concatenated ids and columns, split differently
+        one = _columns_dataset({"a": ([1], [1.0], [2.0]), "bc": ([2, 3], [3.0, 4.0], [5.0, 6.0])})
+        two = _columns_dataset({"ab": ([1], [1.0], [2.0]), "c": ([2, 3], [3.0, 4.0], [5.0, 6.0])})
+        assert dataset_digest(one) != dataset_digest(two)
+
+    def test_empty_trace_users_are_framed(self):
+        base = {"a": ([1], [1.0], [2.0])}
+        with_ghost = dict(base, ghost=([], [], []))
+        assert dataset_digest(_columns_dataset(base)) != dataset_digest(_columns_dataset(with_ghost))
+
+    @settings(max_examples=60, deadline=None)
+    @given(datasets())
+    def test_survives_canonical_round_trip(self, ds):
+        written = io.StringIO()
+        write_canonical(ds, written)
+        written.seek(0)
+        assert dataset_digest(parse_canonical(written)) == dataset_digest(ds)

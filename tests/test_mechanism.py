@@ -59,9 +59,10 @@ class TestPrivacyLevel:
         with pytest.raises(ValueError):
             PrivacyLevel.from_level(1.0, 0.0)
 
-    def test_zero_noise_is_flagged(self):
-        assert PrivacyLevel.zero_noise().disabled
-        assert not STRONG.disabled
+    def test_zero_noise_is_infinite_epsilon(self):
+        assert PrivacyLevel.zero_noise() == PrivacyLevel(math.inf)
+        tr = MobilityTrace("u", (TimestampedLocation(0, GeoPoint(45.0, 5.0)),))
+        assert obfuscate_trace(tr, PrivacyLevel(math.inf), RandomSource(1)) is tr
 
 
 class TestRandomSource:

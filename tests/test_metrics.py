@@ -217,10 +217,10 @@ class TestReidentificationRate:
         }
         assert reidentification_rate(R, O) == 0.5
 
-    def test_empty_obfuscated_sets_link_to_smallest_identifier(self):
-        # every candidate scores infinity, so the first sorted user wins
+    def test_empty_obfuscated_sets_are_misses(self):
+        # an empty set names no one, not the first sorted user
         R = {"b": _poiset("b", (5000, 0)), "a": _poiset("a", (0, 0))}
-        assert reidentification_rate(R, {"a": PoiSet("a", ()), "b": PoiSet("b", ())}) == 0.5
+        assert reidentification_rate(R, {"a": PoiSet("a", ()), "b": PoiSet("b", ())}) == 0.0
 
     def test_requires_matching_users(self):
         R = {"a": _poiset("a", (0, 0))}
