@@ -23,7 +23,6 @@ from .mechanism import (
     inverse_radius_cdf,
     obfuscate_trace,
     perturb,
-    radius_cdf,
 )
 from .poi import ExtractionParams, Stay, dj_cluster, extract_pois, extract_stays
 from .features import Feature, FeatureStore, generate_synthetic_features

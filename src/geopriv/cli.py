@@ -231,8 +231,8 @@ def obfuscate(input_path: str, epsilon: float | None, level_spec: str | None, ru
     for run, ds in enumerate(campaign):
         with open(out / f"run_{run:03d}.csv", "w", encoding="utf-8", newline="") as fh:
             ingest.write_canonical(ds, fh)
-    meta = {"epsilon": level.epsilon, "runs": runs, "master_seed": seed}
-    (out / "campaign.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    meta = {"epsilon": experiment.json_number(level.epsilon), "runs": runs, "master_seed": seed}
+    (out / "campaign.json").write_text(json.dumps(meta, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
     click.echo(f"wrote {runs} obfuscated runs to {output_dir}")
 
 

@@ -435,7 +435,7 @@ def evaluate(
             ),
         ),
         metadata={
-            "epsilon": level.epsilon,
+            "epsilon": json_number(level.epsilon),
             "threshold_m": threshold_m,
             "runs": len(observed),
             "n_users": len(users),
@@ -469,7 +469,7 @@ def run_experiment(
         "precision": asdict(config.precision),
         "levels": [
             {
-                "epsilon": s.epsilon,
+                "epsilon": json_number(s.epsilon),
                 "optimal_threshold_m": s.optimal_m,
                 "best_threshold_m": s.best_m,
                 "reached": s.reached,
@@ -487,6 +487,11 @@ def run_experiment(
         sweeps=tuple(sweeps),
         metadata=metadata,
     )
+
+
+def json_number(x: float) -> float | str:
+    """``x`` as strict JSON holds it: zero noise's epsilon as ``"inf"``, which float() reads."""
+    return x if math.isfinite(x) else repr(x)
 
 
 def _fmt(x) -> str:
@@ -564,6 +569,6 @@ def write_report(report: EvaluationReport, out_dir: str | Path) -> dict:
 
     manifest = {"files": counts, "metadata": report.metadata}
     with open(out / "manifest.json", "w", encoding="utf-8", newline="") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return manifest

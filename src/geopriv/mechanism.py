@@ -4,9 +4,8 @@ A reported location is the true location displaced by polar noise: the
 bearing is uniform and the radius follows the radial marginal of the
 two-dimensional Laplace distribution with density eps^2 * r * exp(-eps*r),
 i.e. Gamma(shape 2, rate eps). The radius is drawn as the sum of two
-exponentials, -(ln u1 + ln u2)/eps, which avoids evaluating Lambert W in
-the hot path; the closed-form inverse CDF is still provided because query
-radius enlargement needs quantiles of the noise radius.
+exponentials, -(ln u1 + ln u2)/eps. Query radius enlargement needs
+quantiles of the noise radius; :func:`inverse_radius_cdf` solves for them.
 
 Units matter: epsilon here is measured in 1/metres and all radii in
 metres. Although it plays the same budget role, this epsilon is *not*
@@ -107,30 +106,27 @@ def sample_radii(level: PrivacyLevel, rng: RandomSource, n: int) -> np.ndarray:
     return -(np.log(u1) + np.log(u2)) / level.epsilon
 
 
-def radius_cdf(level: PrivacyLevel, r: float) -> float:
-    """P(noise radius <= r) = 1 - (1 + eps*r) * exp(-eps*r)."""
-    if r < 0.0:
-        raise ValueError(f"radius must be >= 0, got {r!r}")
-    if level.epsilon == math.inf:
-        return 1.0
-    x = level.epsilon * r
-    return 1.0 - (1.0 + x) * math.exp(-x)
-
-
 def inverse_radius_cdf(level: PrivacyLevel, p: float) -> float:
-    """The unique radius r with radius_cdf(r) = p, for p in [0, 1).
+    """The radius r with P(noise radius <= r) = p, for p in [0, 1).
 
-    Closed form via the lower real branch of the Lambert W function:
-    r = -(W_{-1}((p - 1)/e) + 1) / eps.
+    At x = eps*r the law is 1 - (1 + x) * exp(-x): x solves the convex, rising
+    x - log1p(x) = L = -log1p(-p). Newton descends from x0 = sqrt(2L) + L, above
+    the root as exp(s) >= 1 + s + s^2/2 at s = sqrt(2L). Exact steps shrink to
+    0, so one that does not is rounding noise and ends the descent (64 at most).
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"probability must be in [0, 1), got {p!r}")
     if p == 0.0 or level.epsilon == math.inf:
         return 0.0
-    from scipy.special import lambertw  # imported here: only quantile queries pay for scipy
-
-    w = lambertw((p - 1.0) / math.e, k=-1)
-    return -(float(w.real) + 1.0) / level.epsilon
+    target = -math.log1p(-p)
+    x = math.sqrt(2.0 * target) + target
+    last = math.inf
+    for _ in range(64):
+        step = (x - math.log1p(x) - target) * (1.0 + x) / x
+        if not 0.0 < step < last:
+            break
+        x, last = x - step, step
+    return x / level.epsilon
 
 
 def perturb(

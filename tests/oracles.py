@@ -4,7 +4,9 @@ These deliberately stay naive and quadratic, sharing no code with the
 production paths they check (beyond the scalar distance function, which is
 itself pinned by direct arithmetic tests, and the mechanism's perturb and
 radius quantile, which the precision-trial oracle replays to issue the
-same obfuscated query). The parser oracle validates each record as
+same obfuscated query). The radial law of the noise, ``radius_cdf``, lives
+here: no production path evaluates it, and ``inverse_radius_cdf_bisect``
+inverts it to check the mechanism's quantile solve. The parser oracle validates each record as
 TimestampedLocation/GeoPoint objects and shares only the CSV header, the
 malformed-line tolerance and the trace model with
 ``ingest.parse_canonical``. ``offset`` is the scalar form of the noise
@@ -37,7 +39,7 @@ from geopriv.core import (
     distance,
 )
 from geopriv.ingest import CANONICAL_HEADER, MALFORMED_TOLERANCE
-from geopriv.mechanism import PrivacyLevel, inverse_radius_cdf, perturb, radius_cdf
+from geopriv.mechanism import PrivacyLevel, inverse_radius_cdf, perturb
 from geopriv.poi import ExtractionParams, Stay
 
 logger = logging.getLogger(__name__)
@@ -200,6 +202,16 @@ def dj_cluster_literal(stays: list[Stay], params: ExtractionParams) -> list[Poi]
         Poi(centroid=centroid([stays[j].centroid for j in sorted(c)]), support=len(c))
         for c in clusters
     ]
+
+
+def radius_cdf(level: PrivacyLevel, r: float) -> float:
+    """P(noise radius <= r) = 1 - (1 + eps*r) * exp(-eps*r)."""
+    if r < 0.0:
+        raise ValueError(f"radius must be >= 0, got {r!r}")
+    if level.epsilon == math.inf:
+        return 1.0
+    x = level.epsilon * r
+    return 1.0 - (1.0 + x) * math.exp(-x)
 
 
 def inverse_radius_cdf_bisect(level: PrivacyLevel, p: float, iterations: int = 200) -> float:

@@ -34,7 +34,6 @@ from geopriv.mechanism import (
     derive_seed,
     inverse_radius_cdf,
     obfuscate_trace,
-    radius_cdf,
     sample_radii,
 )
 from geopriv.poi import ExtractionParams, dj_cluster, extract_stays
@@ -46,6 +45,7 @@ from oracles import (
     dj_cluster_literal,
     extract_stays_literal,
     inverse_radius_cdf_bisect,
+    radius_cdf,
 )
 from synth import dataset_bounds, planted_dataset, random_params, random_trace
 

@@ -145,6 +145,35 @@ def pipeline(world, tmp_path_factory):
     return work, pois_csv, campaign, synthetic
 
 
+def _refuse(token: str):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+def test_zero_noise_campaign_is_strict_json(world, tmp_path):
+    root, dataset, traces, synthetic = world
+    pois_csv = tmp_path / "pois.csv"
+    _run("pois", "--input", str(traces), "--output", str(pois_csv), "--min-time", "900")
+    campaign = tmp_path / "campaign"
+    _run(
+        "obfuscate", "--input", str(traces), "--epsilon", "inf",
+        "--runs", "1", "--seed", "3", "--output-dir", str(campaign),
+    )
+    meta = json.loads((campaign / "campaign.json").read_text(), parse_constant=_refuse)
+    assert meta == {"epsilon": "inf", "runs": 1, "master_seed": 3}
+    r = _run(
+        "sweep", "--real", str(pois_csv), "--campaign", str(campaign),
+        "--min", "1000", "--max", "2000", "--step", "1000", "--min-time", "900",
+    )
+    assert "1000\t1.0000" in r.output
+    report = tmp_path / "report"
+    _run(
+        "evaluate", "--real", str(pois_csv), "--campaign", str(campaign), "--threshold", "1000",
+        "--synthetic", synthetic, "--min-time", "900", "--out", str(report),
+    )
+    manifest = json.loads((report / "manifest.json").read_text(), parse_constant=_refuse)
+    assert manifest["metadata"]["epsilon"] == "inf"
+
+
 class TestSweepCommand:
     def test_reports_table_and_optimal(self, pipeline):
         work, pois_csv, campaign, _ = pipeline

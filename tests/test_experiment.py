@@ -286,6 +286,20 @@ class TestWriteReport:
         assert lines[0] == "epsilon,geo_m,fraction"
         assert lines[-1].endswith(",1.0")
 
+    def test_zero_noise_manifest_is_strict_json(self, small_world, tmp_path):
+        dataset, _, store = small_world
+        config = ExperimentConfig(
+            levels=(PrivacyLevel.zero_noise(),),
+            runs=1,
+            extraction=PARAMS,
+            sweep=SweepConfig(min_m=1000, max_m=2000, step_m=1000),
+            precision=PrecisionConfig(samples=5),
+        )
+        write_report(run_experiment(dataset, config, store), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text(), parse_constant=_refuse)
+        assert manifest["metadata"]["levels"][0]["epsilon"] == "inf"
+        assert manifest["metadata"]["per_level"][0]["epsilon"] == "inf"
+
     def test_user_with_empty_trace_is_excluded_and_changes_no_report(self, small_world, tmp_path):
         # "u02a" sorts between real users, so the precision sample's index
         # into the concatenated points would shift if it counted
@@ -308,3 +322,7 @@ class TestWriteReport:
                 assert (tmp_path / "with" / name).read_bytes() == (
                     tmp_path / "without" / name
                 ).read_bytes(), name
+
+
+def _refuse(token: str):
+    raise ValueError(f"not strict JSON: {token}")

@@ -2,14 +2,18 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
+from scipy.special import lambertw
 
 import geopriv
 from geopriv.core import GeoPoint, MobilityTrace, TimestampedLocation, distance
+from geopriv.experiment import DEFAULT_LEVELS
 from geopriv.mechanism import (
     PrivacyLevel,
     RandomSource,
@@ -17,11 +21,10 @@ from geopriv.mechanism import (
     inverse_radius_cdf,
     obfuscate_trace,
     perturb,
-    radius_cdf,
     sample_radii,
 )
 
-from oracles import inverse_radius_cdf_bisect, offset
+from oracles import inverse_radius_cdf_bisect, offset, radius_cdf
 
 STRONG = PrivacyLevel.from_level(math.log(2), 500.0)
 MEDIUM = PrivacyLevel.from_level(math.log(6), 500.0)
@@ -157,12 +160,74 @@ class TestInverseRadiusCdf:
     def test_zero_noise_quantile_is_zero(self):
         assert inverse_radius_cdf(PrivacyLevel.zero_noise(), 0.85) == 0.0
 
-    def test_package_import_leaves_scipy_unloaded(self):
-        # a fresh interpreter: this one has scipy from other tests
+    # p log-uniform down to 1e-12, where scipy's W_{-1} breaks down, or
+    # uniform over the rest of (0, 1)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        level=st.sampled_from(DEFAULT_LEVELS),
+        p=st.one_of(
+            st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e),
+            st.floats(1e-12, 1.0 - 1e-12),
+        ).filter(lambda p: 1e-12 <= p <= 1.0 - 1e-12),
+    )
+    @example(level=DEFAULT_LEVELS[1], p=1e-10)
+    @example(level=DEFAULT_LEVELS[0], p=0.85)
+    @example(level=DEFAULT_LEVELS[1], p=0.85)
+    @example(level=DEFAULT_LEVELS[2], p=0.85)
+    def test_relative_round_trip_and_lambert_w(self, level, p):
+        r = inverse_radius_cdf(level, p)
+        x = level.epsilon * r
+        assert abs(-math.expm1(-x) - x * math.exp(-x) - p) <= 1e-9 * p
+        if 0.05 <= p <= 0.999:
+            # the closed form r = -(W_{-1}((p - 1)/e) + 1) / eps, where
+            # scipy evaluates it accurately
+            closed = -(float(lambertw((p - 1.0) / math.e, k=-1).real) + 1.0) / level.epsilon
+            assert abs(r - closed) <= 32 * math.ulp(closed)
+            if p == 0.85:
+                assert r == closed
+
+    def test_package_import_leaves_scipy_unloaded(self, tmp_path):
+        # a fresh interpreter in which any import of scipy raises: a study
+        # with precision trials, its report and the precision command
         src = str(Path(geopriv.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        code = "import geopriv, sys; assert 'scipy' not in sys.modules"
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        tests = str(Path(__file__).resolve().parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")])}
+        code = textwrap.dedent(
+            """
+            import sys
+            sys.modules["scipy"] = None
+            import geopriv
+            from click.testing import CliRunner
+            from geopriv.cli import main
+            from geopriv.experiment import (
+                ExperimentConfig, PrecisionConfig, SweepConfig, run_experiment, write_report,
+            )
+            from geopriv.features import FeatureStore, generate_synthetic_features
+            from geopriv.ingest import write_canonical
+            from geopriv.poi import ExtractionParams
+            from synth import dataset_bounds, planted_dataset
+
+            dataset, _ = planted_dataset(n_users=2, n_pois=2, points_per_dwell=31, point_interval_s=60)
+            bounds = dataset_bounds(dataset, 3000)
+            store = FeatureStore.build(generate_synthetic_features(5, bounds, density_per_km2=8.0))
+            config = ExperimentConfig(
+                runs=1,
+                extraction=ExtractionParams(min_time=900),
+                sweep=SweepConfig(min_m=1000, max_m=2000, step_m=1000),
+                precision=PrecisionConfig(samples=5),
+            )
+            write_report(run_experiment(dataset, config, store), "report")
+            with open("traces.csv", "w", newline="") as fh:
+                write_canonical(dataset, fh)
+            result = CliRunner().invoke(main, [
+                "precision", "--input", "traces.csv", "--epsilon", "0.00693", "--samples", "5",
+                "--synthetic", "density=8,seed=5,bbox=" + ",".join(map(str, bounds)),
+            ], catch_exceptions=False)
+            assert result.exit_code == 0, result.output
+            """
+        )
+        subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, check=True)
+        assert (tmp_path / "report" / "precision.csv").exists()
 
 
 class TestObfuscatePoint:
