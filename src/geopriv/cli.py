@@ -14,7 +14,7 @@ from typing import Any, Callable
 import click
 
 from . import experiment, ingest
-from .core import Dataset
+from .core import Dataset, PoiSet
 from .features import Feature, FeatureStore, generate_synthetic_features
 from .mechanism import PrivacyLevel, derive_seed
 from .metrics import reidentification_rate
@@ -138,38 +138,41 @@ def _resolve_store(features_path: str | None, synthetic_spec: str | None) -> Fea
     return FeatureStore.build(_from_spec(synthetic_spec, form, "--synthetic", synthetic))
 
 
-def _load_dataset(path: str) -> Dataset:
+def _load_dataset(path: str | Path) -> Dataset:
     with open(path, encoding="utf-8") as fh:
         return ingest.parse_canonical(fh)
 
 
-def _load_campaign(directory: str) -> tuple[list[Dataset], dict]:
+def _load_campaign(directory: str) -> tuple[list[Dataset], PrivacyLevel]:
+    """The runs of an ``obfuscate`` directory and the level of its ``campaign.json``,
+    which must give ``epsilon`` and ``runs``; the run files must be exactly
+    ``run_000.csv`` to ``run_{runs-1:03d}.csv``, each covering run 0's users."""
     root = Path(directory)
-    run_files = sorted(root.glob("run_*.csv"))
-    if not run_files:
-        raise click.UsageError(f"no run_*.csv files in {directory}")
-    meta = {}
-    meta_path = root / "campaign.json"
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    if not (root / "campaign.json").is_file():
+        raise click.UsageError(f"{directory} has no campaign.json")
+    meta = json.loads((root / "campaign.json").read_text(encoding="utf-8"))
+    lacking = [key for key in ("epsilon", "runs") if meta.get(key) is None]
+    if lacking:
+        raise click.UsageError(f"campaign.json in {directory} lacks {' and '.join(lacking)}")
+    found = {p.name for p in root.glob("run_*.csv")}
+    names = [f"run_{run:03d}.csv" for run in range(len(found))]
+    if not found or meta["runs"] != len(found) or set(names) != found:
+        raise click.UsageError(f"campaign.json in {directory} records {meta['runs']!r} runs, "
+                               f"but its run files are: {', '.join(sorted(found)) or 'none'}")
+    level = PrivacyLevel(float(meta["epsilon"]))
     campaign = []
-    for path in run_files:
-        with open(path, encoding="utf-8") as fh:
-            campaign.append(ingest.parse_canonical(fh))
-        missing = sorted(set(campaign[0].traces) - set(campaign[-1].traces))
+    for name in names:
+        campaign.append(_load_dataset(root / name))
+        missing = sorted(campaign[0].traces.keys() - campaign[-1].traces.keys())
         if missing:
-            raise click.UsageError(
-                f"{path.name} lacks users that {run_files[0].name} covers: {', '.join(missing)}"
-            )
-    return campaign, meta
+            raise click.UsageError(f"{name} lacks users that {names[0]} covers: {', '.join(missing)}")
+    return campaign, level
 
 
-def _campaign_epsilon(meta: dict, epsilon: float | None) -> float:
-    if epsilon is not None:
-        return epsilon
-    if "epsilon" in meta:
-        return float(meta["epsilon"])
-    raise click.UsageError("campaign has no recorded epsilon; pass --epsilon")
+def _load_ground_truth(real_path: str, campaign: list[Dataset]) -> dict[str, PoiSet]:
+    """``--real``'s POI sets, and an empty one for each campaign user it lacks."""
+    with open(real_path, encoding="utf-8") as fh:
+        return {user: PoiSet(user, ()) for user in campaign[0].traces} | ingest.parse_pois(fh)
 
 
 @main.command("ingest")
@@ -245,18 +248,15 @@ def obfuscate(input_path: str, epsilon: float | None, level_spec: str | None, ru
 @click.option("--target", type=float, default=_SWEEP.recall_target, show_default=True)
 @click.option("--min-time", type=int, default=_EXTRACTION.min_time, show_default=True)
 @click.option("--min-pts", type=int, default=_EXTRACTION.min_pts, show_default=True)
-@click.option("--epsilon", type=float, default=None, help="label for the output; read from campaign.json when absent.")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="also write the sweep table as CSV.")
 def sweep(real_path: str, campaign_dir: str, step: int, min_m: int, max_m: int, target: float,
-          min_time: int, min_pts: int, epsilon: float | None, out_path: str | None) -> None:
+          min_time: int, min_pts: int, out_path: str | None) -> None:
     """Sweep the observer's distance threshold and report mean recall."""
-    with open(real_path, encoding="utf-8") as fh:
-        ground_truth = ingest.parse_pois(fh)
-    campaign, meta = _load_campaign(campaign_dir)
-    eps = _campaign_epsilon(meta, epsilon)
+    campaign, level = _load_campaign(campaign_dir)
+    ground_truth = _load_ground_truth(real_path, campaign)
     params = ExtractionParams(min_time=min_time, min_pts=min_pts)
     cfg = experiment.SweepConfig(min_m=min_m, max_m=max_m, step_m=step, recall_target=target)
-    result = experiment.threshold_sweep(campaign, ground_truth, params, cfg, PrivacyLevel(eps))
+    result = experiment.threshold_sweep(campaign, ground_truth, params, cfg, level)
     for thr, rec in result.rows:
         click.echo(f"{thr}\t{rec:.4f}")
     if result.reached:
@@ -276,20 +276,16 @@ def sweep(real_path: str, campaign_dir: str, step: int, min_m: int, max_m: int, 
 @click.option("--synthetic", "synthetic_spec", default=None)
 @click.option("--min-time", type=int, default=_EXTRACTION.min_time, show_default=True)
 @click.option("--min-pts", type=int, default=_EXTRACTION.min_pts, show_default=True)
-@click.option("--epsilon", type=float, default=None)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def evaluate(real_path: str, campaign_dir: str, threshold: int, features_path: str | None,
-             synthetic_spec: str | None, min_time: int, min_pts: int, epsilon: float | None,
-             out_dir: str) -> None:
+             synthetic_spec: str | None, min_time: int, min_pts: int, out_dir: str) -> None:
     """Score a campaign at a fixed threshold and write the report files."""
-    with open(real_path, encoding="utf-8") as fh:
-        ground_truth = ingest.parse_pois(fh)
-    campaign, meta = _load_campaign(campaign_dir)
-    eps = _campaign_epsilon(meta, epsilon)
+    campaign, level = _load_campaign(campaign_dir)
+    ground_truth = _load_ground_truth(real_path, campaign)
     store = _resolve_store(features_path, synthetic_spec)
     params = ExtractionParams(min_time=min_time, min_pts=min_pts)
     observed = experiment.observe(campaign, ground_truth, params, threshold)
-    report = experiment.evaluate(observed, ground_truth, PrivacyLevel(eps), threshold, store)
+    report = experiment.evaluate(observed, ground_truth, level, threshold, store)
     experiment.write_report(report, out_dir)
     row = report.recall_rows[0]
     click.echo(f"mean recall {row.mean_recall:.4f} over {row.n_users} users, {row.runs} runs")
@@ -302,22 +298,21 @@ def evaluate(real_path: str, campaign_dir: str, threshold: int, features_path: s
 @click.option("--epsilon", type=float, default=None, help="label for the output row.")
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def reident(real_path: str, obf_path: str, epsilon: float | None, out_path: str) -> None:
-    """Link anonymous obfuscated POI sets back to known users."""
+    """Link anonymous obfuscated POI sets back to known users.
+
+    Every --real user is scored; one without a row in --obf has an empty
+    set, a miss. --obf users absent from --real are named, not scored."""
     with open(real_path, encoding="utf-8") as fh:
         real_sets = ingest.parse_pois(fh)
     with open(obf_path, encoding="utf-8") as fh:
         obf_sets = ingest.parse_pois(fh)
-    # Users absent from either side cannot be scored; restrict to the overlap.
-    common = sorted(set(real_sets) & set(obf_sets))
-    if not common:
-        raise click.UsageError("no users in common between --real and --obf")
-    rate = reidentification_rate(
-        {u: real_sets[u] for u in common}, {u: obf_sets[u] for u in common}
-    )
-    row = experiment.ReidentRow(epsilon, rate, len(common))
+    rate = reidentification_rate(real_sets, {u: obf_sets.get(u, PoiSet(u, ())) for u in real_sets})
+    row = experiment.ReidentRow(epsilon, rate, len(real_sets))
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         experiment.write_rows(fh, experiment.ReidentRow, [row])
-    click.echo(f"re-identification rate {rate:.4f} over {len(common)} users")
+    unscored = sorted(obf_sets.keys() - real_sets.keys())
+    click.echo(f"re-identification rate {rate:.4f} over {len(real_sets)} users"
+               + (f"; not in --real, so not scored: {', '.join(unscored)}" if unscored else ""))
 
 
 @main.command()

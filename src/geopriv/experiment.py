@@ -241,23 +241,21 @@ def obfuscation_campaign(
 
 
 def _eligible_users(campaign: Sequence[Dataset], ground_truth: Mapping[str, PoiSet]) -> list[str]:
-    """Users with ground-truth POIs that run 0 of the campaign covers, sorted.
+    """Users with ground-truth POIs, sorted.
 
-    Every other run must cover them too; a run that lacks some is refused
-    by name rather than failing on the first missing trace.
+    Every run must cover them; a run that lacks some is refused by name
+    rather than failing on the first missing trace.
     """
     if not campaign:
         raise ValueError("empty campaign")
-    present = set(campaign[0].traces)
-    eligible = sorted(u for u, ps in ground_truth.items() if len(ps) > 0 and u in present)
+    eligible = sorted(u for u, ps in ground_truth.items() if len(ps) > 0)
     if not eligible:
-        raise ValueError("empty ground truth: no campaign user has POIs")
+        raise ValueError("empty ground truth: no user has POIs")
     for run, ds in enumerate(campaign):
         missing = [u for u in eligible if u not in ds.traces]
         if missing:
-            raise ValueError(
-                f"campaign run {run} lacks users that run 0 covers: {', '.join(missing)}"
-            )
+            covers = "run 0 covers" if run else "have ground-truth POIs"
+            raise ValueError(f"campaign run {run} lacks users that {covers}: {', '.join(missing)}")
     return eligible
 
 

@@ -208,6 +208,96 @@ def test_campaign_run_missing_a_user_is_a_usage_error(pipeline, tmp_path, comman
     assert "run_001.csv lacks users that run_000.csv covers: u01" in result.output
 
 
+def _scoring_args(command, synthetic, out):
+    """The options besides --real and --campaign of a quick ``sweep`` or ``evaluate``."""
+    return {
+        "sweep": ["--min", "1000", "--max", "2000", "--step", "1000", "--out", str(out)],
+        "evaluate": ["--threshold", "2000", "--synthetic", synthetic, "--out", str(out)],
+    }[command]
+
+
+def _without_users(source, target, users):
+    lines = source.read_text().splitlines(keepends=True)
+    target.write_text("".join(line for line in lines if line.split(",")[0] not in users))
+
+
+@pytest.mark.parametrize("case", ["no run_001.csv", "no campaign.json", "runs disagree",
+                                  "extra run file", "no epsilon"])
+@pytest.mark.parametrize("command", ["sweep", "evaluate"])
+def test_campaign_record_and_run_files_must_agree(pipeline, tmp_path, command, case):
+    work, pois_csv, campaign, synthetic = pipeline
+    broken = tmp_path / "campaign"
+    shutil.copytree(campaign, broken)
+    if case == "no run_001.csv":
+        (broken / "run_001.csv").unlink()
+    elif case == "no campaign.json":
+        (broken / "campaign.json").unlink()
+    elif case == "extra run file":
+        shutil.copy(broken / "run_001.csv", broken / "run_002.csv")
+    else:
+        record = json.loads((broken / "campaign.json").read_text())
+        if case == "runs disagree":
+            record["runs"] = 3
+        else:
+            del record["epsilon"]
+        (broken / "campaign.json").write_text(json.dumps(record))
+    files = "run_000.csv, run_001.csv"
+    message = {
+        "no run_001.csv": "records 2 runs, but its run files are: run_000.csv",
+        "no campaign.json": "has no campaign.json",
+        "runs disagree": f"records 3 runs, but its run files are: {files}",
+        "extra run file": f"records 2 runs, but its run files are: {files}, run_002.csv",
+        "no epsilon": "lacks epsilon",
+    }[case]
+    result = CliRunner().invoke(main, [
+        command, "--real", str(pois_csv), "--campaign", str(broken), "--min-time", "900",
+        *_scoring_args(command, synthetic, tmp_path / "out"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert f"{broken} {message}\n" in result.output
+
+
+@pytest.mark.parametrize("command", ["sweep", "evaluate"])
+def test_config_epsilon_does_not_label_scoring(pipeline, tmp_path, command):
+    # the level comes from campaign.json alone; a config's epsilon is for obfuscate
+    work, pois_csv, campaign, synthetic = pipeline
+    cfg = tmp_path / "geopriv.conf"
+    cfg.write_text("epsilon = 0.5\nmin-time = 900\n")
+    out = tmp_path / "out"
+    _run("--config", str(cfg), command, "--real", str(pois_csv), "--campaign", str(campaign),
+         *_scoring_args(command, synthetic, out))
+    if command == "sweep":
+        assert {line.split(",")[0] for line in out.read_text().splitlines()[1:]} == {"0.00358"}
+    else:
+        assert json.loads((out / "manifest.json").read_text())["metadata"]["epsilon"] == 0.00358
+
+
+@pytest.mark.parametrize("command", ["sweep", "evaluate"])
+def test_real_user_missing_from_campaign_is_refused_by_name(pipeline, tmp_path, command):
+    work, pois_csv, campaign, synthetic = pipeline
+    real = tmp_path / "real.csv"
+    real.write_text(pois_csv.read_text() + "zz,45.0,5.0,2\n")
+    result = CliRunner().invoke(main, [
+        command, "--real", str(real), "--campaign", str(campaign), "--min-time", "900",
+        *_scoring_args(command, synthetic, tmp_path / "out"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "campaign run 0 lacks users that have ground-truth POIs: zz" in result.output
+
+
+def test_campaign_user_missing_from_real_is_excluded(pipeline, tmp_path):
+    work, pois_csv, campaign, synthetic = pipeline
+    real = tmp_path / "real.csv"
+    _without_users(pois_csv, real, {"u01"})
+    out = tmp_path / "report"
+    r = _run("evaluate", "--real", str(real), "--campaign", str(campaign), "--min-time", "900",
+             *_scoring_args("evaluate", synthetic, out))
+    assert "over 3 users, 2 runs" in r.output
+    metadata = json.loads((out / "manifest.json").read_text())["metadata"]
+    assert metadata["excluded_users"] == ["u01"]
+    assert metadata["n_users"] == 3
+
+
 class TestEvaluateCommand:
     def test_writes_report_directory(self, pipeline):
         work, pois_csv, campaign, synthetic = pipeline
@@ -236,6 +326,25 @@ class TestReidentCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "epsilon,rate,n_users"
         assert lines[1].startswith("0.00358,1.0,")
+
+    def test_real_user_without_obfuscated_row_is_a_miss(self, pipeline, tmp_path):
+        # --real holds u00 and u01; --obf lacks u01 and holds u02, u03, which are not scored
+        work, pois_csv, campaign, _ = pipeline
+        real, obf, out = tmp_path / "real.csv", tmp_path / "obf.csv", tmp_path / "reident.csv"
+        _without_users(pois_csv, real, {"u02", "u03"})
+        _without_users(pois_csv, obf, {"u01"})
+        r = _run("reident", "--real", str(real), "--obf", str(obf), "--epsilon", "0.00358",
+                 "--out", str(out))
+        assert "rate 0.5000 over 2 users; not in --real, so not scored: u02, u03" in r.output
+        assert out.read_text().splitlines()[1] == "0.00358,0.5,2"
+
+    def test_header_only_obf_scores_zero(self, pipeline, tmp_path):
+        work, pois_csv, campaign, _ = pipeline
+        obf, out = tmp_path / "obf.csv", tmp_path / "reident.csv"
+        obf.write_text(pois_csv.read_text().splitlines(keepends=True)[0])
+        r = _run("reident", "--real", str(pois_csv), "--obf", str(obf), "--out", str(out))
+        assert "rate 0.0000 over 4 users" in r.output
+        assert out.read_text().splitlines()[1] == ",0.0,4"
 
 
 class TestPrecisionCommand:

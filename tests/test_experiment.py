@@ -127,6 +127,20 @@ def test_run_missing_users_rejected_by_name(small_world):
         observe(campaign, truth, PARAMS, 2000)
 
 
+def test_ground_truth_users_missing_from_run_0_rejected_by_name(small_world):
+    # a user with POIs that run 0 lacks is refused, not dropped from the scores
+    dataset, _, _ = small_world
+    truth = extract_ground_truth(dataset, PARAMS)
+    truth["zz"] = truth["u01"]
+    campaign = obfuscation_campaign(dataset, MEDIUM, 2, 5)
+    campaign[0] = Dataset({u: tr for u, tr in campaign[0].traces.items() if u != "u02"})
+    message = "campaign run 0 lacks users that have ground-truth POIs: u02, zz"
+    with pytest.raises(ValueError, match=message):
+        threshold_sweep(campaign, truth, PARAMS, SweepConfig(1000, 2000, 1000), MEDIUM)
+    with pytest.raises(ValueError, match=message):
+        observe(campaign, truth, PARAMS, 2000)
+
+
 def test_evaluate_refuses_runs_observing_other_users(small_world):
     dataset, _, store = small_world
     truth = extract_ground_truth(dataset, PARAMS)
