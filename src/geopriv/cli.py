@@ -143,17 +143,24 @@ def _load_dataset(path: str | Path) -> Dataset:
         return ingest.parse_canonical(fh)
 
 
-def _load_campaign(directory: str) -> tuple[list[Dataset], PrivacyLevel]:
-    """The runs of an ``obfuscate`` directory and the level of its ``campaign.json``,
-    which must give ``epsilon`` and ``runs``; the run files must be exactly
+def _write_json(path: Path, record: dict) -> None:
+    """``record`` as strict JSON with sorted keys, indented 2, and a trailing newline."""
+    path.write_text(json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
+
+
+def _load_campaign(directory: str) -> tuple[list[Dataset], PrivacyLevel, str]:
+    """The runs of an ``obfuscate`` directory, and the level and source
+    dataset digest of its ``campaign.json``, which must give ``epsilon``,
+    ``runs`` and ``dataset_digest``; the run files must be exactly
     ``run_000.csv`` to ``run_{runs-1:03d}.csv``, each covering run 0's users."""
     root = Path(directory)
     if not (root / "campaign.json").is_file():
         raise click.UsageError(f"{directory} has no campaign.json")
     meta = json.loads((root / "campaign.json").read_text(encoding="utf-8"))
-    lacking = [key for key in ("epsilon", "runs") if meta.get(key) is None]
+    lacking = [key for key in ("epsilon", "runs", "dataset_digest")
+               if not isinstance(meta, dict) or meta.get(key) is None]
     if lacking:
-        raise click.UsageError(f"campaign.json in {directory} lacks {' and '.join(lacking)}")
+        raise click.UsageError(f"campaign.json in {directory} lacks {', '.join(lacking)}")
     found = {p.name for p in root.glob("run_*.csv")}
     names = [f"run_{run:03d}.csv" for run in range(len(found))]
     if not found or meta["runs"] != len(found) or set(names) != found:
@@ -166,13 +173,33 @@ def _load_campaign(directory: str) -> tuple[list[Dataset], PrivacyLevel]:
         missing = sorted(campaign[0].traces.keys() - campaign[-1].traces.keys())
         if missing:
             raise click.UsageError(f"{name} lacks users that {names[0]} covers: {', '.join(missing)}")
-    return campaign, level
+    return campaign, level, meta["dataset_digest"]
 
 
-def _load_ground_truth(real_path: str, campaign: list[Dataset]) -> dict[str, PoiSet]:
-    """``--real``'s POI sets, and an empty one for each campaign user it lacks."""
+def _load_ground_truth(real_path: str, campaign_dir: str, campaign: list[Dataset],
+                       digest: str) -> tuple[dict[str, PoiSet], ExtractionParams]:
+    """``--real``'s POI sets, with an empty one for each campaign user it
+    lacks, and the extraction settings of the record ``<real>.json`` that
+    ``pois`` wrote beside them. The record must give the campaign's dataset
+    ``digest`` and an ``extraction`` that gives exactly the fields of
+    :class:`ExtractionParams`, as numbers."""
+    path = Path(f"{real_path}.json")
+    if not path.is_file():
+        raise click.UsageError(f"{real_path} has no record {path.name}; pois writes it")
+    record = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(record, dict) or record.get("dataset_digest") is None:
+        raise click.UsageError(f"{path} lacks dataset_digest")
+    fields = sorted(field.name for field in dataclasses.fields(ExtractionParams))
+    extraction = record.get("extraction")
+    if (not isinstance(extraction, dict) or sorted(extraction) != fields
+            or not all(isinstance(value, (int, float)) for value in extraction.values())):
+        raise click.UsageError(f"the extraction of {path} must give exactly {', '.join(fields)}, as numbers")
+    if record["dataset_digest"] != digest:
+        raise click.UsageError(f"{path} records dataset {record['dataset_digest']}, but "
+                               f"{Path(campaign_dir) / 'campaign.json'} records dataset {digest}")
     with open(real_path, encoding="utf-8") as fh:
-        return {user: PoiSet(user, ()) for user in campaign[0].traces} | ingest.parse_pois(fh)
+        ground_truth = {user: PoiSet(user, ()) for user in campaign[0].traces} | ingest.parse_pois(fh)
+    return ground_truth, ExtractionParams(**extraction)
 
 
 @main.command("ingest")
@@ -208,10 +235,15 @@ def ingest_cmd(fmt: str, input_path: str, output_path: str, filter_days: int | N
 @click.option("--min-pts", type=int, default=_EXTRACTION.min_pts, show_default=True)
 @click.option("--output", "output_path", type=click.Path(), required=True)
 def pois(input_path: str, min_time: int, max_distance: float, min_pts: int, output_path: str) -> None:
-    """Extract per-user POIs from a canonical trace CSV."""
+    """Extract per-user POIs from a canonical trace CSV, and record the
+    source dataset's digest and the extraction settings in ``<output>.json``."""
     dataset = _load_dataset(input_path)
     params = ExtractionParams(min_time=min_time, max_distance=max_distance, min_pts=min_pts)
     poi_sets = experiment.extract_ground_truth(dataset, params)
+    # the record first: a setting strict JSON cannot hold (an infinite
+    # max_distance) is refused before any file is written
+    record = {"dataset_digest": ingest.dataset_digest(dataset), "extraction": dataclasses.asdict(params)}
+    _write_json(Path(f"{output_path}.json"), record)
     with open(output_path, "w", encoding="utf-8", newline="") as fh:
         count = ingest.write_pois(poi_sets, fh)
     click.echo(f"wrote {count} POIs for {len(poi_sets)} users to {output_path}")
@@ -225,17 +257,22 @@ def pois(input_path: str, min_time: int, max_distance: float, min_pts: int, outp
 @click.option("--seed", type=int, default=0, show_default=True, help="64-bit master seed.")
 @click.option("--output-dir", type=click.Path(), required=True)
 def obfuscate(input_path: str, epsilon: float | None, level_spec: str | None, runs: int, seed: int, output_dir: str) -> None:
-    """Write independently obfuscated copies of a dataset."""
+    """Write independently obfuscated copies of a dataset into a directory
+    that holds no campaign yet."""
+    out = Path(output_dir)
+    held = sorted(p.name for p in [*out.glob("campaign.json"), *out.glob("run_*.csv")])
+    if held:
+        raise click.UsageError(f"{output_dir} already holds a campaign: {', '.join(held)}")
     level = _resolve_level(epsilon, level_spec)
     dataset = _load_dataset(input_path)
     campaign = experiment.obfuscation_campaign(dataset, level, runs, seed)
-    out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for run, ds in enumerate(campaign):
         with open(out / f"run_{run:03d}.csv", "w", encoding="utf-8", newline="") as fh:
             ingest.write_canonical(ds, fh)
-    meta = {"epsilon": experiment.json_number(level.epsilon), "runs": runs, "master_seed": seed}
-    (out / "campaign.json").write_text(json.dumps(meta, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
+    meta = {"epsilon": experiment.json_number(level.epsilon), "runs": runs, "master_seed": seed,
+            "dataset_digest": ingest.dataset_digest(dataset)}
+    _write_json(out / "campaign.json", meta)
     click.echo(f"wrote {runs} obfuscated runs to {output_dir}")
 
 
@@ -246,15 +283,12 @@ def obfuscate(input_path: str, epsilon: float | None, level_spec: str | None, ru
 @click.option("--min", "min_m", type=int, default=_SWEEP.min_m, show_default=True)
 @click.option("--max", "max_m", type=int, default=_SWEEP.max_m, show_default=True)
 @click.option("--target", type=float, default=_SWEEP.recall_target, show_default=True)
-@click.option("--min-time", type=int, default=_EXTRACTION.min_time, show_default=True)
-@click.option("--min-pts", type=int, default=_EXTRACTION.min_pts, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None, help="also write the sweep table as CSV.")
 def sweep(real_path: str, campaign_dir: str, step: int, min_m: int, max_m: int, target: float,
-          min_time: int, min_pts: int, out_path: str | None) -> None:
+          out_path: str | None) -> None:
     """Sweep the observer's distance threshold and report mean recall."""
-    campaign, level = _load_campaign(campaign_dir)
-    ground_truth = _load_ground_truth(real_path, campaign)
-    params = ExtractionParams(min_time=min_time, min_pts=min_pts)
+    campaign, level, digest = _load_campaign(campaign_dir)
+    ground_truth, params = _load_ground_truth(real_path, campaign_dir, campaign, digest)
     cfg = experiment.SweepConfig(min_m=min_m, max_m=max_m, step_m=step, recall_target=target)
     result = experiment.threshold_sweep(campaign, ground_truth, params, cfg, level)
     for thr, rec in result.rows:
@@ -274,16 +308,13 @@ def sweep(real_path: str, campaign_dir: str, step: int, min_m: int, max_m: int, 
 @click.option("--threshold", type=int, required=True, help="observer max-distance in metres.")
 @click.option("--features", "features_path", type=click.Path(exists=True), default=None)
 @click.option("--synthetic", "synthetic_spec", default=None)
-@click.option("--min-time", type=int, default=_EXTRACTION.min_time, show_default=True)
-@click.option("--min-pts", type=int, default=_EXTRACTION.min_pts, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def evaluate(real_path: str, campaign_dir: str, threshold: int, features_path: str | None,
-             synthetic_spec: str | None, min_time: int, min_pts: int, out_dir: str) -> None:
+             synthetic_spec: str | None, out_dir: str) -> None:
     """Score a campaign at a fixed threshold and write the report files."""
-    campaign, level = _load_campaign(campaign_dir)
-    ground_truth = _load_ground_truth(real_path, campaign)
+    campaign, level, digest = _load_campaign(campaign_dir)
+    ground_truth, params = _load_ground_truth(real_path, campaign_dir, campaign, digest)
     store = _resolve_store(features_path, synthetic_spec)
-    params = ExtractionParams(min_time=min_time, min_pts=min_pts)
     observed = experiment.observe(campaign, ground_truth, params, threshold)
     report = experiment.evaluate(observed, ground_truth, level, threshold, store)
     experiment.write_report(report, out_dir)

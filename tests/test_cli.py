@@ -4,9 +4,12 @@ import shutil
 import pytest
 from click.testing import CliRunner
 
+from geopriv import experiment
 from geopriv.cli import main
 from geopriv.core import Dataset, GeoPoint, MobilityTrace, TimestampedLocation
-from geopriv.ingest import FilterPolicy, parse_canonical, parse_pois, write_canonical
+from geopriv.ingest import FilterPolicy, dataset_digest, parse_canonical, parse_pois, write_canonical
+from geopriv.mechanism import PrivacyLevel
+from geopriv.poi import ExtractionParams
 
 from synth import dataset_bounds, planted_dataset
 
@@ -88,6 +91,21 @@ class TestPoisCommand:
             sets = parse_pois(fh)
         assert set(sets) == set(dataset.traces)
         assert all(len(ps) == 2 for ps in sets.values())
+        record = json.loads((tmp_path / "pois.csv.json").read_text(), parse_constant=_refuse)
+        assert record == {
+            "dataset_digest": dataset_digest(dataset),
+            "extraction": {"min_time": 900, "max_distance": 250.0, "min_pts": 2, "merge_factor": 0.75},
+        }
+
+    def test_a_setting_strict_json_cannot_hold_writes_nothing(self, world, tmp_path):
+        root, dataset, traces, _ = world
+        out = tmp_path / "pois.csv"
+        result = CliRunner().invoke(main, [
+            "pois", "--input", str(traces), "--output", str(out), "--max-distance", "inf",
+        ])
+        assert result.exit_code == 2, result.output
+        assert "Error: Out of range float values are not JSON compliant" in result.output
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestObfuscateCommand:
@@ -102,7 +120,8 @@ class TestObfuscateCommand:
             "run_000.csv", "run_001.csv", "run_002.csv",
         ]
         meta = json.loads((out / "campaign.json").read_text())
-        assert meta == {"epsilon": 0.00358, "runs": 3, "master_seed": 9}
+        assert meta == {"epsilon": 0.00358, "runs": 3, "master_seed": 9,
+                        "dataset_digest": dataset_digest(dataset)}
 
     def test_level_flag_and_determinism(self, world, tmp_path):
         root, dataset, traces, _ = world
@@ -125,6 +144,27 @@ class TestObfuscateCommand:
         )
         assert result.exit_code != 0
         assert "exactly one" in result.output
+
+    @pytest.mark.parametrize("earlier", ["campaign", "stray run file"])
+    def test_refuses_a_directory_holding_a_campaign(self, world, tmp_path, earlier):
+        root, dataset, traces, _ = world
+        out = tmp_path / "campaign"
+        if earlier == "campaign":
+            _run("obfuscate", "--input", str(traces), "--epsilon", "0.00358",
+                 "--runs", "3", "--seed", "9", "--output-dir", str(out))
+            held = "campaign.json, run_000.csv, run_001.csv, run_002.csv"
+        else:
+            out.mkdir()
+            (out / "run_007.csv").write_text("kept\n")
+            held = "run_007.csv"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        result = CliRunner().invoke(main, [
+            "obfuscate", "--input", str(traces), "--epsilon", "0.00358",
+            "--runs", "2", "--seed", "9", "--output-dir", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert f"{out} already holds a campaign: {held}\n" in result.output
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.fixture(scope="module")
@@ -159,16 +199,16 @@ def test_zero_noise_campaign_is_strict_json(world, tmp_path):
         "--runs", "1", "--seed", "3", "--output-dir", str(campaign),
     )
     meta = json.loads((campaign / "campaign.json").read_text(), parse_constant=_refuse)
-    assert meta == {"epsilon": "inf", "runs": 1, "master_seed": 3}
+    assert meta == {"epsilon": "inf", "runs": 1, "master_seed": 3, "dataset_digest": dataset_digest(dataset)}
     r = _run(
         "sweep", "--real", str(pois_csv), "--campaign", str(campaign),
-        "--min", "1000", "--max", "2000", "--step", "1000", "--min-time", "900",
+        "--min", "1000", "--max", "2000", "--step", "1000",
     )
     assert "1000\t1.0000" in r.output
     report = tmp_path / "report"
     _run(
         "evaluate", "--real", str(pois_csv), "--campaign", str(campaign), "--threshold", "1000",
-        "--synthetic", synthetic, "--min-time", "900", "--out", str(report),
+        "--synthetic", synthetic, "--out", str(report),
     )
     manifest = json.loads((report / "manifest.json").read_text(), parse_constant=_refuse)
     assert manifest["metadata"]["epsilon"] == "inf"
@@ -181,7 +221,7 @@ class TestSweepCommand:
         r = _run(
             "sweep", "--real", str(pois_csv), "--campaign", str(campaign),
             "--min", "1000", "--max", "3000", "--step", "1000",
-            "--target", "0.5", "--min-time", "900", "--out", str(out),
+            "--target", "0.5", "--out", str(out),
         )
         assert "optimal threshold" in r.output or "unreached" in r.output
         lines = out.read_text().splitlines()
@@ -202,7 +242,7 @@ def test_campaign_run_missing_a_user_is_a_usage_error(pipeline, tmp_path, comman
         "evaluate": ["--threshold", "2000", "--synthetic", synthetic, "--out", str(tmp_path / "r")],
     }[command]
     result = CliRunner().invoke(
-        main, [command, "--real", str(pois_csv), "--campaign", str(broken), "--min-time", "900", *args]
+        main, [command, "--real", str(pois_csv), "--campaign", str(broken), *args]
     )
     assert result.exit_code == 2, result.output
     assert "run_001.csv lacks users that run_000.csv covers: u01" in result.output
@@ -221,8 +261,13 @@ def _without_users(source, target, users):
     target.write_text("".join(line for line in lines if line.split(",")[0] not in users))
 
 
+def _copy_record(source, target):
+    """Give the POI file ``target``, cut by hand from ``source``, the record ``pois`` wrote for ``source``."""
+    shutil.copy(f"{source}.json", f"{target}.json")
+
+
 @pytest.mark.parametrize("case", ["no run_001.csv", "no campaign.json", "runs disagree",
-                                  "extra run file", "no epsilon"])
+                                  "extra run file", "no epsilon", "not an object"])
 @pytest.mark.parametrize("command", ["sweep", "evaluate"])
 def test_campaign_record_and_run_files_must_agree(pipeline, tmp_path, command, case):
     work, pois_csv, campaign, synthetic = pipeline
@@ -238,8 +283,10 @@ def test_campaign_record_and_run_files_must_agree(pipeline, tmp_path, command, c
         record = json.loads((broken / "campaign.json").read_text())
         if case == "runs disagree":
             record["runs"] = 3
-        else:
+        elif case == "no epsilon":
             del record["epsilon"]
+        else:
+            record = [record]
         (broken / "campaign.json").write_text(json.dumps(record))
     files = "run_000.csv, run_001.csv"
     message = {
@@ -248,13 +295,108 @@ def test_campaign_record_and_run_files_must_agree(pipeline, tmp_path, command, c
         "runs disagree": f"records 3 runs, but its run files are: {files}",
         "extra run file": f"records 2 runs, but its run files are: {files}, run_002.csv",
         "no epsilon": "lacks epsilon",
+        "not an object": "lacks epsilon, runs, dataset_digest",
     }[case]
     result = CliRunner().invoke(main, [
-        command, "--real", str(pois_csv), "--campaign", str(broken), "--min-time", "900",
+        command, "--real", str(pois_csv), "--campaign", str(broken),
         *_scoring_args(command, synthetic, tmp_path / "out"),
     ])
     assert result.exit_code == 2, result.output
     assert f"{broken} {message}\n" in result.output
+
+
+@pytest.mark.parametrize("case", ["no record", "record without digest", "record not an object",
+                                  "campaign without digest",
+                                  "extraction lacks a field", "extraction has an extra key",
+                                  "extraction gives text", "other dataset"])
+@pytest.mark.parametrize("command", ["sweep", "evaluate"])
+def test_ground_truth_record_must_match_the_campaign(world, pipeline, tmp_path, command, case):
+    root, dataset, traces, synthetic = world
+    work, pois_csv, campaign, _ = pipeline
+    real, broken = tmp_path / "real.csv", tmp_path / "campaign"
+    shutil.copy(pois_csv, real)
+    _copy_record(pois_csv, real)
+    shutil.copytree(campaign, broken)
+    record_path = tmp_path / "real.csv.json"
+    record = json.loads(record_path.read_text())
+    fields = "max_distance, merge_factor, min_pts, min_time"
+    if case == "no record":
+        record_path.unlink()
+        message = f"{real} has no record real.csv.json; pois writes it"
+    elif case == "campaign without digest":
+        meta = json.loads((broken / "campaign.json").read_text())
+        del meta["dataset_digest"]
+        (broken / "campaign.json").write_text(json.dumps(meta))
+        message = f"campaign.json in {broken} lacks dataset_digest"
+    elif case == "other dataset":
+        # ground truth from a two-user subset of the campaign's source
+        subset = tmp_path / "subset.csv"
+        _without_users(traces, subset, {"u02", "u03"})
+        with open(subset) as fh:
+            subset_digest = dataset_digest(parse_canonical(fh))
+        _run("pois", "--input", str(subset), "--output", str(real), "--min-time", "900")
+        message = (f"{record_path} records dataset {subset_digest}, "
+                   f"but {broken / 'campaign.json'} records dataset {dataset_digest(dataset)}")
+    else:
+        if case.startswith("record"):
+            record = {"extraction": record["extraction"]} if case == "record without digest" else [record]
+            message = f"{record_path} lacks dataset_digest"
+        else:
+            if case == "extraction lacks a field":
+                del record["extraction"]["merge_factor"]
+            elif case == "extraction has an extra key":
+                record["extraction"]["min_stays"] = 2
+            else:
+                record["extraction"]["min_time"] = "900"
+            message = f"the extraction of {record_path} must give exactly {fields}, as numbers"
+        record_path.write_text(json.dumps(record))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [
+        command, "--real", str(real), "--campaign", str(broken), *_scoring_args(command, synthetic, out),
+    ])
+    assert result.exit_code == 2, result.output
+    assert f"Error: {message}\n" in result.output
+    assert not out.exists()
+
+
+def test_sweep_extracts_with_the_settings_pois_recorded(world, tmp_path):
+    # pois ran at min_time 900, not the default 3600; sweep takes no extraction flag
+    root, dataset, traces, _ = world
+    real, campaign, out = tmp_path / "pois.csv", tmp_path / "campaign", tmp_path / "sweep.csv"
+    _run("pois", "--input", str(traces), "--output", str(real), "--min-time", "900")
+    _run("obfuscate", "--input", str(traces), "--epsilon", "0.00358",
+         "--runs", "2", "--seed", "17", "--output-dir", str(campaign))
+    _run("sweep", "--real", str(real), "--campaign", str(campaign),
+         "--min", "1000", "--max", "3000", "--step", "1000", "--out", str(out))
+    with open(real) as fh:
+        ground_truth = parse_pois(fh)
+    runs = []
+    for run in range(2):
+        with open(campaign / f"run_{run:03d}.csv") as fh:
+            runs.append(parse_canonical(fh))
+    result = experiment.threshold_sweep(
+        runs, ground_truth, ExtractionParams(min_time=900),
+        experiment.SweepConfig(min_m=1000, max_m=3000, step_m=1000), PrivacyLevel(0.00358),
+    )
+    with open(tmp_path / "library.csv", "w", newline="") as fh:
+        experiment.write_sweep_csv([result], fh)
+    assert out.read_text() == (tmp_path / "library.csv").read_text()
+    assert result.rows != experiment.threshold_sweep(
+        runs, ground_truth, ExtractionParams(),
+        experiment.SweepConfig(min_m=1000, max_m=3000, step_m=1000), PrivacyLevel(0.00358),
+    ).rows
+
+
+@pytest.mark.parametrize("option", ["--min-time", "--min-pts"])
+@pytest.mark.parametrize("command", ["sweep", "evaluate"])
+def test_scoring_takes_no_extraction_flags(pipeline, tmp_path, command, option):
+    work, pois_csv, campaign, synthetic = pipeline
+    result = CliRunner().invoke(main, [
+        command, "--real", str(pois_csv), "--campaign", str(campaign), option, "900",
+        *_scoring_args(command, synthetic, tmp_path / "out"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "no such option" in result.output.lower() and option in result.output
 
 
 @pytest.mark.parametrize("command", ["sweep", "evaluate"])
@@ -262,7 +404,7 @@ def test_config_epsilon_does_not_label_scoring(pipeline, tmp_path, command):
     # the level comes from campaign.json alone; a config's epsilon is for obfuscate
     work, pois_csv, campaign, synthetic = pipeline
     cfg = tmp_path / "geopriv.conf"
-    cfg.write_text("epsilon = 0.5\nmin-time = 900\n")
+    cfg.write_text("epsilon = 0.5\n")
     out = tmp_path / "out"
     _run("--config", str(cfg), command, "--real", str(pois_csv), "--campaign", str(campaign),
          *_scoring_args(command, synthetic, out))
@@ -277,8 +419,9 @@ def test_real_user_missing_from_campaign_is_refused_by_name(pipeline, tmp_path, 
     work, pois_csv, campaign, synthetic = pipeline
     real = tmp_path / "real.csv"
     real.write_text(pois_csv.read_text() + "zz,45.0,5.0,2\n")
+    _copy_record(pois_csv, real)
     result = CliRunner().invoke(main, [
-        command, "--real", str(real), "--campaign", str(campaign), "--min-time", "900",
+        command, "--real", str(real), "--campaign", str(campaign),
         *_scoring_args(command, synthetic, tmp_path / "out"),
     ])
     assert result.exit_code == 2, result.output
@@ -289,8 +432,9 @@ def test_campaign_user_missing_from_real_is_excluded(pipeline, tmp_path):
     work, pois_csv, campaign, synthetic = pipeline
     real = tmp_path / "real.csv"
     _without_users(pois_csv, real, {"u01"})
+    _copy_record(pois_csv, real)
     out = tmp_path / "report"
-    r = _run("evaluate", "--real", str(real), "--campaign", str(campaign), "--min-time", "900",
+    r = _run("evaluate", "--real", str(real), "--campaign", str(campaign),
              *_scoring_args("evaluate", synthetic, out))
     assert "over 3 users, 2 runs" in r.output
     metadata = json.loads((out / "manifest.json").read_text())["metadata"]
@@ -304,8 +448,7 @@ class TestEvaluateCommand:
         out = work / "report"
         r = _run(
             "evaluate", "--real", str(pois_csv), "--campaign", str(campaign),
-            "--threshold", "2000", "--synthetic", synthetic,
-            "--min-time", "900", "--out", str(out),
+            "--threshold", "2000", "--synthetic", synthetic, "--out", str(out),
         )
         assert "mean recall" in r.output
         for name in ("recall.csv", "reident.csv", "cdf_geo.csv", "manifest.json"):
@@ -378,7 +521,7 @@ def test_bad_settings_and_input_are_usage_errors(world, pipeline, tmp_path, case
     work, pois_csv, campaign, _ = pipeline
     corrupt = tmp_path / "corrupt.csv"
     corrupt.write_text("user_id,timestamp,lat,lon\nu1,100,0,0\ngarbage\n")
-    downstream = ["--real", pois_csv, "--campaign", campaign, "--min-time", "900"]
+    downstream = ["--real", pois_csv, "--campaign", campaign]
     args, message = {
         "pois": (["pois", "--input", traces, "--output", tmp_path / "p.csv", "--min-time", "0"],
                  "min_time must be > 0"),
@@ -457,7 +600,8 @@ class TestConfigFile:
             "obfuscate", "--input", str(traces), "--output-dir", str(out),
         )
         meta = json.loads((out / "campaign.json").read_text())
-        assert meta == {"epsilon": 0.00358, "runs": 2, "master_seed": 33}
+        assert meta == {"epsilon": 0.00358, "runs": 2, "master_seed": 33,
+                        "dataset_digest": dataset_digest(dataset)}
 
         out2 = tmp_path / "flag_wins"
         _run(

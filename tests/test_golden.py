@@ -70,11 +70,12 @@ def test_report_files_match_golden_digests(tmp_path):
 # newest first), so `ingest` sorts it and writes the six-decimal form, while
 # POI centroids and noisy points take the full-repr form.
 GOLDEN_CLI = {
-    "campaign/campaign.json": "a03588db6236b014dfdbdf94795ca51f",
+    "campaign/campaign.json": "a8a5844724027104f406bae4da4525ac",
     "campaign/run_000.csv": "2285e3bea77421a7e39387802862573f",
     "campaign/run_001.csv": "9cb1bda642cdfb95d8035fa9305414fb",
     "ingested.csv": "6dad71a84b5214a6a4c349bc677ef6a3",
     "pois.csv": "8e44431d1562599456a6c8d3ad3f24fe",
+    "pois.csv.json": "f2be1a976eeefb1c72a52f1a21c76998",
 }
 
 
