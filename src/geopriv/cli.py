@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, TextIO
 
 import click
 
 from . import experiment, ingest
 from .core import Dataset, PoiSet
-from .features import Feature, FeatureStore, generate_synthetic_features
+from .features import FeatureStore, generate_synthetic_features
 from .mechanism import PrivacyLevel, derive_seed
 from .metrics import reidentification_rate
 from .poi import ExtractionParams
@@ -33,22 +34,24 @@ def _read_config(path: str) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise click.BadParameter(f"config line without '=': {raw!r}", param_hint="--config")
+            raise ValueError(f"--config line without '=': {raw!r}")
         key, _, value = line.partition("=")
         values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
 class _Command(click.Command):
-    # A ValueError from the library means a bad setting or bad input: a usage error.
+    # A refused setting, input or record (a ValueError, from the library or the helpers
+    # below) or an unreadable or unwritable path (an OSError) is a usage error: exit 2.
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             raise click.UsageError(str(exc), ctx) from exc
 
 
-class _Group(click.Group):
+class _Group(_Command, click.Group):
+    # the group's own callback reads --config, so it refuses the same way
     command_class = _Command
 
 
@@ -70,15 +73,15 @@ def main(ctx: click.Context, config_path: str | None) -> None:
                 ctx.default_map[name].update((param.name, values[key]) for key in keys & values.keys())
         unknown = sorted(values.keys() - known)
         if unknown:
-            raise click.BadParameter(f"unknown keys: {', '.join(unknown)}", param_hint="--config")
+            raise ValueError(f"--config gives unknown keys: {', '.join(unknown)}")
 
 
 def _from_spec(spec: str, form: str, option: str, build: Callable[[dict[str, list[str]]], Any]) -> Any:
     """``build`` of the values by key of a ``key=value,...`` spec; a comma
     item without ``=`` is one more value of the key before it. The spec
     must have the keys of ``form`` (such as ``l=<f>,r=<m>``), in any order,
-    with as many values each. Any other spec, and values that ``build``
-    refuses with a ValueError, are a usage error that quotes ``form``."""
+    with as many values each; any other spec, and values that ``build``
+    refuses, raise a ValueError that quotes ``form``."""
 
     def read(text: str) -> dict[str, list[str]]:
         values: dict[str, list[str]] = {}
@@ -98,108 +101,111 @@ def _from_spec(spec: str, form: str, option: str, build: Callable[[dict[str, lis
             raise ValueError("keys or value counts differ from the form")
         return build(values)
     except ValueError as exc:
-        raise click.BadParameter(f"expected {form}, got {spec!r}", param_hint=option) from exc
+        raise ValueError(f"{option}: expected {form}, got {spec!r}") from exc
 
 
 def _resolve_level(epsilon: float | None, level_spec: str | None) -> PrivacyLevel:
     if (epsilon is None) == (level_spec is None):
-        raise click.UsageError("give exactly one of --epsilon or --level l=<f>,r=<m>")
+        raise ValueError("give exactly one of --epsilon or --level l=<f>,r=<m>")
     if epsilon is not None:
-        try:
-            return PrivacyLevel(epsilon)
-        except ValueError as exc:
-            raise click.BadParameter(str(exc), param_hint="--epsilon") from exc
-    return _from_spec(
-        level_spec, "l=<f>,r=<m>", "--level",
-        lambda v: PrivacyLevel.from_level(float(v["l"][0]), float(v["r"][0])),
-    )
+        return PrivacyLevel(epsilon)
+    return _from_spec(level_spec, "l=<f>,r=<m>", "--level",
+                      lambda v: PrivacyLevel.from_level(float(v["l"][0]), float(v["r"][0])))
 
 
 def _resolve_store(features_path: str | None, synthetic_spec: str | None) -> FeatureStore:
     if (features_path is None) == (synthetic_spec is None):
-        raise click.UsageError("give exactly one of --features or --synthetic")
+        raise ValueError("give exactly one of --features or --synthetic")
     if features_path is not None:
         with open(features_path, encoding="utf-8", newline="") as fh:
             return FeatureStore.build(ingest.parse_features(fh))
 
-    def synthetic(v: dict[str, list[str]]) -> list[Feature]:
-        lat1, lon1, lat2, lon2 = map(float, v["bbox"])
-        # the box runs east from lon1 to lon2, so lon1 > lon2 would cross
-        # the antimeridian, which the generator's bounds cannot express
-        if lon1 > lon2:
-            raise click.BadParameter(
-                f"bbox may not cross the antimeridian: lon1 {lon1} > lon2 {lon2}",
-                param_hint="--synthetic",
-            )
-        bounds = (min(lat1, lat2), lon1, max(lat1, lat2), lon2)
-        return generate_synthetic_features(int(v["seed"][0]), bounds, float(v["density"][0]))
-
     form = "density=<f>,seed=<u64>,bbox=<lat1,lon1,lat2,lon2>"
-    return FeatureStore.build(_from_spec(synthetic_spec, form, "--synthetic", synthetic))
+    density, seed, (lat1, lon1, lat2, lon2) = _from_spec(
+        synthetic_spec, form, "--synthetic",
+        lambda v: (float(v["density"][0]), int(v["seed"][0]), [float(x) for x in v["bbox"]]))
+    # the box runs east from lon1 to lon2, so lon1 > lon2 would cross the
+    # antimeridian, which the generator's bounds cannot express
+    if lon1 > lon2:
+        raise ValueError(f"--synthetic bbox may not cross the antimeridian: lon1 {lon1} > lon2 {lon2}")
+    bounds = (min(lat1, lat2), lon1, max(lat1, lat2), lon2)
+    return FeatureStore.build(generate_synthetic_features(seed, bounds, density))
 
 
-def _load_dataset(path: str | Path) -> Dataset:
+def _load(path: str | Path, parse: Callable[[TextIO], Any] = ingest.parse_canonical) -> Any:
+    """The dataset, or with another ``parse`` the POI sets, in the text file ``path``."""
     with open(path, encoding="utf-8") as fh:
-        return ingest.parse_canonical(fh)
+        return parse(fh)
 
 
-def _write_json(path: Path, record: dict) -> None:
-    """``record`` as strict JSON with sorted keys, indented 2, and a trailing newline."""
-    path.write_text(json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
+_RUN_FILE, _RUN_FILES = "run_{:03d}.csv", "run_*.csv"
+
+# A record value's kind: the name a refusal gives it, and its test. A JSON
+# true or false is no number, nor are NaN and Infinity, which strict JSON lacks.
+_KINDS: dict[str, Callable[[Any], bool]] = {
+    "an integer": lambda v: type(v) is int,
+    "a number": lambda v: type(v) is int or type(v) is float and math.isfinite(v),
+    'a number or "inf"': lambda v: v == "inf" or _KINDS["a number"](v),
+    "a string": lambda v: type(v) is str,
+}
+
+# The keys of the two records that sweep and evaluate read, with their kinds; a dict is a nested object.
+_CAMPAIGN_RECORD = {"dataset_digest": "a string", "epsilon": 'a number or "inf"',
+                    "master_seed": "an integer", "runs": "an integer"}
+_POI_RECORD = {"dataset_digest": "a string",
+               "extraction": {f.name: "an integer" if type(f.default) is int else "a number"
+                              for f in dataclasses.fields(ExtractionParams)}}
 
 
-def _load_campaign(directory: str) -> tuple[list[Dataset], PrivacyLevel, str]:
-    """The runs of an ``obfuscate`` directory, and the level and source
-    dataset digest of its ``campaign.json``, which must give ``epsilon``,
-    ``runs`` and ``dataset_digest``; the run files must be exactly
+def _check_record(where: str, record: Any, keys: dict) -> dict:
+    """``record`` if it is a JSON object with exactly the keys of ``keys``, each of its kind; ``where`` names it."""
+    if not isinstance(record, dict) or record.keys() != keys.keys():
+        raise ValueError(f"{where} must be a JSON object with exactly the keys {', '.join(sorted(keys))}")
+    for key, kind in keys.items():
+        if isinstance(kind, dict):
+            _check_record(f"the {key} of {where}", record[key], kind)
+        elif not _KINDS[kind](record[key]):
+            raise ValueError(f"{where} gives {key} {json.dumps(record[key])}, not {kind}")
+    return record
+
+
+def _read_record(path: Path, keys: dict) -> dict:
+    """The JSON record at ``path``, checked against ``keys``."""
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path} holds no JSON: {exc}") from exc
+    return _check_record(str(path), record, keys)
+
+
+def _load_scored(real_path: str, campaign_dir: str
+                 ) -> tuple[list[Dataset], PrivacyLevel, dict[str, PoiSet], ExtractionParams]:
+    """The runs and level of an ``obfuscate`` directory, and ``--real``'s POI
+    sets (empty for a campaign user it lacks) with the extraction settings of
+    its record ``<real>.json``. Both records are checked, and must name the
+    same dataset, before any run file is read; the run files must be exactly
     ``run_000.csv`` to ``run_{runs-1:03d}.csv``, each covering run 0's users."""
-    root = Path(directory)
-    if not (root / "campaign.json").is_file():
-        raise click.UsageError(f"{directory} has no campaign.json")
-    meta = json.loads((root / "campaign.json").read_text(encoding="utf-8"))
-    lacking = [key for key in ("epsilon", "runs", "dataset_digest")
-               if not isinstance(meta, dict) or meta.get(key) is None]
-    if lacking:
-        raise click.UsageError(f"campaign.json in {directory} lacks {', '.join(lacking)}")
-    found = {p.name for p in root.glob("run_*.csv")}
-    names = [f"run_{run:03d}.csv" for run in range(len(found))]
+    root = Path(campaign_dir)
+    meta_path, record_path = root / "campaign.json", Path(f"{real_path}.json")
+    meta = _read_record(meta_path, _CAMPAIGN_RECORD)
+    record = _read_record(record_path, _POI_RECORD)
+    if record["dataset_digest"] != meta["dataset_digest"]:
+        raise ValueError(f"{record_path} records dataset {record['dataset_digest']}, but "
+                         f"{meta_path} records dataset {meta['dataset_digest']}")
+    level, params = PrivacyLevel(float(meta["epsilon"])), ExtractionParams(**record["extraction"])
+    found = {p.name for p in root.glob(_RUN_FILES)}
+    names = [_RUN_FILE.format(run) for run in range(len(found))]
     if not found or meta["runs"] != len(found) or set(names) != found:
-        raise click.UsageError(f"campaign.json in {directory} records {meta['runs']!r} runs, "
-                               f"but its run files are: {', '.join(sorted(found)) or 'none'}")
-    level = PrivacyLevel(float(meta["epsilon"]))
+        raise ValueError(f"{meta_path} records {meta['runs']} runs, "
+                         f"but its run files are: {', '.join(sorted(found)) or 'none'}")
     campaign = []
     for name in names:
-        campaign.append(_load_dataset(root / name))
+        campaign.append(_load(root / name))
         missing = sorted(campaign[0].traces.keys() - campaign[-1].traces.keys())
         if missing:
-            raise click.UsageError(f"{name} lacks users that {names[0]} covers: {', '.join(missing)}")
-    return campaign, level, meta["dataset_digest"]
-
-
-def _load_ground_truth(real_path: str, campaign_dir: str, campaign: list[Dataset],
-                       digest: str) -> tuple[dict[str, PoiSet], ExtractionParams]:
-    """``--real``'s POI sets, with an empty one for each campaign user it
-    lacks, and the extraction settings of the record ``<real>.json`` that
-    ``pois`` wrote beside them. The record must give the campaign's dataset
-    ``digest`` and an ``extraction`` that gives exactly the fields of
-    :class:`ExtractionParams`, as numbers."""
-    path = Path(f"{real_path}.json")
-    if not path.is_file():
-        raise click.UsageError(f"{real_path} has no record {path.name}; pois writes it")
-    record = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(record, dict) or record.get("dataset_digest") is None:
-        raise click.UsageError(f"{path} lacks dataset_digest")
-    fields = sorted(field.name for field in dataclasses.fields(ExtractionParams))
-    extraction = record.get("extraction")
-    if (not isinstance(extraction, dict) or sorted(extraction) != fields
-            or not all(isinstance(value, (int, float)) for value in extraction.values())):
-        raise click.UsageError(f"the extraction of {path} must give exactly {', '.join(fields)}, as numbers")
-    if record["dataset_digest"] != digest:
-        raise click.UsageError(f"{path} records dataset {record['dataset_digest']}, but "
-                               f"{Path(campaign_dir) / 'campaign.json'} records dataset {digest}")
-    with open(real_path, encoding="utf-8") as fh:
-        ground_truth = {user: PoiSet(user, ()) for user in campaign[0].traces} | ingest.parse_pois(fh)
-    return ground_truth, ExtractionParams(**extraction)
+            raise ValueError(f"{name} lacks users that {names[0]} covers: {', '.join(missing)}")
+    ground_truth = {user: PoiSet(user, ()) for user in campaign[0].traces} | _load(real_path, ingest.parse_pois)
+    return campaign, level, ground_truth, params
 
 
 @main.command("ingest")
@@ -210,17 +216,9 @@ def _load_ground_truth(real_path: str, campaign_dir: str, campaign: list[Dataset
 @click.option("--filter-locs", type=int, default=None, help="a day qualifies with more than this many locations.")
 def ingest_cmd(fmt: str, input_path: str, output_path: str, filter_days: int | None, filter_locs: int | None) -> None:
     """Load a source dataset and write it as canonical trace CSV."""
-    if fmt == "csv":
-        dataset = _load_dataset(input_path)
-    elif fmt == "sfcabs":
-        dataset = ingest.parse_sfcabs(input_path)
-    else:
-        dataset = ingest.parse_geolife(input_path)
-    given = {
-        field: value
-        for field, value in (("min_qualifying_days", filter_days), ("min_locations_per_day", filter_locs))
-        if value is not None
-    }
+    dataset = {"csv": _load, "sfcabs": ingest.parse_sfcabs, "geolife": ingest.parse_geolife}[fmt](input_path)
+    given = {field: value for field, value in (("min_qualifying_days", filter_days),
+                                               ("min_locations_per_day", filter_locs)) if value is not None}
     if given:
         dataset = ingest.filter_dataset(dataset, dataclasses.replace(ingest.FilterPolicy(), **given))
     with open(output_path, "w", encoding="utf-8", newline="") as fh:
@@ -237,13 +235,12 @@ def ingest_cmd(fmt: str, input_path: str, output_path: str, filter_days: int | N
 def pois(input_path: str, min_time: int, max_distance: float, min_pts: int, output_path: str) -> None:
     """Extract per-user POIs from a canonical trace CSV, and record the
     source dataset's digest and the extraction settings in ``<output>.json``."""
-    dataset = _load_dataset(input_path)
+    dataset = _load(input_path)
     params = ExtractionParams(min_time=min_time, max_distance=max_distance, min_pts=min_pts)
     poi_sets = experiment.extract_ground_truth(dataset, params)
-    # the record first: a setting strict JSON cannot hold (an infinite
-    # max_distance) is refused before any file is written
+    # the record first, so a setting strict JSON cannot hold (max_distance inf) writes no file
     record = {"dataset_digest": ingest.dataset_digest(dataset), "extraction": dataclasses.asdict(params)}
-    _write_json(Path(f"{output_path}.json"), record)
+    experiment.write_json(f"{output_path}.json", record)
     with open(output_path, "w", encoding="utf-8", newline="") as fh:
         count = ingest.write_pois(poi_sets, fh)
     click.echo(f"wrote {count} POIs for {len(poi_sets)} users to {output_path}")
@@ -260,19 +257,19 @@ def obfuscate(input_path: str, epsilon: float | None, level_spec: str | None, ru
     """Write independently obfuscated copies of a dataset into a directory
     that holds no campaign yet."""
     out = Path(output_dir)
-    held = sorted(p.name for p in [*out.glob("campaign.json"), *out.glob("run_*.csv")])
+    held = sorted(p.name for p in [*out.glob("campaign.json"), *out.glob(_RUN_FILES)])
     if held:
-        raise click.UsageError(f"{output_dir} already holds a campaign: {', '.join(held)}")
+        raise ValueError(f"{output_dir} already holds a campaign: {', '.join(held)}")
     level = _resolve_level(epsilon, level_spec)
-    dataset = _load_dataset(input_path)
+    dataset = _load(input_path)
     campaign = experiment.obfuscation_campaign(dataset, level, runs, seed)
     out.mkdir(parents=True, exist_ok=True)
     for run, ds in enumerate(campaign):
-        with open(out / f"run_{run:03d}.csv", "w", encoding="utf-8", newline="") as fh:
+        with open(out / _RUN_FILE.format(run), "w", encoding="utf-8", newline="") as fh:
             ingest.write_canonical(ds, fh)
     meta = {"epsilon": experiment.json_number(level.epsilon), "runs": runs, "master_seed": seed,
             "dataset_digest": ingest.dataset_digest(dataset)}
-    _write_json(out / "campaign.json", meta)
+    experiment.write_json(out / "campaign.json", meta)
     click.echo(f"wrote {runs} obfuscated runs to {output_dir}")
 
 
@@ -287,8 +284,7 @@ def obfuscate(input_path: str, epsilon: float | None, level_spec: str | None, ru
 def sweep(real_path: str, campaign_dir: str, step: int, min_m: int, max_m: int, target: float,
           out_path: str | None) -> None:
     """Sweep the observer's distance threshold and report mean recall."""
-    campaign, level, digest = _load_campaign(campaign_dir)
-    ground_truth, params = _load_ground_truth(real_path, campaign_dir, campaign, digest)
+    campaign, level, ground_truth, params = _load_scored(real_path, campaign_dir)
     cfg = experiment.SweepConfig(min_m=min_m, max_m=max_m, step_m=step, recall_target=target)
     result = experiment.threshold_sweep(campaign, ground_truth, params, cfg, level)
     for thr, rec in result.rows:
@@ -312,8 +308,7 @@ def sweep(real_path: str, campaign_dir: str, step: int, min_m: int, max_m: int, 
 def evaluate(real_path: str, campaign_dir: str, threshold: int, features_path: str | None,
              synthetic_spec: str | None, out_dir: str) -> None:
     """Score a campaign at a fixed threshold and write the report files."""
-    campaign, level, digest = _load_campaign(campaign_dir)
-    ground_truth, params = _load_ground_truth(real_path, campaign_dir, campaign, digest)
+    campaign, level, ground_truth, params = _load_scored(real_path, campaign_dir)
     store = _resolve_store(features_path, synthetic_spec)
     observed = experiment.observe(campaign, ground_truth, params, threshold)
     report = experiment.evaluate(observed, ground_truth, level, threshold, store)
@@ -333,10 +328,7 @@ def reident(real_path: str, obf_path: str, epsilon: float | None, out_path: str)
 
     Every --real user is scored; one without a row in --obf has an empty
     set, a miss. --obf users absent from --real are named, not scored."""
-    with open(real_path, encoding="utf-8") as fh:
-        real_sets = ingest.parse_pois(fh)
-    with open(obf_path, encoding="utf-8") as fh:
-        obf_sets = ingest.parse_pois(fh)
+    real_sets, obf_sets = _load(real_path, ingest.parse_pois), _load(obf_path, ingest.parse_pois)
     rate = reidentification_rate(real_sets, {u: obf_sets.get(u, PoiSet(u, ())) for u in real_sets})
     row = experiment.ReidentRow(epsilon, rate, len(real_sets))
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -364,7 +356,7 @@ def precision(input_path: str, features_path: str | None, synthetic_spec: str | 
     """Measure query precision under obfuscation at sampled trace points."""
     cfg = experiment.PrecisionConfig(radius_m=radius, alpha=alpha, samples=samples, category=category)
     level = _resolve_level(epsilon, level_spec)
-    dataset = _load_dataset(input_path)
+    dataset = _load(input_path)
     store = _resolve_store(features_path, synthetic_spec)
     row = experiment.precision_summary(dataset, level, store, cfg, derive_seed(seed, "precision"))
     click.echo(

@@ -492,6 +492,12 @@ def json_number(x: float) -> float | str:
     return x if math.isfinite(x) else repr(x)
 
 
+def write_json(path: str | Path, record: Mapping) -> None:
+    """``record`` as strict JSON (sorted keys, indent 2, final newline), serialised before the file opens."""
+    text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    Path(path).write_text(text, encoding="utf-8", newline="")
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return repr(x)
@@ -566,7 +572,5 @@ def write_report(report: EvaluationReport, out_dir: str | Path) -> dict:
             counts[name] = write_csv(fh, header, rows)
 
     manifest = {"files": counts, "metadata": report.metadata}
-    with open(out / "manifest.json", "w", encoding="utf-8", newline="") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
     return manifest

@@ -29,7 +29,7 @@ from .core import MAX_OFFSET_LAT, METERS_PER_DEGREE, MobilityTrace
 
 TWO_PI = 2.0 * math.pi
 
-_SEED_MASK = (1 << 64) - 1
+_MAX_SEED = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class RandomSource:
     """
 
     def __init__(self, seed: int):
-        if not 0 <= seed <= _SEED_MASK:
+        if not 0 <= seed <= _MAX_SEED:
             raise ValueError(f"seed must fit in 64 bits, got {seed!r}")
         self._gen = np.random.Generator(np.random.PCG64(seed))
 
@@ -87,9 +87,12 @@ def derive_seed(base_seed: int, label: str) -> int:
     Used to partition the seed space deterministically: a run stream is
     derived from the master seed and the run index, a per-user stream from
     the run seed and the user id, so results never depend on scheduling.
+    A base outside [0, 2**64) is refused, so no two master seeds alias.
     """
+    if not 0 <= base_seed <= _MAX_SEED:
+        raise ValueError(f"seed must fit in 64 bits, got {base_seed!r}")
     digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
-    return (base_seed ^ int.from_bytes(digest, "little")) & _SEED_MASK
+    return base_seed ^ int.from_bytes(digest, "little")
 
 
 def sample_radii(level: PrivacyLevel, rng: RandomSource, n: int) -> np.ndarray:

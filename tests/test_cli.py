@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 
 import pytest
@@ -289,20 +290,22 @@ def test_campaign_record_and_run_files_must_agree(pipeline, tmp_path, command, c
             record = [record]
         (broken / "campaign.json").write_text(json.dumps(record))
     files = "run_000.csv, run_001.csv"
+    meta = broken / "campaign.json"
+    exact = f"{meta} must be a JSON object with exactly the keys dataset_digest, epsilon, master_seed, runs"
     message = {
-        "no run_001.csv": "records 2 runs, but its run files are: run_000.csv",
-        "no campaign.json": "has no campaign.json",
-        "runs disagree": f"records 3 runs, but its run files are: {files}",
-        "extra run file": f"records 2 runs, but its run files are: {files}, run_002.csv",
-        "no epsilon": "lacks epsilon",
-        "not an object": "lacks epsilon, runs, dataset_digest",
+        "no run_001.csv": f"{meta} records 2 runs, but its run files are: run_000.csv",
+        "no campaign.json": f"[Errno 2] No such file or directory: '{meta}'",
+        "runs disagree": f"{meta} records 3 runs, but its run files are: {files}",
+        "extra run file": f"{meta} records 2 runs, but its run files are: {files}, run_002.csv",
+        "no epsilon": exact,
+        "not an object": exact,
     }[case]
     result = CliRunner().invoke(main, [
         command, "--real", str(pois_csv), "--campaign", str(broken),
         *_scoring_args(command, synthetic, tmp_path / "out"),
     ])
     assert result.exit_code == 2, result.output
-    assert f"{broken} {message}\n" in result.output
+    assert f"Error: {message}\n" in result.output
 
 
 @pytest.mark.parametrize("case", ["no record", "record without digest", "record not an object",
@@ -322,12 +325,13 @@ def test_ground_truth_record_must_match_the_campaign(world, pipeline, tmp_path, 
     fields = "max_distance, merge_factor, min_pts, min_time"
     if case == "no record":
         record_path.unlink()
-        message = f"{real} has no record real.csv.json; pois writes it"
+        message = f"[Errno 2] No such file or directory: '{record_path}'"
     elif case == "campaign without digest":
         meta = json.loads((broken / "campaign.json").read_text())
         del meta["dataset_digest"]
         (broken / "campaign.json").write_text(json.dumps(meta))
-        message = f"campaign.json in {broken} lacks dataset_digest"
+        message = (f"{broken / 'campaign.json'} must be a JSON object with exactly the keys "
+                   "dataset_digest, epsilon, master_seed, runs")
     elif case == "other dataset":
         # ground truth from a two-user subset of the campaign's source
         subset = tmp_path / "subset.csv"
@@ -340,7 +344,7 @@ def test_ground_truth_record_must_match_the_campaign(world, pipeline, tmp_path, 
     else:
         if case.startswith("record"):
             record = {"extraction": record["extraction"]} if case == "record without digest" else [record]
-            message = f"{record_path} lacks dataset_digest"
+            message = f"{record_path} must be a JSON object with exactly the keys dataset_digest, extraction"
         else:
             if case == "extraction lacks a field":
                 del record["extraction"]["merge_factor"]
@@ -348,7 +352,9 @@ def test_ground_truth_record_must_match_the_campaign(world, pipeline, tmp_path, 
                 record["extraction"]["min_stays"] = 2
             else:
                 record["extraction"]["min_time"] = "900"
-            message = f"the extraction of {record_path} must give exactly {fields}, as numbers"
+            message = (f'the extraction of {record_path} gives min_time "900", not an integer'
+                       if case == "extraction gives text"
+                       else f"the extraction of {record_path} must be a JSON object with exactly the keys {fields}")
         record_path.write_text(json.dumps(record))
     out = tmp_path / "out"
     result = CliRunner().invoke(main, [
@@ -538,6 +544,109 @@ def test_bad_settings_and_input_are_usage_errors(world, pipeline, tmp_path, case
     result = CliRunner().invoke(main, [str(arg) for arg in args])
     assert result.exit_code == 2, result.output
     assert f"Error: {message}\n" in result.output
+
+
+@pytest.mark.parametrize("case", ["obfuscate onto a file", "pois into no directory", "ingest into no directory",
+                                  "precision into no directory", "reident into no directory",
+                                  "sweep into no directory", "evaluate onto a file", "geolife from a file",
+                                  "config not UTF-8"])
+def test_unreadable_and_unwritable_paths_are_usage_errors(world, pipeline, tmp_path, case):
+    root, dataset, traces, synthetic = world
+    work, pois_csv, campaign, _ = pipeline
+    a_file, nowhere = tmp_path / "a-file", tmp_path / "nodir" / "out.csv"
+    a_file.write_bytes(b"\xffmin_time = 900\n" if case == "config not UTF-8" else b"kept\n")
+    before = a_file.read_bytes()
+    level = ["--epsilon", "0.00693"]
+    args, message = {
+        "obfuscate onto a file": (["obfuscate", "--input", traces, *level, "--runs", "1", "--output-dir", a_file],
+                                  f"[Errno 17] File exists: '{a_file}'"),
+        "pois into no directory": (["pois", "--input", traces, "--output", nowhere],
+                                   f"[Errno 2] No such file or directory: '{nowhere}.json'"),
+        "ingest into no directory": (["ingest", "--format", "csv", "--input", traces, "--output", nowhere],
+                                     f"[Errno 2] No such file or directory: '{nowhere}'"),
+        "precision into no directory": (["precision", "--input", traces, "--synthetic", synthetic, *level,
+                                         "--samples", "5", "--out", nowhere],
+                                        f"[Errno 2] No such file or directory: '{nowhere}'"),
+        "reident into no directory": (["reident", "--real", pois_csv, "--obf", pois_csv, "--out", nowhere],
+                                      f"[Errno 2] No such file or directory: '{nowhere}'"),
+        "sweep into no directory": (["sweep", "--real", pois_csv, "--campaign", campaign,
+                                     *_scoring_args("sweep", synthetic, nowhere)],
+                                    f"[Errno 2] No such file or directory: '{nowhere}'"),
+        "evaluate onto a file": (["evaluate", "--real", pois_csv, "--campaign", campaign,
+                                  *_scoring_args("evaluate", synthetic, a_file)],
+                                 f"[Errno 17] File exists: '{a_file}'"),
+        "geolife from a file": (["ingest", "--format", "geolife", "--input", a_file, "--output", tmp_path / "g.csv"],
+                                f"[Errno 20] Not a directory: '{a_file}'"),
+        "config not UTF-8": (["--config", a_file, "pois", "--input", traces, "--output", tmp_path / "p.csv"],
+                             "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    }[case]
+    result = CliRunner().invoke(main, [str(arg) for arg in args])
+    assert result.exit_code == 2, result.output
+    assert f"Error: {message}" in result.output
+    assert a_file.read_bytes() == before and not nowhere.parent.exists()
+
+
+@pytest.mark.parametrize("case", ["epsilon a list", "epsilon a string", "epsilon null", "epsilon NaN",
+                                  "runs true", "digest a number", "min_pts true", "max_distance Infinity",
+                                  "not JSON"])
+@pytest.mark.parametrize("command", ["sweep", "evaluate"])
+def test_record_values_of_the_wrong_kind_are_refused_by_file_and_key(pipeline, tmp_path, command, case):
+    work, pois_csv, campaign, synthetic = pipeline
+    real, broken = tmp_path / "real.csv", tmp_path / "campaign"
+    shutil.copy(pois_csv, real)
+    _copy_record(pois_csv, real)
+    shutil.copytree(campaign, broken)
+    meta_path, record_path = broken / "campaign.json", tmp_path / "real.csv.json"
+    meta, record = json.loads(meta_path.read_text()), json.loads(record_path.read_text())
+    number_or_inf = 'not a number or "inf"'
+    path, text, message = {
+        "epsilon a list": (meta_path, {**meta, "epsilon": [0.01]}, f"{meta_path} gives epsilon [0.01], {number_or_inf}"),
+        "epsilon a string": (meta_path, {**meta, "epsilon": "0.01"}, f'{meta_path} gives epsilon "0.01", {number_or_inf}'),
+        "epsilon null": (meta_path, {**meta, "epsilon": None}, f"{meta_path} gives epsilon null, {number_or_inf}"),
+        "epsilon NaN": (meta_path, {**meta, "epsilon": math.nan}, f"{meta_path} gives epsilon NaN, {number_or_inf}"),
+        "runs true": (meta_path, {**meta, "runs": True}, f"{meta_path} gives runs true, not an integer"),
+        "digest a number": (record_path, {**record, "dataset_digest": 7},
+                            f"{record_path} gives dataset_digest 7, not a string"),
+        "min_pts true": (record_path, {**record, "extraction": {**record["extraction"], "min_pts": True}},
+                         f"the extraction of {record_path} gives min_pts true, not an integer"),
+        "max_distance Infinity": (record_path, {**record, "extraction": {**record["extraction"], "max_distance": math.inf}},
+                                  f"the extraction of {record_path} gives max_distance Infinity, not a number"),
+        "not JSON": (meta_path, None, f"{meta_path} holds no JSON: Expecting value: line 1 column 1 (char 0)"),
+    }[case]
+    path.write_text("" if text is None else json.dumps(text))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [
+        command, "--real", str(real), "--campaign", str(broken), *_scoring_args(command, synthetic, out),
+    ])
+    assert result.exit_code == 2, result.output
+    assert f"Error: {message}\n" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", ["obfuscate", "precision"])
+def test_master_seeds_outside_64_bits_are_usage_errors(world, tmp_path, command, seed):
+    root, dataset, traces, synthetic = world
+    out = tmp_path / "out"
+    args = {
+        "obfuscate": ["--runs", "1", "--output-dir", out],
+        "precision": ["--synthetic", synthetic, "--samples", "5", "--out", out],
+    }[command]
+    result = CliRunner().invoke(main, [str(a) for a in [command, "--input", traces, "--epsilon", "0.00693",
+                                                        "--seed", seed, *args]])
+    assert result.exit_code == 2, result.output
+    assert f"Error: seed must fit in 64 bits, got {seed}\n" in result.output
+    assert not out.exists()
+
+
+def test_the_largest_64_bit_master_seed_is_taken(world, tmp_path):
+    root, dataset, traces, synthetic = world
+    seed = 2**64 - 1
+    _run("obfuscate", "--input", str(traces), "--epsilon", "0.00693", "--runs", "1", "--seed", str(seed),
+         "--output-dir", str(tmp_path / "campaign"))
+    assert json.loads((tmp_path / "campaign" / "campaign.json").read_text())["master_seed"] == seed
+    _run("precision", "--input", str(traces), "--epsilon", "0.00693", "--synthetic", synthetic,
+         "--samples", "5", "--seed", str(seed))
 
 
 @pytest.mark.parametrize("option, spec", [

@@ -88,6 +88,16 @@ class TestRandomSource:
         assert s != derive_seed(43, "run:0")
         assert 0 <= s < (1 << 64)
 
+    @pytest.mark.parametrize("base", [-1, 1 << 64])
+    def test_derive_seed_refuses_a_base_outside_64_bits(self, base):
+        # -1 and 2**64 - 1 agree mod 2**64: a mask would give them the same streams
+        with pytest.raises(ValueError, match=f"seed must fit in 64 bits, got {base}"):
+            derive_seed(base, "run:0")
+
+    def test_derive_seed_takes_the_largest_64_bit_base(self):
+        s = derive_seed((1 << 64) - 1, "run:0")
+        assert 0 <= s < (1 << 64) and s != derive_seed(0, "run:0")
+
 
 class TestSampleRadius:
     def test_degenerate_stream_gives_zero(self):
