@@ -7,8 +7,10 @@ passed as ``--config``; explicit flags win over the file.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import math
+import os
 from pathlib import Path
 from typing import Any, Callable, TextIO
 
@@ -138,6 +140,28 @@ def _load(path: str | Path, parse: Callable[[TextIO], Any] = ingest.parse_canoni
         return parse(fh)
 
 
+def _writable(files: tuple[str | None, ...] = (), dirs: tuple[str, ...] = ()) -> None:
+    """Refuse, before any input is read, output paths that writing would
+    fail on, with the error the write would raise: a file needs an
+    existing directory and must not be one; a directory, made with its
+    parents, must not be a file nor lie under one."""
+    for name in files:
+        if name is None:
+            continue
+        path = Path(name)
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), name)
+        if not path.parent.is_dir():
+            code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+            raise OSError(code, os.strerror(code), name)
+    for name in dirs:
+        path = Path(name)
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            code = errno.EEXIST if existing == path else errno.ENOTDIR
+            raise OSError(code, os.strerror(code), str(path))
+
+
 _RUN_FILE, _RUN_FILES = "run_{:03d}.csv", "run_*.csv"
 
 # A record value's kind: the name a refusal gives it, and its test. A JSON
@@ -149,24 +173,35 @@ _KINDS: dict[str, Callable[[Any], bool]] = {
     "a string": lambda v: type(v) is str,
 }
 
-# The keys of the two records that sweep and evaluate read, with their kinds; a dict is a nested object.
-_CAMPAIGN_RECORD = {"dataset_digest": "a string", "epsilon": 'a number or "inf"',
+# The keys of the two records that sweep and evaluate read, with their kinds; a dict is a
+# nested object, and a pair also names the setting that the key's value builds.
+_CAMPAIGN_RECORD = {"dataset_digest": "a string",
+                    "epsilon": ('a number or "inf"', lambda v: PrivacyLevel(float(v))),
                     "master_seed": "an integer", "runs": "an integer"}
 _POI_RECORD = {"dataset_digest": "a string",
-               "extraction": {f.name: "an integer" if type(f.default) is int else "a number"
-                              for f in dataclasses.fields(ExtractionParams)}}
+               "extraction": ({f.name: "an integer" if type(f.default) is int else "a number"
+                               for f in dataclasses.fields(ExtractionParams)},
+                              lambda v: ExtractionParams(**v))}
 
 
 def _check_record(where: str, record: Any, keys: dict) -> dict:
-    """``record`` if it is a JSON object with exactly the keys of ``keys``, each of its kind; ``where`` names it."""
+    """``record`` if it is a JSON object with exactly the keys of ``keys``, each of its kind,
+    with the settings its values build in their place; ``where`` names it."""
     if not isinstance(record, dict) or record.keys() != keys.keys():
         raise ValueError(f"{where} must be a JSON object with exactly the keys {', '.join(sorted(keys))}")
-    for key, kind in keys.items():
+    checked = {}
+    for key, spec in keys.items():
+        kind, build = spec if isinstance(spec, tuple) else (spec, None)
+        value = record[key]
         if isinstance(kind, dict):
-            _check_record(f"the {key} of {where}", record[key], kind)
-        elif not _KINDS[kind](record[key]):
-            raise ValueError(f"{where} gives {key} {json.dumps(record[key])}, not {kind}")
-    return record
+            _check_record(f"the {key} of {where}", value, kind)
+        elif not _KINDS[kind](value):
+            raise ValueError(f"{where} gives {key} {json.dumps(value)}, not {kind}")
+        try:
+            checked[key] = build(value) if build else value
+        except ValueError as exc:
+            raise ValueError(f"{where} gives {key} {json.dumps(value)}: {exc}") from None
+    return checked
 
 
 def _read_record(path: Path, keys: dict) -> dict:
@@ -192,7 +227,6 @@ def _load_scored(real_path: str, campaign_dir: str
     if record["dataset_digest"] != meta["dataset_digest"]:
         raise ValueError(f"{record_path} records dataset {record['dataset_digest']}, but "
                          f"{meta_path} records dataset {meta['dataset_digest']}")
-    level, params = PrivacyLevel(float(meta["epsilon"])), ExtractionParams(**record["extraction"])
     found = {p.name for p in root.glob(_RUN_FILES)}
     names = [_RUN_FILE.format(run) for run in range(len(found))]
     if not found or meta["runs"] != len(found) or set(names) != found:
@@ -205,7 +239,7 @@ def _load_scored(real_path: str, campaign_dir: str
         if missing:
             raise ValueError(f"{name} lacks users that {names[0]} covers: {', '.join(missing)}")
     ground_truth = {user: PoiSet(user, ()) for user in campaign[0].traces} | _load(real_path, ingest.parse_pois)
-    return campaign, level, ground_truth, params
+    return campaign, meta["epsilon"], ground_truth, record["extraction"]
 
 
 @main.command("ingest")
@@ -216,6 +250,7 @@ def _load_scored(real_path: str, campaign_dir: str
 @click.option("--filter-locs", type=int, default=None, help="a day qualifies with more than this many locations.")
 def ingest_cmd(fmt: str, input_path: str, output_path: str, filter_days: int | None, filter_locs: int | None) -> None:
     """Load a source dataset and write it as canonical trace CSV."""
+    _writable(files=(output_path,))
     dataset = {"csv": _load, "sfcabs": ingest.parse_sfcabs, "geolife": ingest.parse_geolife}[fmt](input_path)
     given = {field: value for field, value in (("min_qualifying_days", filter_days),
                                                ("min_locations_per_day", filter_locs)) if value is not None}
@@ -235,6 +270,7 @@ def ingest_cmd(fmt: str, input_path: str, output_path: str, filter_days: int | N
 def pois(input_path: str, min_time: int, max_distance: float, min_pts: int, output_path: str) -> None:
     """Extract per-user POIs from a canonical trace CSV, and record the
     source dataset's digest and the extraction settings in ``<output>.json``."""
+    _writable(files=(f"{output_path}.json", output_path))
     dataset = _load(input_path)
     params = ExtractionParams(min_time=min_time, max_distance=max_distance, min_pts=min_pts)
     poi_sets = experiment.extract_ground_truth(dataset, params)
@@ -256,6 +292,7 @@ def pois(input_path: str, min_time: int, max_distance: float, min_pts: int, outp
 def obfuscate(input_path: str, epsilon: float | None, level_spec: str | None, runs: int, seed: int, output_dir: str) -> None:
     """Write independently obfuscated copies of a dataset into a directory
     that holds no campaign yet."""
+    _writable(dirs=(output_dir,))
     out = Path(output_dir)
     held = sorted(p.name for p in [*out.glob("campaign.json"), *out.glob(_RUN_FILES)])
     if held:
@@ -284,6 +321,7 @@ def obfuscate(input_path: str, epsilon: float | None, level_spec: str | None, ru
 def sweep(real_path: str, campaign_dir: str, step: int, min_m: int, max_m: int, target: float,
           out_path: str | None) -> None:
     """Sweep the observer's distance threshold and report mean recall."""
+    _writable(files=(out_path,))
     campaign, level, ground_truth, params = _load_scored(real_path, campaign_dir)
     cfg = experiment.SweepConfig(min_m=min_m, max_m=max_m, step_m=step, recall_target=target)
     result = experiment.threshold_sweep(campaign, ground_truth, params, cfg, level)
@@ -308,6 +346,7 @@ def sweep(real_path: str, campaign_dir: str, step: int, min_m: int, max_m: int, 
 def evaluate(real_path: str, campaign_dir: str, threshold: int, features_path: str | None,
              synthetic_spec: str | None, out_dir: str) -> None:
     """Score a campaign at a fixed threshold and write the report files."""
+    _writable(dirs=(out_dir,))
     campaign, level, ground_truth, params = _load_scored(real_path, campaign_dir)
     store = _resolve_store(features_path, synthetic_spec)
     observed = experiment.observe(campaign, ground_truth, params, threshold)
@@ -328,6 +367,7 @@ def reident(real_path: str, obf_path: str, epsilon: float | None, out_path: str)
 
     Every --real user is scored; one without a row in --obf has an empty
     set, a miss. --obf users absent from --real are named, not scored."""
+    _writable(files=(out_path,))
     real_sets, obf_sets = _load(real_path, ingest.parse_pois), _load(obf_path, ingest.parse_pois)
     rate = reidentification_rate(real_sets, {u: obf_sets.get(u, PoiSet(u, ())) for u in real_sets})
     row = experiment.ReidentRow(epsilon, rate, len(real_sets))
@@ -354,6 +394,7 @@ def precision(input_path: str, features_path: str | None, synthetic_spec: str | 
               epsilon: float | None, level_spec: str | None, radius: float, alpha: float,
               samples: int, category: str | None, seed: int, out_path: str | None) -> None:
     """Measure query precision under obfuscation at sampled trace points."""
+    _writable(files=(out_path,))
     cfg = experiment.PrecisionConfig(radius_m=radius, alpha=alpha, samples=samples, category=category)
     level = _resolve_level(epsilon, level_spec)
     dataset = _load(input_path)

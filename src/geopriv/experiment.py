@@ -27,13 +27,23 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .core import Dataset, GeoPoint, PoiSet
+from .core import Dataset, PoiSet
 from .ingest import dataset_digest
 from .features import FeatureStore
-from .mechanism import PrivacyLevel, RandomSource, derive_seed, obfuscate_trace
-from .metrics import (
+from .mechanism import (
+    PrivacyLevel,
+    RandomSource,
+    derive_seed,
+    displace,
+    inverse_radius_cdf,
+    obfuscate_trace,
+)
+# precision_trial is the one-trial form of precision_summary's pass; the
+# traced benchmark (bench/job.py) wraps it under this module's name.
+from .metrics import (  # noqa: F401
     geographic_distances,
     precision_trial,
+    query_precisions,
     recall_of,
     reidentification_rate,
     remap,
@@ -320,8 +330,11 @@ def precision_summary(
 ) -> PrecisionRow:
     """Mean query precision over locations sampled from the real traces.
 
-    Empty-result trials count as precision 1 by convention and are tallied
-    in ``n_empty`` so they cannot silently inflate the mean.
+    The trials are those of a loop of :func:`~geopriv.metrics.precision_trial`
+    on one seeded stream, drawn at once and scored in one blocked pass
+    (:func:`~geopriv.metrics.query_precisions`). Empty-result trials count
+    as precision 1 by convention and are tallied in ``n_empty`` so they
+    cannot silently inflate the mean.
     """
     traces = [dataset.traces[user] for user in dataset.users()]
     n = sum(len(trace) for trace in traces)
@@ -330,25 +343,24 @@ def precision_summary(
     # every user's points, concatenated in sorted user order
     lats = np.concatenate([trace.lat for trace in traces])
     lons = np.concatenate([trace.lon for trace in traces])
-    rng = RandomSource(seed)
-    values = []
-    n_empty = 0
-    for _ in range(cfg.samples):
-        i = int(rng.uniform() * n)
-        c = GeoPoint(float(lats[i]), float(lons[i]))
-        value, n_retrieved = precision_trial(
-            c, level, store, cfg.radius_m, cfg.alpha, rng, cfg.category
-        )
-        values.append(value)
-        if n_retrieved == 0:
-            n_empty += 1
+    # A trial draws its point's index, then perturb's bearing and two radius
+    # uniforms (none at zero noise): the draws of a loop of precision_trial.
+    noisy = level.epsilon != math.inf
+    draws = RandomSource(seed).uniforms((4 if noisy else 1) * cfg.samples).reshape(cfg.samples, -1)
+    at = (draws[:, 0] * n).astype(np.int64)
+    lat, lon = lats[at], lons[at]
+    noisy_lat, noisy_lon = displace(lat, lon, level, *draws[:, 1:].T) if noisy else (lat, lon)
+    enlarged = cfg.radius_m + inverse_radius_cdf(level, cfg.alpha)
+    values, retrieved = query_precisions(
+        store, lat, lon, noisy_lat, noisy_lon, cfg.radius_m, enlarged, cfg.category
+    )
     return PrecisionRow(
         epsilon=level.epsilon,
         alpha=cfg.alpha,
         radius_m=cfg.radius_m,
         mean_precision=sum(values) / len(values),
         n_samples=cfg.samples,
-        n_empty=n_empty,
+        n_empty=retrieved.count(0),
     )
 
 
@@ -391,24 +403,24 @@ def evaluate(
             raise ValueError(f"observed run {run} differs from run 0 in users: {', '.join(differ)}")
 
     real_sets = {u: ground_truth[u] for u in users}
+    results = [[remap(sets[u], real_sets[u]) for u in users] for sets in observed]
+    semantic = iter(semantic_distances([r for run in results for r in run], store))
     user_rows: list[UserRecallRow] = []
     pair_rows: list[PairRow] = []
     run_recalls: list[float] = []
     run_rates: list[float] = []
-    for run, sets in enumerate(observed):
+    for run, (sets, run_results) in enumerate(zip(observed, results)):
         obf_sets = {u: sets[u] for u in users}
         recalls = []
-        for u in users:
-            result = remap(obf_sets[u], real_sets[u])
+        for u, result in zip(users, run_results):
             rec = recall_of(result, len(real_sets[u]))
             recalls.append(rec)
             user_rows.append(
                 UserRecallRow(u, level.epsilon, run, rec, len(real_sets[u]), len(obf_sets[u]))
             )
-            geo = geographic_distances(result)
-            sem = semantic_distances(result, store)
             pair_rows.extend(
-                PairRow(u, level.epsilon, run, g, s) for g, s in zip(geo, sem)
+                PairRow(u, level.epsilon, run, g, s)
+                for g, s in zip(geographic_distances(result), next(semantic))
             )
         run_recalls.append(sum(recalls) / len(recalls))
         run_rates.append(reidentification_rate(real_sets, obf_sets))

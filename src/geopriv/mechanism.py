@@ -104,9 +104,11 @@ def sample_radii(level: PrivacyLevel, rng: RandomSource, n: int) -> np.ndarray:
     """
     if level.epsilon == math.inf:
         return np.zeros(n)
-    u1 = 1.0 - rng.uniforms(n)
-    u2 = 1.0 - rng.uniforms(n)
-    return -(np.log(u1) + np.log(u2)) / level.epsilon
+    return _radii(level, rng.uniforms(n), rng.uniforms(n))
+
+
+def _radii(level: PrivacyLevel, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    return -(np.log(1.0 - u1) + np.log(1.0 - u2)) / level.epsilon
 
 
 def inverse_radius_cdf(level: PrivacyLevel, p: float) -> float:
@@ -138,18 +140,33 @@ def perturb(
     """Noisy latitudes and longitudes for n points: the one obfuscation path.
 
     Draws three blocks of n uniforms in a fixed order (bearings, then the
-    two radius blocks), so a freshly seeded source reproduces the output.
-    The displacement is an equirectangular step, longitude wrapped at the
-    antimeridian. Zero noise returns the input and draws nothing;
-    any point beyond MAX_OFFSET_LAT raises.
+    two radius blocks), so a freshly seeded source reproduces the output,
+    and moves the points by :func:`displace`. Zero noise returns the input
+    and draws nothing; any point beyond MAX_OFFSET_LAT raises.
     """
     if level.epsilon == math.inf:
         return lat, lon
+    n = len(lat)
+    return displace(lat, lon, level, rng.uniforms(n), rng.uniforms(n), rng.uniforms(n))
+
+
+def displace(
+    lat: np.ndarray, lon: np.ndarray, level: PrivacyLevel,
+    bearing_u: np.ndarray, radius_u1: np.ndarray, radius_u2: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The points moved by the noise that three uniforms in [0, 1) per
+    point select: a bearing and the two radius draws of
+    :func:`sample_radii`. The step is equirectangular, longitude wrapped
+    at the antimeridian; any point beyond MAX_OFFSET_LAT raises.
+
+    :func:`perturb` draws the uniforms block by block;
+    ``experiment.precision_summary`` draws them trial by trial and moves
+    all its query points with one call.
+    """
     if np.any(np.abs(lat) > MAX_OFFSET_LAT):
         raise ValueError("polar region unsupported")
-    n = len(lat)
-    theta = TWO_PI * rng.uniforms(n)
-    r = sample_radii(level, rng, n)
+    theta = TWO_PI * bearing_u
+    r = _radii(level, radius_u1, radius_u2)
     new_lat = lat + r * np.sin(theta) / METERS_PER_DEGREE
     new_lon = lon + r * np.cos(theta) / (METERS_PER_DEGREE * np.cos(np.radians(lat)))
     return new_lat, (new_lon + 180.0) % 360.0 - 180.0
@@ -162,7 +179,8 @@ def obfuscate_trace(trace: MobilityTrace, level: PrivacyLevel, rng: RandomSource
     trace returns the trace itself. Noise that carries a point past
     a pole raises, naming the user and the noisy latitude.
     ``metrics.precision_trial`` perturbs its one query point through the
-    same function (n = 1).
+    same function (n = 1), and ``experiment.precision_summary`` moves its
+    query points through the same :func:`displace`.
     """
     if level.epsilon == math.inf or len(trace) == 0:
         return trace

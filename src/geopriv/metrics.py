@@ -9,15 +9,19 @@ A separate linking attack scores how often an anonymous POI set can be
 re-associated with its owner, and the precision metric measures the
 utility cost of querying a service through the obfuscation.
 
-Both adversary metrics decide on chord arrays and re-check exactly in a
+The adversary metrics decide on chord arrays and re-check exactly in a
 proven band. The linking attack scores every candidate at once from the
 ``core.chord_xyz`` coordinates of all POIs; only the candidates within
 twice ``_SCORE_SLACK_M`` of the best such score reach the scalar
-``poi_set_distance``, which decides. The precision trial counts features
-through the store's chord scan, which accepts those clearly inside the
-radius and re-checks only the ``_CHORD_SLACK_M`` band with
-``core.distance``. Every reported value and every decision is therefore
-the one the scalar distance gives.
+``poi_set_distance``, which decides. Semantic distance looks up every
+distinct POI of a whole level in one ``FeatureStore.nearest`` call and
+compares the neighbourhoods as index sets. The precision trials of a
+summary run as one blocked pass (:func:`query_precisions`): a block of
+queries against every feature is one product per side, the store's chord
+scan accepts the features clearly inside each radius, and only the
+``_CHORD_SLACK_M`` band is re-checked with ``core.distance``. Every
+reported value and every decision is therefore the one the scalar
+distance gives.
 
 All functions are pure given immutable inputs; the only randomness flows
 through the explicitly passed source of the precision trial.
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -87,23 +91,30 @@ def geographic_distances(result: RemapResult) -> list[float]:
     return [p.distance_m for p in result.pairs]
 
 
-def semantic_distances(result: RemapResult, store: FeatureStore) -> list[float]:
-    """Per remapped pair: 1 - overlap of the ``DEFAULT_TOP_K`` nearest
-    features around the obfuscated POI versus around its remap target.
+def semantic_distances(results: Sequence[RemapResult], store: FeatureStore) -> list[list[float]]:
+    """Per result, per remapped pair: 1 - overlap of the ``DEFAULT_TOP_K``
+    nearest features around the obfuscated POI versus around its remap
+    target.
 
-    Overlap is by feature id; the denominator is the actual number of
-    features returned around the target (relevant only when the store
-    holds fewer than ``DEFAULT_TOP_K`` features).
+    Overlap counts the features the two neighbourhoods share; the
+    denominator is the actual number of features returned around the
+    target (relevant only when the store holds fewer than
+    ``DEFAULT_TOP_K`` features). Every distinct point of all the results
+    is queried once, in one :meth:`FeatureStore.nearest` call.
     """
     if len(store) == 0:
         raise ValueError("semantic distance needs a non-empty feature store")
-    out = []
-    for p in result.pairs:
-        around_obf = {f.id for f in store.top_k(p.obfuscated.centroid, DEFAULT_TOP_K)}
-        around_real = [f.id for f in store.top_k(p.real.centroid, DEFAULT_TOP_K)]
-        overlap = sum(1 for fid in around_real if fid in around_obf)
-        out.append(1.0 - overlap / len(around_real))
-    return out
+    slots: dict[tuple[float, float], int] = {}
+    pairs = [
+        [slots.setdefault((c.lat, c.lon), len(slots)) for c in (p.obfuscated.centroid, p.real.centroid)]
+        for result in results for p in result.pairs
+    ]
+    points = np.array(list(slots), dtype=float).reshape(-1, 2)
+    near = store.nearest(points[:, 0], points[:, 1], DEFAULT_TOP_K)
+    around_obf, around_real = (near[i] for i in np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
+    overlap = (around_real[:, :, None] == around_obf[:, None, :]).any(axis=2).sum(axis=1)
+    values = iter((1.0 - overlap / near.shape[1]).tolist())
+    return [[next(values) for _ in result.pairs] for result in results]
 
 
 def poi_set_distance(a: PoiSet, b: PoiSet) -> float:
@@ -250,11 +261,38 @@ def precision_trial(
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     if not radius_m > 0.0:
         raise ValueError(f"radius must be > 0, got {radius_m!r}")
-    lat, lon = perturb(np.array([c.lat]), np.array([c.lon]), level, rng)
-    z = GeoPoint(float(lat[0]), float(lon[0]))
-    enlargement = inverse_radius_cdf(level, alpha)
-    retrieved = store._within(z, radius_m + enlargement, category)
-    if len(retrieved) == 0:
-        return 1.0, 0
-    useless = len(np.setdiff1d(retrieved, store._within(c, radius_m, category), assume_unique=True))
-    return 1.0 - useless / len(retrieved), len(retrieved)
+    lat, lon = np.array([c.lat]), np.array([c.lon])
+    noisy_lat, noisy_lon = perturb(lat, lon, level, rng)
+    enlarged = radius_m + inverse_radius_cdf(level, alpha)
+    values, retrieved = query_precisions(store, lat, lon, noisy_lat, noisy_lon, radius_m, enlarged, category)
+    return values[0], retrieved[0]
+
+
+def query_precisions(
+    store: FeatureStore,
+    lat: np.ndarray,
+    lon: np.ndarray,
+    noisy_lat: np.ndarray,
+    noisy_lon: np.ndarray,
+    radius_m: float,
+    enlarged_m: float,
+    category: str | None = None,
+) -> tuple[list[float], list[int]]:
+    """Per query, the precision and the retrieved count of
+    :func:`precision_trial`, for queries issued from the noisy points with
+    radius ``enlarged_m`` and judged against radius_m around the true ones.
+
+    The queries are scanned in blocks: one product per side, the store's
+    chord bands, and exact re-checks only inside them.
+    """
+    past_pole = np.flatnonzero(np.abs(noisy_lat) > 90.0)
+    if past_pole.size:
+        raise ValueError(f"noise moved a query to latitude {float(noisy_lat[past_pole[0]])!r}, past the pole")
+    counts, useless = [], []
+    for rows in store._blocks(len(lat)):
+        retrieved = store._within(noisy_lat[rows], noisy_lon[rows], enlarged_m, category)
+        honest = store._within(lat[rows], lon[rows], radius_m, category, among=retrieved)
+        counts += retrieved.sum(axis=1).tolist()
+        useless += (retrieved & ~honest).sum(axis=1).tolist()
+    values = [1.0 - u / n if n else 1.0 for n, u in zip(counts, useless)]
+    return values, counts

@@ -2,9 +2,9 @@
 
 These deliberately stay naive and quadratic, sharing no code with the
 production paths they check (beyond the scalar distance function, which is
-itself pinned by direct arithmetic tests, and the mechanism's perturb and
-radius quantile, which the precision-trial oracle replays to issue the
-same obfuscated query). The radial law of the noise, ``radius_cdf``, lives
+itself pinned by direct arithmetic tests, and the mechanism's random
+source, perturb and radius quantile, which the precision oracles replay
+one trial at a time to issue the same obfuscated queries). The radial law of the noise, ``radius_cdf``, lives
 here: no production path evaluates it, and ``inverse_radius_cdf_bisect``
 inverts it to check the mechanism's quantile solve. The parser oracle validates each record as
 TimestampedLocation/GeoPoint objects and shares only the CSV header, the
@@ -39,7 +39,7 @@ from geopriv.core import (
     distance,
 )
 from geopriv.ingest import CANONICAL_HEADER, MALFORMED_TOLERANCE
-from geopriv.mechanism import PrivacyLevel, inverse_radius_cdf, perturb
+from geopriv.mechanism import PrivacyLevel, RandomSource, inverse_radius_cdf, perturb
 from geopriv.poi import ExtractionParams, Stay
 
 logger = logging.getLogger(__name__)
@@ -298,6 +298,22 @@ def precision_trial_literal(c: GeoPoint, level, features, radius_m, alpha, rng, 
     real_ids = {f.id for f in brute_force_range(features, c, radius_m, category)}
     useless = sum(1 for f in retrieved if f.id not in real_ids)
     return 1.0 - useless / len(retrieved), len(retrieved)
+
+
+def precision_summary_literal(dataset: Dataset, level, features, cfg, seed: int) -> tuple[float, int]:
+    """``experiment.precision_summary`` as a loop of precision_trial_literal:
+    each trial draws one uniform that picks a point of the users' traces
+    (concatenated in sorted user order), then the trial draws its own
+    noise from the same stream. Returns (mean precision, empty count)."""
+    points = [loc.point for user in sorted(dataset.traces) for loc in dataset.traces[user].locations]
+    rng = RandomSource(seed)
+    values, empty = [], 0
+    for _ in range(cfg.samples):
+        c = points[int(rng.uniform() * len(points))]
+        value, retrieved = precision_trial_literal(c, level, features, cfg.radius_m, cfg.alpha, rng, cfg.category)
+        values.append(value)
+        empty += retrieved == 0
+    return sum(values) / len(values), empty
 
 
 def parse_canonical_literal(lines: Iterable[str]) -> Dataset:

@@ -5,7 +5,7 @@ import shutil
 import pytest
 from click.testing import CliRunner
 
-from geopriv import experiment
+from geopriv import cli, experiment
 from geopriv.cli import main
 from geopriv.core import Dataset, GeoPoint, MobilityTrace, TimestampedLocation
 from geopriv.ingest import FilterPolicy, dataset_digest, parse_canonical, parse_pois, write_canonical
@@ -621,6 +621,85 @@ def test_record_values_of_the_wrong_kind_are_refused_by_file_and_key(pipeline, t
     assert result.exit_code == 2, result.output
     assert f"Error: {message}\n" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["epsilon negative", "epsilon zero", "min_time zero", "max_distance negative"])
+@pytest.mark.parametrize("command", ["sweep", "evaluate"])
+def test_record_values_out_of_range_are_refused_by_file_and_key(pipeline, tmp_path, command, case):
+    work, pois_csv, campaign, synthetic = pipeline
+    real, broken = tmp_path / "real.csv", tmp_path / "campaign"
+    shutil.copy(pois_csv, real)
+    _copy_record(pois_csv, real)
+    shutil.copytree(campaign, broken)
+    meta_path, record_path = broken / "campaign.json", tmp_path / "real.csv.json"
+    meta, record = json.loads(meta_path.read_text()), json.loads(record_path.read_text())
+    extraction = record["extraction"]
+    path, text, message = {
+        "epsilon negative": (meta_path, {**meta, "epsilon": -1},
+                             f"{meta_path} gives epsilon -1: epsilon must be > 0, got -1.0"),
+        "epsilon zero": (meta_path, {**meta, "epsilon": 0.0},
+                         f"{meta_path} gives epsilon 0.0: epsilon must be > 0, got 0.0"),
+        "min_time zero": (record_path, {**record, "extraction": {**extraction, "min_time": 0}},
+                          f"{record_path} gives extraction {json.dumps({**extraction, 'min_time': 0})}: "
+                          "min_time must be > 0"),
+        "max_distance negative": (record_path, {**record, "extraction": {**extraction, "max_distance": -5.0}},
+                                  f"{record_path} gives extraction {json.dumps({**extraction, 'max_distance': -5.0})}: "
+                                  "max_distance must be > 0"),
+    }[case]
+    path.write_text(json.dumps(text))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [
+        command, "--real", str(real), "--campaign", str(broken), *_scoring_args(command, synthetic, out),
+    ])
+    assert result.exit_code == 2, result.output
+    assert f"Error: {message}\n" in result.output
+    assert not out.exists()
+
+
+def _reading_nothing(monkeypatch):
+    """Make every input reader of the command line fail the test."""
+    def read(*args, **kwargs):
+        raise AssertionError("an input was read before the output path was checked")
+
+    for reader in ("_load", "_read_record", "_resolve_store"):
+        monkeypatch.setattr(cli, reader, read)
+
+
+@pytest.mark.parametrize("case", ["ingest into no directory", "pois into no directory", "obfuscate onto a file",
+                                  "sweep into no directory", "evaluate onto a file", "reident into no directory",
+                                  "precision into no directory", "sweep onto a directory",
+                                  "evaluate under a file"])
+def test_output_paths_are_refused_before_any_input_is_read(world, pipeline, tmp_path, monkeypatch, case):
+    root, dataset, traces, synthetic = world
+    work, pois_csv, campaign, _ = pipeline
+    a_file, nowhere = tmp_path / "a-file", tmp_path / "nodir" / "out.csv"
+    a_file.write_text("kept\n")
+    scored = ["--real", pois_csv, "--campaign", campaign]
+    level = ["--epsilon", "0.00693"]
+    missing = f"[Errno 2] No such file or directory: '{nowhere}'"
+    args, message = {
+        "ingest into no directory": (["ingest", "--format", "csv", "--input", traces, "--output", nowhere], missing),
+        "pois into no directory": (["pois", "--input", traces, "--output", nowhere],
+                                   f"[Errno 2] No such file or directory: '{nowhere}.json'"),
+        "obfuscate onto a file": (["obfuscate", "--input", traces, *level, "--runs", "1", "--output-dir", a_file],
+                                  f"[Errno 17] File exists: '{a_file}'"),
+        "sweep into no directory": (["sweep", *scored, *_scoring_args("sweep", synthetic, nowhere)], missing),
+        "evaluate onto a file": (["evaluate", *scored, *_scoring_args("evaluate", synthetic, a_file)],
+                                 f"[Errno 17] File exists: '{a_file}'"),
+        "reident into no directory": (["reident", "--real", pois_csv, "--obf", pois_csv, "--out", nowhere], missing),
+        "precision into no directory": (["precision", "--input", traces, "--synthetic", synthetic, *level,
+                                         "--samples", "5", "--out", nowhere], missing),
+        "sweep onto a directory": (["sweep", *scored, *_scoring_args("sweep", synthetic, tmp_path)],
+                                   f"[Errno 21] Is a directory: '{tmp_path}'"),
+        "evaluate under a file": (["evaluate", *scored, *_scoring_args("evaluate", synthetic, a_file / "report")],
+                                  f"[Errno 20] Not a directory: '{a_file / 'report'}'"),
+    }[case]
+    _reading_nothing(monkeypatch)
+    result = CliRunner().invoke(main, [str(arg) for arg in args])
+    assert result.exit_code == 2, result.output
+    # the refusal is all the command prints: no table, no progress line
+    assert result.output.startswith("Usage: ") and f"Error: {message}\n" in result.output
+    assert a_file.read_text() == "kept\n" and not nowhere.parent.exists()
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geopriv import features as features_module
 from geopriv.core import GeoPoint, distance
 from geopriv.features import Feature, FeatureStore, generate_synthetic_features
 
@@ -183,6 +186,45 @@ class TestWholeSphere:
             assert store.top_k(c, k) == brute_force_top_k(features, c, k)
             assert store.range_query(c, radius) == brute_force_range(features, c, radius)
             assert store.range_query(c, radius, category) == brute_force_range(features, c, radius, category)
+
+
+class TestNearest:
+    @settings(max_examples=150, deadline=None)
+    @given(_sphere_queries(), st.data())
+    def test_rows_match_brute_force_as_sets(self, world, data):
+        """One call over every query point, some repeated, in blocks of one
+        or two rows; k may exceed the store."""
+        features, queries = world
+        points = [c for c, *_ in queries]
+        points += data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=4))
+        k = data.draw(st.one_of(st.integers(1, 15), st.integers(len(features) - 1, len(features) + 3)))
+        store = FeatureStore.build(features)
+        stored = list(store)
+        cells = data.draw(st.integers(1, 2 * len(features)))
+        with mock.patch.object(features_module, "_BLOCK_CELLS", cells):
+            got = store.nearest([c.lat for c in points], [c.lon for c in points], k)
+        assert got.shape == (len(points), min(k, len(features)))
+        for c, row in zip(points, got.tolist()):
+            ids = [stored[i].id for i in row]
+            assert len(set(ids)) == len(ids)
+            assert set(ids) == {f.id for f in brute_force_top_k(features, c, k)}
+
+    def test_equidistant_features_tie_by_id(self):
+        # mirror images about the equator are exactly equidistant from a point on it
+        c = GeoPoint(0.0, 180.0)
+        store = FeatureStore.build([Feature("b", GeoPoint(0.001, 180.0), "x"),
+                                    Feature("a", GeoPoint(-0.001, 180.0), "x"),
+                                    Feature("c", GeoPoint(0.0, -179.99), "x")])
+        stored = list(store)
+        assert [stored[i].id for i in store.nearest([c.lat], [c.lon], 1)[0]] == ["a"]
+        assert sorted(stored[i].id for i in store.nearest([c.lat], [c.lon], 2)[0]) == ["a", "b"]
+
+    def test_no_queries_and_no_features(self):
+        store = FeatureStore.build(_random_features(11, 5))
+        assert store.nearest([], [], 3).shape == (0, 3)
+        assert FeatureStore.build([]).nearest([90.0], [0.0], 3).shape == (1, 0)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            store.nearest([45.0], [5.0], 0)
 
 
 class TestGenerateSynthetic:

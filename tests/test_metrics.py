@@ -1,10 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geopriv.core import EARTH_RADIUS_M, GeoPoint, Poi, PoiSet, distance
+from geopriv import features as features_module
+from geopriv.core import EARTH_RADIUS_M, Dataset, GeoPoint, MobilityTrace, Poi, PoiSet, distance
+from geopriv.experiment import PrecisionConfig, precision_summary
 from geopriv.features import Feature, FeatureStore
 from geopriv.mechanism import PrivacyLevel, RandomSource, inverse_radius_cdf, perturb
 from geopriv.metrics import (
@@ -18,7 +21,7 @@ from geopriv.metrics import (
     semantic_distances,
 )
 
-from oracles import offset, precision_trial_literal, reidentification_rate_literal
+from oracles import offset, precision_summary_literal, precision_trial_literal, reidentification_rate_literal
 
 BASE = GeoPoint(45.0, 5.0)
 MEDIUM = PrivacyLevel.from_level(math.log(6), 500.0)
@@ -108,14 +111,14 @@ class TestSemanticDistance:
     def test_identical_points_share_neighbourhood(self):
         store = self._line_store()
         real = _poiset("u", (600, 0))
-        got = semantic_distances(remap(real, real), store)
+        got = semantic_distances([remap(real, real)], store)[0]
         assert got == [0.0]
 
     def test_disjoint_neighbourhoods(self):
         store = self._line_store(n=60)
         real = _poiset("u", (0, 0))
         obf = _poiset("u", (6000, 0))
-        assert semantic_distances(remap(obf, real), store) == [1.0]
+        assert semantic_distances([remap(obf, real)], store)[0] == [1.0]
 
     def test_partial_overlap_fraction(self):
         # 15-nearest windows on a uniform line shift feature-for-feature:
@@ -123,17 +126,17 @@ class TestSemanticDistance:
         store = self._line_store(n=60)
         real = _poiset("u", (2400, 0))  # features 14..28 around slot 20
         obf = _poiset("u", (2760, 0))  # shifted by 3 slots
-        got = semantic_distances(remap(obf, real), store)
+        got = semantic_distances([remap(obf, real)], store)[0]
         assert got[0] == pytest.approx(1 - 12 / 15)
 
     def test_small_store_uses_actual_count(self):
         store = self._line_store(n=5)
         real = _poiset("u", (0, 0))
-        assert semantic_distances(remap(real, real), store) == [0.0]
+        assert semantic_distances([remap(real, real)], store)[0] == [0.0]
 
     def test_empty_store_rejected(self):
         with pytest.raises(ValueError, match="feature store"):
-            semantic_distances(remap(_poiset("u", (0, 0)), _poiset("u", (0, 0))), FeatureStore.build([]))
+            semantic_distances([remap(_poiset("u", (0, 0)), _poiset("u", (0, 0)))], FeatureStore.build([]))
 
 
 class TestPoiSetDistance:
@@ -230,6 +233,16 @@ class TestReidentificationRate:
             reidentification_rate({}, {})
 
 
+class _NorthPole:
+    """Uniforms that point the noise north with the largest radius draws."""
+
+    def __init__(self):
+        self._draws = iter([0.25, 1.0 - 2**-53, 1.0 - 2**-53])
+
+    def uniforms(self, n):
+        return np.array([next(self._draws) for _ in range(n)])
+
+
 class TestQueryPrecision:
     def _grid_store(self, spacing=100.0, half=30):
         feats = []
@@ -275,6 +288,11 @@ class TestQueryPrecision:
             query_precision(BASE, MEDIUM, store, 500.0, 0.0, RandomSource(1))
         with pytest.raises(ValueError):
             query_precision(BASE, MEDIUM, store, 0.0, 0.5, RandomSource(1))
+
+    def test_noise_past_the_pole_is_refused(self):
+        store = self._grid_store(half=2)
+        with pytest.raises(ValueError, match="past the pole"):
+            precision_trial(GeoPoint(88.9, 5.0), PrivacyLevel(1e-7), store, 500.0, 0.85, _NorthPole())
 
     def test_category_filter_applies_to_both_queries(self):
         feats = [
@@ -416,3 +434,47 @@ class TestPrecisionTrialOracle:
         store = FeatureStore.build(features)
         got = precision_trial(c, level, store, radius, alpha, RandomSource(seed), category)
         assert got == precision_trial_literal(c, level, features, radius, alpha, RandomSource(seed), category)
+
+
+@st.composite
+def _precision_studies(draw):
+    """A few short traces around one point, features on and beside the
+    honest disc of some trace points, and a precision configuration whose
+    query blocks hold 1 to 4 trials, so most sample counts cross one."""
+    gen = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    lat0, lon0 = draw(st.floats(-60.0, 60.0)), draw(st.floats(-180.0, 180.0))
+    traces = {}
+    for u in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 8))
+        lat = lat0 + gen.uniform(-0.01, 0.01, n)
+        lon = (lon0 + gen.uniform(-0.01, 0.01, n) + 180.0) % 360.0 - 180.0
+        traces[f"u{u}"] = MobilityTrace.from_columns(f"u{u}", np.arange(n) * 60, lat, lon)
+    dataset = Dataset(traces)
+    cfg = PrecisionConfig(
+        radius_m=draw(st.sampled_from((50.0, 300.0, 1000.0))),
+        alpha=draw(st.sampled_from((0.5, 0.85))),
+        samples=draw(st.integers(1, 40)),
+        category=draw(st.sampled_from((None, "x"))),
+    )
+    points = [loc.point for trace in traces.values() for loc in trace.locations]
+    bearings = st.floats(0.0, 2.0 * math.pi)
+    shifts = st.sampled_from((-1.0, -1e-3, 0.0, 1e-3, 1.0))
+    spots = [_destination(draw(st.sampled_from(points)), draw(bearings), cfg.radius_m + draw(shifts))
+             for _ in range(draw(st.integers(0, 10)))]
+    spots += [_destination(draw(st.sampled_from(points)), draw(bearings), draw(st.floats(0.0, 3000.0)))
+              for _ in range(draw(st.integers(0, 20)))]
+    features = [Feature(f"f{i:02d}", p, draw(st.sampled_from(("x", "y")))) for i, p in enumerate(spots)]
+    level = draw(st.sampled_from((PrivacyLevel.zero_noise(), PrivacyLevel(0.0005), PrivacyLevel(0.002),
+                                  PrivacyLevel(0.01))))
+    return dataset, level, features, cfg, draw(st.integers(0, 2**32)), draw(st.integers(1, 4))
+
+
+class TestPrecisionSummaryOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(_precision_studies())
+    def test_blocked_pass_matches_a_loop_of_literal_trials(self, study):
+        dataset, level, features, cfg, seed, block_rows = study
+        store = FeatureStore.build(features)
+        with mock.patch.object(features_module, "_BLOCK_CELLS", block_rows * max(len(features), 1)):
+            row = precision_summary(dataset, level, store, cfg, seed)
+        assert (row.mean_precision, row.n_empty) == precision_summary_literal(dataset, level, features, cfg, seed)
