@@ -25,7 +25,9 @@ near the poles.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -223,6 +225,14 @@ class PoiSet:
     def __len__(self) -> int:
         return len(self.pois)
 
+    @cached_property
+    def xyz(self) -> np.ndarray:
+        """The chord coordinates of the POI centroids, one row per POI in
+        the set's order, computed on first use and read-only."""
+        xyz = chord_xyz([p.centroid.lat for p in self.pois], [p.centroid.lon for p in self.pois])
+        xyz.flags.writeable = False
+        return xyz
+
 
 # Accuracy that the chord bands of features and metrics rest on: both this
 # haversine's sqrt(h) and a chord of chord_xyz coordinates divided by 2R
@@ -254,6 +264,14 @@ def chord_m(arc_m: float) -> float:
     return 2.0 * EARTH_RADIUS_M * math.sin(min(arc_m / (2.0 * EARTH_RADIUS_M), math.pi / 2.0))
 
 
+# Every chord matrix of the package (feature queries, clustering, the
+# linking attack) is built in blocks of at most this many cells: 512 KB
+# per float64 temporary, 9 queries against 6,810 features. Blocks of 2 MB
+# were no faster and raised a study's peak memory by a fifth. Each module
+# reads it under its own name, so a test can shrink one module's blocks.
+_BLOCK_CELLS = 1 << 16
+
+
 def chord_xyz(lats, lons) -> np.ndarray:
     """Earth-centred 3-D coordinates in metres, one ``(x, y, z)`` row per
     point: the one chord projection that every walk, cluster and feature
@@ -264,14 +282,23 @@ def chord_xyz(lats, lons) -> np.ndarray:
     return np.column_stack((cp * np.cos(lam), cp * np.sin(lam), np.sin(phi) * EARTH_RADIUS_M))
 
 
+def sequential_sum(values: Iterable[float]) -> float:
+    """The floats added left to right, each addition rounded: the sum that
+    built-in ``sum()`` gave before Python 3.12, which compensates its float
+    sums. Every centroid and report mean adds with it, so the reports do
+    not depend on the Python version."""
+    return reduce(operator.add, values, 0.0)
+
+
 def centroid(points: Sequence[GeoPoint]) -> GeoPoint:
-    """Arithmetic mean of latitudes and longitudes.
+    """Arithmetic mean of latitudes and longitudes, each summed in the
+    points' order (:func:`sequential_sum`).
 
     Valid at city scale (points spanning < 100 km, away from the
     antimeridian); raises on an empty input.
     """
     if not points:
         raise ValueError("empty point set")
-    lat = sum(p.lat for p in points) / len(points)
-    lon = sum(p.lon for p in points) / len(points)
+    lat = sequential_sum(p.lat for p in points) / len(points)
+    lon = sequential_sum(p.lon for p in points) / len(points)
     return GeoPoint(lat, lon)

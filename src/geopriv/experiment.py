@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .core import Dataset, PoiSet
+from .core import Dataset, PoiSet, sequential_sum
 from .ingest import dataset_digest
 from .features import FeatureStore
 from .mechanism import (
@@ -306,8 +306,8 @@ def threshold_sweep(
                 recall_of(remap(sets[u][k], ground_truth[u]), len(ground_truth[u]))
                 for u in eligible
             ]
-            run_means.append(sum(recalls) / len(recalls))
-        rows.append((threshold, sum(run_means) / len(run_means)))
+            run_means.append(sequential_sum(recalls) / len(recalls))
+        rows.append((threshold, sequential_sum(run_means) / len(run_means)))
 
     optimal = next((thr for thr, r in rows if r > sweep.recall_target), None)
     best = max(rows, key=lambda row: (row[1], -row[0]))[0]
@@ -358,7 +358,7 @@ def precision_summary(
         epsilon=level.epsilon,
         alpha=cfg.alpha,
         radius_m=cfg.radius_m,
-        mean_precision=sum(values) / len(values),
+        mean_precision=sequential_sum(values) / len(values),
         n_samples=cfg.samples,
         n_empty=retrieved.count(0),
     )
@@ -422,7 +422,7 @@ def evaluate(
                 PairRow(u, level.epsilon, run, g, s)
                 for g, s in zip(geographic_distances(result), next(semantic))
             )
-        run_recalls.append(sum(recalls) / len(recalls))
+        run_recalls.append(sequential_sum(recalls) / len(recalls))
         run_rates.append(reidentification_rate(real_sets, obf_sets))
 
     return EvaluationReport(
@@ -432,7 +432,7 @@ def evaluate(
             LevelRecallRow(
                 epsilon=level.epsilon,
                 threshold_m=threshold_m,
-                mean_recall=sum(run_recalls) / len(run_recalls),
+                mean_recall=sequential_sum(run_recalls) / len(run_recalls),
                 n_users=len(users),
                 runs=len(observed),
             ),
@@ -440,7 +440,7 @@ def evaluate(
         reident_rows=(
             ReidentRow(
                 epsilon=level.epsilon,
-                rate=sum(run_rates) / len(run_rates),
+                rate=sequential_sum(run_rates) / len(run_rates),
                 n_users=len(users),
             ),
         ),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EARTH_RADIUS_M, GeoPoint, chord_m, chord_xyz, distance
+from .core import _BLOCK_CELLS, EARTH_RADIUS_M, GeoPoint, chord_m, chord_xyz, distance
 
 # Default k for neighbourhood similarity queries.
 DEFAULT_TOP_K = 15
@@ -44,11 +44,6 @@ DEFAULT_TOP_K = 15
 # there), and asin climbs at least as fast as s, so the distance it
 # returns is below the radius by more than 0.7 m.
 _CHORD_SLACK_M = 1.0
-
-# Queries are scanned in blocks of at most this many (query, feature) cells:
-# 512 KB of float64 dots, 9 queries against 6,810 features. Blocks of 2 MB
-# were no faster and raised a study's peak memory by a fifth.
-_BLOCK_CELLS = 1 << 16
 
 
 def _cut(reach: float) -> float:

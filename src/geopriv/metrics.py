@@ -10,18 +10,27 @@ re-associated with its owner, and the precision metric measures the
 utility cost of querying a service through the obfuscation.
 
 The adversary metrics decide on chord arrays and re-check exactly in a
-proven band. The linking attack scores every candidate at once from the
-``core.chord_xyz`` coordinates of all POIs; only the candidates within
-twice ``_SCORE_SLACK_M`` of the best such score reach the scalar
-``poi_set_distance``, which decides. Semantic distance looks up every
-distinct POI of a whole level in one ``FeatureStore.nearest`` call and
-compares the neighbourhoods as index sets. The precision trials of a
-summary run as one blocked pass (:func:`query_precisions`): a block of
-queries against every feature is one product per side, the store's chord
-scan accepts the features clearly inside each radius, and only the
-``_CHORD_SLACK_M`` band is re-checked with ``core.distance``. Every
-reported value and every decision is therefore the one the scalar
-distance gives.
+proven band. Every nearest-POI decision (:func:`remap` and both
+directions of :func:`poi_set_distance`) is one routine, :func:`_nearest`:
+per row of a chord matrix it takes the chord argmin, and re-checks with
+``core.distance`` every column within ``_NEAREST_SLACK_M`` (1 mm) of the
+row's least chord, keeping the earliest least one. The proof at that
+constant shows that no column outside the band can hold, or tie, the
+least distance, so the decision is the scalar loop's. Each PoiSet's chord
+coordinates are computed once (``PoiSet.xyz``). The linking attack scores
+every anonymous set of a run against every candidate in one blocked
+chord pass (blocks of at most ``core._BLOCK_CELLS`` cells); only the
+candidates within twice ``_SCORE_SLACK_M`` of a set's best such score
+reach the scalar ``poi_set_distance``, which decides, measuring only the
+P + Q chosen pairs (and any band re-checks) instead of 2PQ. Semantic
+distance looks up every distinct POI of a whole level in one
+``FeatureStore.nearest`` call and compares the neighbourhoods as index
+sets. The precision trials of a summary run as one blocked pass
+(:func:`query_precisions`): a block of queries against every feature is
+one product per side, the store's chord scan accepts the features clearly
+inside each radius, and only the ``_CHORD_SLACK_M`` band is re-checked
+with ``core.distance``. Every reported value and every decision is
+therefore the one the scalar distance gives.
 
 All functions are pure given immutable inputs; the only randomness flows
 through the explicitly passed source of the precision trial.
@@ -35,7 +44,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import EARTH_RADIUS_M, GeoPoint, Poi, PoiSet, chord_xyz, distance
+from .core import _BLOCK_CELLS, EARTH_RADIUS_M, GeoPoint, Poi, PoiSet, distance
 from .features import DEFAULT_TOP_K, FeatureStore
 from .mechanism import PrivacyLevel, RandomSource, inverse_radius_cdf, perturb
 
@@ -60,25 +69,70 @@ class RemapResult:
     pairs: tuple[RemapPair, ...]
 
 
+# Band of the nearest-POI decisions, in metres of chord. A row's chord
+# argmin decides alone unless another column lies within this band of the
+# row's least chord; then every column in the band is re-checked with
+# core.distance. Proof that no column outside the band can hold the least
+# distance, nor tie with it: core.distance's sqrt(h) and chord / 2R both
+# give s = sin(angle / 2) within 1e-14 of the exact value (see
+# core.distance). Let column j have the least chord, and column i a chord
+# more than B = 1e-3 m above it. Then i's s, as distance evaluates it,
+# exceeds j's by more than B / 2R - 4e-14 > 7.8e-11. asin climbs at least
+# as fast as its argument, so the exact 2R asin of i's s exceeds j's by
+# more than 2R * 7.8e-11 > 9.9e-4 m, while the roundings of asin and of
+# the two products move each returned distance by under 1e-8 m (3 ulps of
+# at most 2e7 m). So distance(i) > distance(j): the least distance, and
+# each column that ties with it, lies inside the band.
+_NEAREST_SLACK_M = 1e-3
+
+
+def _chords(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Chord lengths in metres between the rows of ``a`` (matrix rows) and
+    the rows of ``b`` (columns), both ``core.chord_xyz`` coordinates."""
+    return np.sqrt(sum((a[:, k, None] - b[:, k]) ** 2 for k in range(3)))
+
+
+def _exact(a: PoiSet, b: PoiSet):
+    """``distance`` of POI i of a and POI j of b, as a function of (i, j)."""
+    return lambda i, j: distance(a.pois[i].centroid, b.pois[j].centroid)
+
+
+def _nearest(chords: np.ndarray, exact) -> list[int]:
+    """Per row of a chord matrix (metres), the column whose ``exact(row,
+    column)`` distance is least, the earliest on ties.
+
+    The chord argmin decides a row unless another column lies within
+    ``_NEAREST_SLACK_M`` of its least chord; such a row re-checks every
+    column in that band with ``exact`` and keeps the earliest least one.
+    """
+    picks = chords.argmin(axis=1).tolist()
+    band = chords <= chords.min(axis=1, keepdims=True) + _NEAREST_SLACK_M
+    for r in np.flatnonzero(band.sum(axis=1) > 1).tolist():
+        picks[r] = min(np.flatnonzero(band[r]).tolist(), key=lambda c: exact(r, c))
+    return picks
+
+
+def _matches(obf: PoiSet, real: PoiSet) -> list[int]:
+    """Per obfuscated POI, the index of its nearest real POI (:func:`_nearest`)."""
+    if len(real) == 0:
+        raise ValueError(f"user {real.user!r} has no real POIs")
+    if len(obf) == 0:
+        return []
+    return _nearest(_chords(obf.xyz, real.xyz), _exact(obf, real))
+
+
 def remap(obf: PoiSet, real: PoiSet) -> RemapResult:
     """Map every obfuscated POI to the nearest real POI of the same user.
 
     Ties go to the earlier POI in the real set's deterministic order.
     Raises when the user has no real POIs; such users are excluded from
-    remap-based metrics upstream.
+    remap-based metrics upstream. ``distance_m`` is measured for the
+    chosen pair only.
     """
-    if len(real) == 0:
-        raise ValueError(f"user {real.user!r} has no real POIs")
-    pairs = []
-    for o in obf.pois:
-        best_i = 0
-        best_d = distance(o.centroid, real.pois[0].centroid)
-        for i, r in enumerate(real.pois[1:], start=1):
-            d = distance(o.centroid, r.centroid)
-            if d < best_d:
-                best_i, best_d = i, d
-        pairs.append(RemapPair(o, real.pois[best_i], best_i, best_d))
-    return RemapResult(user=obf.user, pairs=tuple(pairs))
+    return RemapResult(user=obf.user, pairs=tuple(
+        RemapPair(o, real.pois[i], i, distance(o.centroid, real.pois[i].centroid))
+        for o, i in zip(obf.pois, _matches(obf, real))
+    ))
 
 
 def recall_of(result: RemapResult, n_real: int) -> float:
@@ -124,15 +178,16 @@ def poi_set_distance(a: PoiSet, b: PoiSet) -> float:
     the other set; the score is the median of all those values (mean of
     the two central values on even sizes). Infinite when either side is
     empty, so a user whose POIs were destroyed degrades gracefully instead
-    of erroring.
+    of erroring. The nearest POIs come from :func:`_nearest` on one chord
+    matrix, read by rows and by columns, so only the chosen pairs (and any
+    band re-checks) are measured with ``distance``.
     """
     if len(a) == 0 or len(b) == 0:
         return math.inf
-    values = []
-    for p in a.pois:
-        values.append(min(distance(p.centroid, q.centroid) for q in b.pois))
-    for q in b.pois:
-        values.append(min(distance(p.centroid, q.centroid) for p in a.pois))
+    exact = _exact(a, b)
+    chords = _chords(a.xyz, b.xyz)
+    values = [exact(i, j) for i, j in enumerate(_nearest(chords, exact))]
+    values += [exact(i, j) for j, i in enumerate(_nearest(chords.T, lambda j, i: exact(i, j)))]
     values.sort()
     m = len(values)
     if m % 2 == 1:
@@ -169,33 +224,46 @@ def most_likely_user(anon: PoiSet, real_sets: Mapping[str, PoiSet]) -> str:
 _SCORE_SLACK_M = 4.0
 
 
-def _chord_scores(anon: np.ndarray, real: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """poi_set_distance of one anonymous set against every candidate, each
-    within _SCORE_SLACK_M of the exact score.
+def _chord_scores(anons: Sequence[PoiSet], real: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """poi_set_distance of every anonymous set (rows) against every
+    candidate (columns), each within _SCORE_SLACK_M of the exact score.
 
-    ``anon`` holds chord coordinates as rows, ``real`` as the three rows
-    x, y, z; candidate i owns the ``sizes[i] >= 1`` columns of ``real``
-    from ``starts[i]``. Chords order pairs like arcs, so minima and
-    medians are taken on chords and only the two central values of each
-    candidate become arcs.
+    ``real`` holds the candidates' chord coordinates as rows; candidate i
+    owns the ``sizes[i] >= 1`` rows from ``starts[i]``. Chords order pairs
+    like arcs, so minima and medians are taken on chords and only the two
+    central values of each (set, candidate) pair become arcs. The sets are
+    scored in blocks: one chord matrix per block, read by rows for each
+    anonymous POI's nearest chord per candidate and by columns for each
+    real POI's nearest chord per set.
     """
-    chords = np.sqrt(sum((anon[:, k, None] - real[k]) ** 2 for k in range(3)))
-    n, a = len(sizes), len(anon)
-    # per candidate: each anonymous POI's nearest chord, then each real POI's
-    values = np.full((n, a + int(sizes.max())), np.inf)
-    values[:, :a] = np.minimum.reduceat(chords, starts, axis=1).T
+    n = len(sizes)
+    widest = max(len(anon) for anon in anons)
+    width = widest + int(sizes.max())
     owner = np.repeat(np.arange(n), sizes)
-    values[owner, a + np.arange(real.shape[1]) - starts[owner]] = chords.min(axis=0)
-    values.sort(axis=1)
-    rows = np.arange(n)
-    count = a + sizes
-    central = np.stack((values[rows, (count - 1) // 2], values[rows, count // 2]))
-    arcs = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(central / (2.0 * EARTH_RADIUS_M), 1.0))
-    return (arcs[0] + arcs[1]) / 2.0
-
-
-def _poi_xyz(pois) -> np.ndarray:
-    return chord_xyz([p.centroid.lat for p in pois], [p.centroid.lon for p in pois])
+    at = widest + np.arange(len(real)) - starts[owner]
+    step = max(1, _BLOCK_CELLS // max(widest * len(real), n * width))
+    scores = np.empty((len(anons), n))
+    for lo in range(0, len(anons), step):
+        block = anons[lo:lo + step]
+        m = len(block)
+        a_sizes = np.array([len(anon) for anon in block])
+        a_starts = np.cumsum(a_sizes) - a_sizes
+        chords = _chords(np.concatenate([anon.xyz for anon in block]), real)
+        # per (set, candidate): each anonymous POI's nearest chord, then each real POI's
+        values = np.full((m, n, width), np.inf)
+        a_owner = np.repeat(np.arange(m), a_sizes)
+        a_at = np.arange(len(a_owner)) - a_starts[a_owner]
+        values[a_owner[:, None], np.arange(n), a_at[:, None]] = np.minimum.reduceat(chords, starts, axis=1)
+        values[:, owner, at] = np.minimum.reduceat(chords, a_starts, axis=0)
+        values.sort(axis=2)
+        count = (a_sizes[:, None] + sizes)[..., None]
+        central = np.concatenate(
+            (np.take_along_axis(values, (count - 1) // 2, axis=2), np.take_along_axis(values, count // 2, axis=2)),
+            axis=2,
+        )
+        arcs = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(central / (2.0 * EARTH_RADIUS_M), 1.0))
+        scores[lo:lo + m] = (arcs[..., 0] + arcs[..., 1]) / 2.0
+    return scores
 
 
 def reidentification_rate(
@@ -206,9 +274,10 @@ def reidentification_rate(
     ``obf_sets`` is keyed by the true owner for scoring only; each set is
     assigned independently (several may claim the same user, there is no
     one-to-one matching), exactly as :func:`most_likely_user` would assign
-    it. Chord scores rank every candidate first; only those within twice
-    ``_SCORE_SLACK_M`` of the best chord score can hold the best exact
-    score, and only they reach :func:`most_likely_user`.
+    it. Chord scores rank every candidate for every set in one blocked
+    pass; only the candidates within twice ``_SCORE_SLACK_M`` of a set's
+    best chord score can hold its best exact score, and only they reach
+    :func:`most_likely_user`.
 
     An empty obfuscated set names no one: it counts as not re-identified
     and is never scored, so ``{'a': A, 'b': B}`` against
@@ -223,17 +292,15 @@ def reidentification_rate(
     # candidates without POIs keep their infinite score
     scored = np.flatnonzero(sizes)
     counts = sizes[scored]
-    starts = np.cumsum(counts) - counts
-    real = np.ascontiguousarray(_poi_xyz([p for u in users for p in real_sets[u].pois]).T)
+    owners = [owner for owner, anon in obf_sets.items() if len(anon)]
+    scores = np.full((len(owners), len(users)), math.inf)
+    if len(scored) and owners:
+        real = np.concatenate([real_sets[users[i]].xyz for i in scored.tolist()])
+        scores[:, scored] = _chord_scores([obf_sets[o] for o in owners], real, np.cumsum(counts) - counts, counts)
     hits = 0
-    for owner, anon in obf_sets.items():
-        if not len(anon):
-            continue
-        scores = np.full(len(users), math.inf)
-        if len(scored):
-            scores[scored] = _chord_scores(_poi_xyz(anon.pois), real, starts, counts)
-        near = np.flatnonzero(scores <= scores.min() + 2.0 * _SCORE_SLACK_M)
-        if most_likely_user(anon, {users[i]: real_sets[users[i]] for i in near.tolist()}) == owner:
+    for owner, row in zip(owners, scores):
+        near = np.flatnonzero(row <= row.min() + 2.0 * _SCORE_SLACK_M)
+        if most_likely_user(obf_sets[owner], {users[i]: real_sets[users[i]] for i in near.tolist()}) == owner:
             hits += 1
     return hits / len(obf_sets)
 

@@ -19,6 +19,21 @@ unioned with every existing cluster it intersects, chaining overlapping
 neighbourhoods together. The returned POIs are the cluster centroids with
 the member count as support.
 
+:func:`dj_cluster` builds every neighbourhood at once, as the rows of one
+squared-chord matrix over the stay centroids, with the same float
+operations per cell, in the same order, as the walk's test. The rows are
+built in blocks of at most ``core._BLOCK_CELLS`` cells, and each core's
+row is kept as a bitset (a Python int). The cores' bitsets are then
+merged in stay order exactly as the naive loop merges sets: a new core
+neighbourhood absorbs every cluster it meets, and the merged cluster goes
+last. So the POIs come in the order of the last core that joined each
+cluster, and each centroid adds its members' latitudes and longitudes in
+ascending stay order (``core.centroid``), read off the cluster's bitset
+lowest bit first. Beside the blocks, memory holds the bitsets: the
+clusters are disjoint, so of n stays there are at most n / min_pts
+clusters of at most n / 8 bytes each, n * n / 16 bytes in all at
+min_pts 2 (about 6 MB for 10,000 stays).
+
 Both phases are deterministic; per-user extraction is pure and can run in
 parallel across a dataset.
 
@@ -46,6 +61,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    _BLOCK_CELLS,
     GeoPoint,
     MobilityTrace,
     Poi,
@@ -56,7 +72,6 @@ from .core import (
 )
 
 logger = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class ExtractionParams:
@@ -258,36 +273,46 @@ def extract_stays(trace: MobilityTrace, params: ExtractionParams) -> list[Stay]:
 def dj_cluster(stays: list[Stay], params: ExtractionParams) -> list[Poi]:
     """Merge stays into POI clusters by chained neighbourhood joins.
 
-    Clusters are sets of stay indices; a stay counts as its own neighbour.
+    A stay counts as its own neighbour. The neighbourhoods are the rows of
+    one blocked squared-chord matrix, merged as bitsets in stay order (see
+    the module docstring).
     """
     xs, ys, zs = chord_xyz(
         [s.centroid.lat for s in stays], [s.centroid.lon for s in stays]
     ).T
     chord = chord_m(params.merge_distance)
     chord2 = chord * chord
+    n = len(stays)
+    step = max(1, _BLOCK_CELLS // max(n, 1))
 
-    clusters: list[set[int]] = []
-    for idx in range(len(stays)):
-        # the walk's own test: squared chord against the merge chord
-        dx = xs - xs[idx]
-        dy = ys - ys[idx]
-        dz = zs - zs[idx]
-        neighborhood = set(np.flatnonzero(dx * dx + dy * dy + dz * dz <= chord2).tolist())
-        if len(neighborhood) < params.min_pts:
-            continue
-        kept: list[set[int]] = []
-        for cluster in clusters:
-            if neighborhood & cluster:
-                neighborhood |= cluster
-            else:
-                kept.append(cluster)
-        kept.append(neighborhood)
-        clusters = kept
+    clusters: list[int] = []
+    for lo in range(0, n, step):
+        # the walk's own test, a row per stay: squared chord against the merge chord
+        dx = xs - xs[lo:lo + step, None]
+        dy = ys - ys[lo:lo + step, None]
+        dz = zs - zs[lo:lo + step, None]
+        near = dx * dx + dy * dy + dz * dz <= chord2
+        cores = near[near.sum(axis=1) >= params.min_pts]
+        for row in np.packbits(cores, axis=1, bitorder="little"):
+            neighborhood = int.from_bytes(row.tobytes(), "little")
+            kept: list[int] = []
+            for cluster in clusters:
+                if neighborhood & cluster:
+                    neighborhood |= cluster
+                else:
+                    kept.append(cluster)
+            kept.append(neighborhood)
+            clusters = kept
 
     pois = []
     for cluster in clusters:
-        members = [stays[j].centroid for j in sorted(cluster)]
-        pois.append(Poi(centroid=centroid(members), support=len(cluster)))
+        # members in ascending stay order, lowest set bit first
+        members = []
+        while cluster:
+            low = cluster & -cluster
+            members.append(low.bit_length() - 1)
+            cluster ^= low
+        pois.append(Poi(centroid=centroid([stays[j].centroid for j in members]), support=len(members)))
     return pois
 
 

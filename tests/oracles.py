@@ -14,6 +14,14 @@ step that ``mechanism.perturb`` applies to arrays; the synthetic test data
 is built with it. ``walk_unpruned`` is the stay walk as it was before it
 split the trace into segments, kept verbatim so that the pruned walk can be
 held to it bit for bit; it shares the chord projection with it.
+
+Means are literal: a stay's centroid is the mean of its correctly rounded
+coordinate sums (``math.fsum``), as the walk defines it, and every other
+mean adds its values one by one, left to right (``mean_literal``), on any
+Python version. ``run_experiment_literal`` composes the stage oracles into
+the whole study in the naive threshold -> run -> user order; it takes from
+the package only the noise, the dataset digest and the report types, so
+its report files must equal ``run_experiment``'s byte for byte.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import defaultdict
+from dataclasses import asdict, replace
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -32,14 +41,32 @@ from geopriv.core import (
     GeoPoint,
     MobilityTrace,
     Poi,
+    PoiSet,
     TimestampedLocation,
-    centroid,
     chord_m,
     chord_xyz,
     distance,
 )
-from geopriv.ingest import CANONICAL_HEADER, MALFORMED_TOLERANCE
-from geopriv.mechanism import PrivacyLevel, RandomSource, inverse_radius_cdf, perturb
+from geopriv.experiment import (
+    EvaluationReport,
+    LevelRecallRow,
+    PairRow,
+    PrecisionRow,
+    ReidentRow,
+    SweepResult,
+    UserRecallRow,
+    json_number,
+)
+from geopriv.features import DEFAULT_TOP_K
+from geopriv.ingest import CANONICAL_HEADER, MALFORMED_TOLERANCE, dataset_digest
+from geopriv.mechanism import (
+    PrivacyLevel,
+    RandomSource,
+    derive_seed,
+    inverse_radius_cdf,
+    obfuscate_trace,
+    perturb,
+)
 from geopriv.poi import ExtractionParams, Stay
 
 logger = logging.getLogger(__name__)
@@ -70,8 +97,12 @@ def extract_stays_literal(trace: MobilityTrace, params: ExtractionParams) -> lis
     candidate: list = []
 
     def emit(cand) -> Stay:
+        # the mean of the correctly rounded sums, as the walk emits it
         return Stay(
-            centroid=centroid([p.point for p in cand]),
+            centroid=GeoPoint(
+                math.fsum(p.point.lat for p in cand) / len(cand),
+                math.fsum(p.point.lon for p in cand) / len(cand),
+            ),
             start_t=cand[0].t,
             end_t=cand[-1].t,
             point_count=len(cand),
@@ -199,9 +230,56 @@ def dj_cluster_literal(stays: list[Stay], params: ExtractionParams) -> list[Poi]
                     clusters.remove(cluster)
             clusters.append(neighborhood)
     return [
-        Poi(centroid=centroid([stays[j].centroid for j in sorted(c)]), support=len(c))
+        Poi(
+            centroid=GeoPoint(
+                mean_literal([stays[j].centroid.lat for j in sorted(c)]),
+                mean_literal([stays[j].centroid.lon for j in sorted(c)]),
+            ),
+            support=len(c),
+        )
         for c in clusters
     ]
+
+
+def mean_literal(values) -> float:
+    """The values added one by one, left to right, over their count."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
+def remap_literal(obf, real) -> list[tuple[int, float]]:
+    """Per obfuscated POI, the index of the nearest real POI by the scalar
+    distance, the earliest on ties, and that distance."""
+    out = []
+    for o in obf.pois:
+        best_i = 0
+        best_d = distance(o.centroid, real.pois[0].centroid)
+        for i, r in enumerate(real.pois[1:], start=1):
+            d = distance(o.centroid, r.centroid)
+            if d < best_d:
+                best_i, best_d = i, d
+        out.append((best_i, best_d))
+    return out
+
+
+def poi_set_distance_literal(a, b) -> float:
+    """Median of the symmetric nearest-neighbour distances by the scalar
+    distance (always measured from a's POI to b's); infinite when either
+    set is empty."""
+    if len(a) == 0 or len(b) == 0:
+        return math.inf
+    values = []
+    for p in a.pois:
+        values.append(min(distance(p.centroid, q.centroid) for q in b.pois))
+    for q in b.pois:
+        values.append(min(distance(p.centroid, q.centroid) for p in a.pois))
+    values.sort()
+    m = len(values)
+    if m % 2 == 1:
+        return values[m // 2]
+    return (values[m // 2 - 1] + values[m // 2]) / 2.0
 
 
 def radius_cdf(level: PrivacyLevel, r: float) -> float:
@@ -253,25 +331,11 @@ def reidentification_rate_literal(real_sets: Mapping, obf_sets: Mapping) -> floa
     (infinite when the candidate has no POIs), linked to the lowest score,
     ties to the smallest user identifier. An empty anonymous set is a miss."""
 
-    def score(a, b) -> float:
-        if len(a) == 0 or len(b) == 0:
-            return math.inf
-        values = []
-        for p in a.pois:
-            values.append(min(distance(p.centroid, q.centroid) for q in b.pois))
-        for q in b.pois:
-            values.append(min(distance(p.centroid, q.centroid) for p in a.pois))
-        values.sort()
-        m = len(values)
-        if m % 2 == 1:
-            return values[m // 2]
-        return (values[m // 2 - 1] + values[m // 2]) / 2.0
-
     def link(anon) -> str:
         best_user = None
         best_d = math.inf
         for user in sorted(real_sets):
-            d = score(anon, real_sets[user])
+            d = poi_set_distance_literal(anon, real_sets[user])
             if best_user is None or d < best_d:
                 best_user, best_d = user, d
         return best_user
@@ -313,7 +377,114 @@ def precision_summary_literal(dataset: Dataset, level, features, cfg, seed: int)
         value, retrieved = precision_trial_literal(c, level, features, cfg.radius_m, cfg.alpha, rng, cfg.category)
         values.append(value)
         empty += retrieved == 0
-    return sum(values) / len(values), empty
+    return mean_literal(values), empty
+
+
+def extract_pois_literal(trace: MobilityTrace, params: ExtractionParams) -> PoiSet:
+    """The literal walk, then the literal clustering, as a PoiSet."""
+    return PoiSet(trace.user, tuple(dj_cluster_literal(extract_stays_literal(trace, params), params)))
+
+
+def run_experiment_literal(dataset: Dataset, config, store) -> EvaluationReport:
+    """``experiment.run_experiment`` composed from the stage oracles in
+    the naive order: per level, every threshold, then every run, then
+    every eligible user, each extracted afresh by the literal walk and
+    clustering; the chosen threshold is found by a plain scan, and the
+    chosen POI sets are extracted again for scoring. Only the noise
+    (``obfuscate_trace`` on the same derived seeds), the dataset digest and
+    the report types come from the package."""
+    params = config.extraction
+    features = list(store)
+    truth = {u: extract_pois_literal(dataset.traces[u], params) for u in sorted(dataset.traces)}
+    eligible = [u for u in sorted(truth) if len(truth[u])]
+    if not eligible:
+        raise ValueError("empty ground truth: no user has POIs")
+    precision_seed = derive_seed(config.master_seed, "precision")
+    user_rows, pair_rows, recall_rows, reident_rows, precision_rows, sweeps, levels, per_level = (
+        [], [], [], [], [], [], [], []
+    )
+    for level in config.levels:
+        runs = []
+        for run in range(config.runs):
+            rseed = derive_seed(config.master_seed, f"run:{run}")
+            runs.append({
+                u: obfuscate_trace(dataset.traces[u], level, RandomSource(derive_seed(rseed, f"user:{u}")))
+                for u in sorted(dataset.traces)
+            })
+
+        def observe(threshold):
+            attack = replace(params, max_distance=float(threshold))
+            return [{u: extract_pois_literal(traces[u], attack) for u in eligible} for traces in runs]
+
+        rows = []
+        for threshold in config.sweep.thresholds():
+            run_means = [
+                mean_literal([len({i for i, _ in remap_literal(sets[u], truth[u])}) / len(truth[u]) for u in eligible])
+                for sets in observe(threshold)
+            ]
+            rows.append((threshold, mean_literal(run_means)))
+        optimal = None
+        for threshold, mean in rows:
+            if mean > config.sweep.recall_target:
+                optimal = threshold
+                break
+        best, best_mean = rows[0]
+        for threshold, mean in rows:
+            if mean > best_mean:
+                best, best_mean = threshold, mean
+        chosen = best if optimal is None else optimal
+        sweeps.append(SweepResult(level.epsilon, tuple(rows), optimal, best))
+        levels.append({
+            "epsilon": json_number(level.epsilon),
+            "optimal_threshold_m": optimal,
+            "best_threshold_m": best,
+            "reached": optimal is not None,
+        })
+
+        run_recalls, run_rates = [], []
+        for run, sets in enumerate(observe(chosen)):
+            recalls = []
+            for u in eligible:
+                pairs = remap_literal(sets[u], truth[u])
+                recalls.append(len({i for i, _ in pairs}) / len(truth[u]))
+                user_rows.append(UserRecallRow(u, level.epsilon, run, recalls[-1], len(truth[u]), len(sets[u])))
+                for o, (i, d) in zip(sets[u].pois, pairs):
+                    around_obf = {f.id for f in brute_force_top_k(features, o.centroid, DEFAULT_TOP_K)}
+                    around_real = [f.id for f in brute_force_top_k(features, truth[u].pois[i].centroid, DEFAULT_TOP_K)]
+                    overlap = sum(1 for f in around_real if f in around_obf)
+                    pair_rows.append(PairRow(u, level.epsilon, run, d, 1.0 - overlap / len(around_real)))
+            run_recalls.append(mean_literal(recalls))
+            run_rates.append(reidentification_rate_literal({u: truth[u] for u in eligible}, sets))
+        recall_rows.append(LevelRecallRow(level.epsilon, chosen, mean_literal(run_recalls), len(eligible), config.runs))
+        reident_rows.append(ReidentRow(level.epsilon, mean_literal(run_rates), len(eligible)))
+        per_level.append({
+            "epsilon": json_number(level.epsilon),
+            "threshold_m": chosen,
+            "runs": config.runs,
+            "n_users": len(eligible),
+            "excluded_users": [u for u in sorted(truth) if not len(truth[u])],
+        })
+        mean, empty = precision_summary_literal(dataset, level, features, config.precision, precision_seed)
+        cfg = config.precision
+        precision_rows.append(PrecisionRow(level.epsilon, cfg.alpha, cfg.radius_m, mean, cfg.samples, empty))
+    return EvaluationReport(
+        user_rows=tuple(user_rows),
+        pair_rows=tuple(pair_rows),
+        recall_rows=tuple(recall_rows),
+        reident_rows=tuple(reident_rows),
+        precision_rows=tuple(precision_rows),
+        sweeps=tuple(sweeps),
+        metadata={
+            "master_seed": config.master_seed,
+            "runs": config.runs,
+            "dataset_digest": dataset_digest(dataset),
+            "extraction": asdict(params),
+            "sweep": asdict(config.sweep),
+            "precision": asdict(config.precision),
+            "levels": levels,
+            "per_level": per_level,
+        },
+    )
 
 
 def parse_canonical_literal(lines: Iterable[str]) -> Dataset:

@@ -4,7 +4,17 @@ import pickle
 import numpy as np
 import pytest
 
-from geopriv.core import GeoPoint, MobilityTrace, PoiSet, Poi, TimestampedLocation, centroid, distance
+from geopriv.core import (
+    GeoPoint,
+    MobilityTrace,
+    PoiSet,
+    Poi,
+    TimestampedLocation,
+    centroid,
+    chord_xyz,
+    distance,
+    sequential_sum,
+)
 
 from oracles import offset
 
@@ -58,6 +68,36 @@ class TestDistance:
         a = GeoPoint(12.5, -33.25)
         assert distance(a, a) == 0.0
         assert distance(a, GeoPoint(12.5, -33.250001)) > 0.0
+
+
+class TestSequentialSum:
+    """The report means and centroids add left to right, each addition
+    rounded, on every Python version; Python 3.12's sum() of floats is
+    compensated and would give other bits."""
+
+    def test_pins_left_to_right_rounding(self):
+        assert sequential_sum([0.1] * 10) == 0.9999999999999999
+        assert sequential_sum([1e16, 1.0, -1e16]) == 0.0
+        assert sequential_sum([1.0, 1e16, -1e16]) == 0.0
+        assert sequential_sum([1e16, -1e16, 1.0]) == 1.0
+
+    def test_equals_a_loop_of_additions(self):
+        gen = np.random.Generator(np.random.PCG64(3))
+        for n in (1, 2, 5, 40):
+            values = (gen.standard_normal(n) * 10.0 ** gen.integers(-3, 17, n)).tolist()
+            total = 0.0
+            for v in values:
+                total += v
+            assert sequential_sum(values) == total
+            assert sequential_sum(iter(values)) == total
+
+    def test_empty_and_signed_zero(self):
+        assert sequential_sum([]) == 0.0
+        assert math.copysign(1.0, sequential_sum([-0.0])) == 1.0
+
+    def test_centroid_adds_in_order(self):
+        c = centroid([GeoPoint(0.1, 0.1)] * 10)
+        assert c == GeoPoint(0.9999999999999999 / 10, 0.9999999999999999 / 10)
 
 
 class TestCentroid:
@@ -171,6 +211,13 @@ class TestTraceModel:
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ValueError):
             TimestampedLocation(-1, GeoPoint(0, 0))
+
+    def test_poiset_chord_coordinates_follow_its_order(self):
+        ps = PoiSet("u", (Poi(GeoPoint(2.0, 1.0), 1), Poi(GeoPoint(1.0, 3.0), 2)))
+        assert np.array_equal(ps.xyz, chord_xyz([1.0, 2.0], [3.0, 1.0]))
+        assert ps.xyz is ps.xyz and not ps.xyz.flags.writeable
+        assert PoiSet("u", ()).xyz.shape == (0, 3)
+        assert pickle.loads(pickle.dumps(ps)) == ps
 
     def test_poiset_orders_deterministically(self):
         p1 = Poi(GeoPoint(2, 0), 2)

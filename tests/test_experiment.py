@@ -1,10 +1,14 @@
 import json
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geopriv.core import Dataset, MobilityTrace
+from geopriv.core import Dataset, GeoPoint, MobilityTrace, TimestampedLocation as TL
 from geopriv.experiment import (
     EvaluationReport,
     ExperimentConfig,
@@ -23,6 +27,7 @@ from geopriv.features import FeatureStore, generate_synthetic_features
 from geopriv.mechanism import PrivacyLevel, derive_seed
 from geopriv.poi import ExtractionParams
 
+from oracles import offset, run_experiment_literal
 from synth import dataset_bounds, planted_dataset
 
 MEDIUM = PrivacyLevel.from_level(math.log(6), 500.0)
@@ -340,3 +345,80 @@ class TestWriteReport:
 
 def _refuse(token: str):
     raise ValueError(f"not strict JSON: {token}")
+
+
+BASE = GeoPoint(45.0, 5.0)
+TINY_STORE = FeatureStore.build(generate_synthetic_features(5, (44.97, 4.96, 45.03, 5.04), density_per_km2=3.0))
+
+
+@st.composite
+def _tiny_studies(draw):
+    """One to five users dwelling at six places they share, or with an
+    empty trace, or moving without stopping; one or two levels (zero noise
+    among them), one or two runs, a short sweep with a low, middle or
+    unreachable recall target and steps fine enough for thresholds to tie.
+    Positions come from a drawn seed."""
+    gen = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    places = [offset(BASE, *gen.uniform(-2500.0, 2500.0, 2).tolist()) for _ in range(6)]
+    traces = {}
+    for user in draw(st.lists(st.sampled_from(("a", "b", "c", "u1", "u10")), min_size=1, max_size=5, unique=True)):
+        kind = draw(st.sampled_from(("dwells", "dwells", "dwells", "empty", "moving")))
+        locations = []
+        t = 0
+        if kind == "dwells":
+            for _ in range(draw(st.integers(2, 8))):
+                place = places[int(gen.integers(len(places)))]
+                for _ in range(draw(st.integers(6, 14))):
+                    locations.append(TL(t, offset(place, *gen.uniform(-60.0, 60.0, 2).tolist())))
+                    t += 120
+                t += 1800
+        elif kind == "moving":
+            for i in range(draw(st.integers(1, 8))):
+                locations.append(TL(t, offset(BASE, 900.0 * i, 0.0)))
+                t += 300
+        traces[user] = MobilityTrace(user, tuple(locations))
+    low = draw(st.sampled_from((100, 200, 400)))
+    config = ExperimentConfig(
+        levels=tuple(draw(st.lists(
+            st.sampled_from((PrivacyLevel.zero_noise(), PrivacyLevel(0.02), MEDIUM)), min_size=1, max_size=2, unique=True
+        ))),
+        runs=draw(st.integers(1, 2)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+        extraction=ExtractionParams(
+            min_time=600, max_distance=draw(st.sampled_from((150.0, 250.0))), min_pts=draw(st.integers(1, 2))
+        ),
+        sweep=SweepConfig(
+            min_m=low,
+            max_m=low + draw(st.sampled_from((0, 100, 300))),
+            step_m=draw(st.sampled_from((50, 100))),
+            recall_target=draw(st.sampled_from((0.3, 0.7, 0.99))),
+        ),
+        precision=PrecisionConfig(samples=draw(st.integers(1, 4))),
+    )
+    return Dataset(traces), config
+
+
+class TestStudyOracle:
+    """The whole study against the stage oracles composed in the naive
+    threshold -> run -> user order: the sweep's loop order and recall
+    sums, the chosen threshold's tie-break, the exclusion rules and the
+    reuse of the sweep's POI sets by evaluate all show in the bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tiny_studies())
+    def test_report_bytes_match_the_literal_study(self, study):
+        dataset, config = study
+        try:
+            want = run_experiment_literal(dataset, config, TINY_STORE)
+        except ValueError:
+            with pytest.raises(ValueError, match="empty ground truth"):
+                run_experiment(dataset, config, TINY_STORE)
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            got_dir, want_dir = Path(tmp) / "got", Path(tmp) / "want"
+            write_report(run_experiment(dataset, config, TINY_STORE), got_dir)
+            write_report(want, want_dir)
+            names = sorted(p.name for p in got_dir.iterdir())
+            assert names == sorted(p.name for p in want_dir.iterdir())
+            for name in names:
+                assert (got_dir / name).read_bytes() == (want_dir / name).read_bytes(), name

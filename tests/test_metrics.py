@@ -21,7 +21,14 @@ from geopriv.metrics import (
     semantic_distances,
 )
 
-from oracles import offset, precision_summary_literal, precision_trial_literal, reidentification_rate_literal
+from oracles import (
+    offset,
+    poi_set_distance_literal,
+    precision_summary_literal,
+    precision_trial_literal,
+    reidentification_rate_literal,
+    remap_literal,
+)
 
 BASE = GeoPoint(45.0, 5.0)
 MEDIUM = PrivacyLevel.from_level(math.log(6), 500.0)
@@ -392,6 +399,63 @@ class TestReidentificationOracle:
     def test_rate_matches_literal_loop(self, world):
         real, obf = world
         assert reidentification_rate(real, obf) == reidentification_rate_literal(real, obf)
+
+
+@st.composite
+def _remap_cases(draw):
+    """An obfuscated and a real POI set around a drawn origin, on the
+    linking worlds' grid: images of real POIs (duplicates with another
+    support, mirror images about the origin's parallel or meridian,
+    ulp-translates, metre-translates), obfuscated POIs on the mirror axes,
+    and strays a continent away or near the antipode of (0, 0), whose
+    chords to the grid differ by millimetres. At origin (0, 0) mirror
+    images tie exactly."""
+    lat0, lon0 = draw(st.sampled_from(((0.0, 0.0), (37.7, -122.4), (-33.9, 151.2), (51.5, -0.1))))
+
+    def point():
+        if draw(st.integers(0, 5)) == 0:
+            return draw(st.sampled_from(_STRAYS))
+        on_axis = draw(st.sampled_from((None, "lat", "lon")))
+        lat = lat0 if on_axis == "lat" else lat0 + draw(_GRID)
+        lon = lon0 if on_axis == "lon" else lon0 + draw(_GRID)
+        return GeoPoint(lat, lon)
+
+    def image(p):
+        if p in _STRAYS:
+            return p
+        up = draw(st.booleans())
+        return draw(st.sampled_from((
+            lambda p: p,
+            lambda p: GeoPoint(2 * lat0 - p.lat, p.lon),
+            lambda p: GeoPoint(p.lat, 2 * lon0 - p.lon),
+            lambda p: GeoPoint(p.lat, float(np.nextafter(p.lon, math.inf if up else -math.inf))),
+            lambda p: GeoPoint(p.lat, p.lon + 1e-5),
+        )))(p)
+
+    def poiset(user, points):
+        return PoiSet(user, tuple(Poi(p, draw(st.integers(1, 3))) for p in points))
+
+    real = [point() for _ in range(draw(st.integers(1, 5)))]
+    real += [image(p) for p in draw(st.lists(st.sampled_from(real), max_size=4))]
+    obf = [point() for _ in range(draw(st.integers(0, 4)))]
+    obf += [image(p) for p in draw(st.lists(st.sampled_from(real), max_size=3))]
+    return poiset("u", obf), poiset("u", real)
+
+
+class TestNearestOracle:
+    """remap and poi_set_distance decide on chords and re-check a band
+    exactly; each must equal the scalar loop."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_remap_cases())
+    def test_matches_literal_loops(self, case):
+        obf, real = case
+        want = remap_literal(obf, real)
+        got = remap(obf, real)
+        assert [(p.real_index, p.distance_m) for p in got.pairs] == want
+        assert [(p.obfuscated, p.real) for p in got.pairs] == [(o, real.pois[i]) for o, (i, _) in zip(obf.pois, want)]
+        assert poi_set_distance(obf, real) == poi_set_distance_literal(obf, real)
+        assert poi_set_distance(real, obf) == poi_set_distance_literal(real, obf)
 
 
 def _destination(p: GeoPoint, bearing: float, d: float) -> GeoPoint:

@@ -1,6 +1,8 @@
 import logging
 import math
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from geopriv.core import (
     chord_xyz,
     distance,
 )
+from geopriv import poi as poi_module
 from geopriv.mechanism import PrivacyLevel, RandomSource, obfuscate_trace
 from geopriv.poi import (
     ExtractionParams,
@@ -129,6 +132,42 @@ class TestDjCluster:
         assert pois[0].support == 3
         assert distance(pois[0].centroid, offset(BASE, 150.0, 0.0)) < 1.0
 
+    def test_neighbourhood_is_closed_at_the_merge_chord(self):
+        # a pair whose squared chord, as the row test computes it, is the
+        # exact square of a float c: with c as the merge chord the pair sits
+        # on the boundary, and one ulp less splits it
+        for jx in np.arange(100.0, 101.0, 0.01).tolist():
+            stays = [_stay_mk(0.0), _stay_mk(jx)]
+            a, b = chord_xyz([s.centroid.lat for s in stays], [s.centroid.lon for s in stays]).tolist()
+            d2 = (b[0] - a[0]) * (b[0] - a[0]) + (b[1] - a[1]) * (b[1] - a[1]) + (b[2] - a[2]) * (b[2] - a[2])
+            c = math.sqrt(d2)
+            if c * c == d2:
+                break
+        below = float(np.nextafter(c, 0.0))
+        assert c * c == d2 and below * below < d2
+        with mock.patch.object(poi_module, "chord_m", return_value=c):
+            assert [p.support for p in dj_cluster(stays, ExtractionParams(min_pts=2))] == [2]
+        with mock.patch.object(poi_module, "chord_m", return_value=below):
+            assert dj_cluster(stays, ExtractionParams(min_pts=2)) == []
+
+    def test_memory_is_not_one_row_per_cluster(self):
+        # 1,200 stays in 600 far-apart pairs, stay i paired with stay
+        # i + 600, at min_pts 2, with one matrix row per block: unpacking
+        # every cluster as a row of n bytes would peak at n * n / 2 bytes
+        # (720 KB) on its own; one cluster at a time stays under half that
+        n = 1200
+        stays = [_stay_mk(5000.0 * (i % (n // 2))) for i in range(n)]
+        stays = [replace(s, centroid=offset(s.centroid, 0.0, 10.0 * (i // (n // 2)))) for i, s in enumerate(stays)]
+        with mock.patch.object(poi_module, "_BLOCK_CELLS", n):
+            tracemalloc.start()
+            try:
+                pois = dj_cluster(stays, ExtractionParams(min_pts=2))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert [p.support for p in pois] == [2] * (n // 2)
+        assert peak < n * n / 4
+
     def test_min_pts_one_keeps_singletons(self):
         pois = dj_cluster([_stay_mk()], ExtractionParams(min_pts=1))
         assert len(pois) == 1 and pois[0].support == 1
@@ -159,7 +198,7 @@ class TestDjCluster:
 
 
 @st.composite
-def _stay_layouts(draw):
+def _stay_layouts(draw, min_size=0, max_size=30):
     """Stays whose centroids sit at the merge distance, give or take a few
     metres, from an earlier stay, plus exact duplicates and far strays,
     with min_pts from 1 to 5. Positions come from a drawn seed."""
@@ -171,7 +210,7 @@ def _stay_layouts(draw):
     merge = params.merge_distance
     centroids: list[GeoPoint] = []
     kinds = st.sampled_from(("step", "step", "duplicate", "stray"))
-    for kind in draw(st.lists(kinds, max_size=30)):
+    for kind in draw(st.lists(kinds, min_size=min_size, max_size=max_size)):
         if kind == "stray" or not centroids:
             p = offset(BASE, *gen.uniform(-5.0 * merge, 5.0 * merge, 2).tolist())
         else:
@@ -190,6 +229,20 @@ class TestDjClusterOracle:
     def test_matches_literal_at_merge_distance(self, case):
         stays, params = case
         assert dj_cluster(stays, params) == dj_cluster_literal(stays, params)
+
+
+class TestDjClusterBlocks:
+    """Layouts of 60 to 200 stays: each neighbourhood's bitset spans
+    several machine words, and the matrix is built in row blocks of one
+    row up to past the whole matrix."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_stay_layouts(60, 200), st.data())
+    def test_matches_literal_across_words_and_blocks(self, case, data):
+        stays, params = case
+        rows = data.draw(st.integers(1, len(stays) + 1))
+        with mock.patch.object(poi_module, "_BLOCK_CELLS", rows * len(stays)):
+            assert dj_cluster(stays, params) == dj_cluster_literal(stays, params)
 
 
 class TestExtractPois:
