@@ -26,11 +26,12 @@ P + Q chosen pairs (and any band re-checks) instead of 2PQ. Semantic
 distance looks up every distinct POI of a whole level in one
 ``FeatureStore.nearest`` call and compares the neighbourhoods as index
 sets. The precision trials of a summary run as one blocked pass
-(:func:`query_precisions`): a block of queries against every feature is
-one product per side, the store's chord scan accepts the features clearly
-inside each radius, and only the ``_CHORD_SLACK_M`` band is re-checked
-with ``core.distance``. Every reported value and every decision is
-therefore the one the scalar distance gives.
+(:func:`query_precisions`): the queries are taken in latitude order, a
+block of them against the features of the enlarged radius's latitude band
+is one product per side, the store's chord scan accepts the features
+clearly inside each radius, and only the ``_CHORD_SLACK_M`` band is
+re-checked with ``core.distance``. Every reported value and every
+decision is therefore the one the scalar distance gives.
 
 All functions are pure given immutable inputs; the only randomness flows
 through the explicitly passed source of the precision trial.
@@ -44,8 +45,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import _BLOCK_CELLS, EARTH_RADIUS_M, GeoPoint, Poi, PoiSet, distance
-from .features import DEFAULT_TOP_K, FeatureStore
+from .core import _BLOCK_CELLS, EARTH_RADIUS_M, GeoPoint, Poi, PoiSet, chord_m, distance
+from .features import DEFAULT_TOP_K, FeatureStore, _half_band
 from .mechanism import PrivacyLevel, RandomSource, inverse_radius_cdf, perturb
 
 
@@ -89,7 +90,11 @@ _NEAREST_SLACK_M = 1e-3
 def _chords(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Chord lengths in metres between the rows of ``a`` (matrix rows) and
     the rows of ``b`` (columns), both ``core.chord_xyz`` coordinates."""
-    return np.sqrt(sum((a[:, k, None] - b[:, k]) ** 2 for k in range(3)))
+    # one (3, rows, columns) difference, coordinate-major so that the
+    # square and the two sums run over contiguous planes
+    d = a.T[:, :, None] - np.ascontiguousarray(b.T)[:, None, :]
+    d *= d
+    return np.sqrt(d[0] + d[1] + d[2])
 
 
 def _exact(a: PoiSet, b: PoiSet):
@@ -349,17 +354,23 @@ def query_precisions(
     :func:`precision_trial`, for queries issued from the noisy points with
     radius ``enlarged_m`` and judged against radius_m around the true ones.
 
-    The queries are scanned in blocks: one product per side, the store's
-    chord bands, and exact re-checks only inside them.
+    The queries are scanned in blocks of noisy latitude, each against the
+    latitude band of the enlarged radius: one product per side, the
+    store's chord bands, and exact re-checks only inside them. The honest
+    side is scored on the retrieved side's slice, which holds every
+    feature it can count, since it counts only retrieved ones.
     """
     past_pole = np.flatnonzero(np.abs(noisy_lat) > 90.0)
     if past_pole.size:
         raise ValueError(f"noise moved a query to latitude {float(noisy_lat[past_pole[0]])!r}, past the pole")
-    counts, useless = [], []
-    for rows in store._blocks(len(lat)):
-        retrieved = store._within(noisy_lat[rows], noisy_lon[rows], enlarged_m, category)
-        honest = store._within(lat[rows], lon[rows], radius_m, category, among=retrieved)
-        counts += retrieved.sum(axis=1).tolist()
-        useless += (retrieved & ~honest).sum(axis=1).tolist()
-    values = [1.0 - u / n if n else 1.0 for n, u in zip(counts, useless)]
-    return values, counts
+    order = np.argsort(noisy_lat, kind="stable")
+    counts = np.zeros(len(lat), dtype=np.intp)
+    useless = np.zeros(len(lat), dtype=np.intp)
+    for rows, cols in store._blocks(noisy_lat[order], _half_band(chord_m(enlarged_m))):
+        q = order[rows]
+        retrieved = store._within(noisy_lat[q], noisy_lon[q], enlarged_m, cols, category)
+        honest = store._within(lat[q], lon[q], radius_m, cols, category, among=retrieved)
+        counts[q] = retrieved.sum(axis=1)
+        useless[q] = (retrieved & ~honest).sum(axis=1)
+    values = [1.0 - u / n if n else 1.0 for n, u in zip(counts.tolist(), useless.tolist())]
+    return values, counts.tolist()

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geopriv import features as features_module
-from geopriv.core import GeoPoint, distance
-from geopriv.features import Feature, FeatureStore, generate_synthetic_features
+from geopriv.core import EARTH_RADIUS_M, GeoPoint, chord_m, distance
+from geopriv.features import Feature, FeatureStore, _half_band, generate_synthetic_features
+from geopriv.metrics import query_precisions
 
 from oracles import brute_force_range, brute_force_top_k
 
@@ -225,6 +227,118 @@ class TestNearest:
         assert FeatureStore.build([]).nearest([90.0], [0.0], 3).shape == (1, 0)
         with pytest.raises(ValueError, match="k must be >= 1"):
             store.nearest([45.0], [5.0], 0)
+
+
+# One millimetre of meridian arc, in degrees of latitude.
+_MM_DEG = math.degrees(1e-3 / EARTH_RADIUS_M)
+
+
+def _precision_literal(features, c, z, radius, enlarged, category):
+    """(precision, retrieved count) of a query from z with radius
+    ``enlarged`` judged against ``radius`` around c, by brute force."""
+    retrieved = brute_force_range(features, z, enlarged, category)
+    if not retrieved:
+        return 1.0, 0
+    honest = {f.id for f in brute_force_range(features, c, radius, category)}
+    return 1.0 - sum(f.id not in honest for f in retrieved) / len(retrieved), len(retrieved)
+
+
+@st.composite
+def _band_worlds(draw):
+    """Features right at the latitude band of a query's radius and at the
+    radius itself along the meridian (on each edge, one ulp and one
+    millimetre either side of it) and a cluster around the query, or else
+    a whole store on one parallel; queries at the anchor, near both poles
+    and at the anchor's antipode, far from every feature, so that a
+    nearest-k band widens to the whole store."""
+    anchor = GeoPoint(draw(st.one_of(_lats, st.sampled_from((90.0, -90.0, 89.9999, -89.9999)))), draw(_lons))
+    gen = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    radius = draw(st.one_of(st.floats(0.0, 3_000.0), st.floats(0.0, 2.1e7)))
+    points = []
+    if draw(st.booleans()):
+        # a whole store on one parallel
+        lat = draw(_lats)
+        points += [GeoPoint(lat, float(lon)) for lon in gen.uniform(-180.0, 180.0, draw(st.integers(1, 12)))]
+    else:
+        for _ in range(draw(st.integers(0, 20))):
+            dlat, dlon = gen.uniform(-0.02, 0.02, 2)
+            points.append(_shifted(anchor, float(dlat), float(dlon)))
+        half = float(_half_band(chord_m(radius)))
+        arc = math.degrees(radius / EARTH_RADIUS_M)
+        for edge in (anchor.lat - half, anchor.lat + half, anchor.lat - arc, anchor.lat + arc):
+            for lat in (edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf), edge - _MM_DEG, edge + _MM_DEG):
+                if -90.0 <= lat <= 90.0:
+                    lon = draw(st.sampled_from((anchor.lon, _shifted(anchor, 0.0, 0.01).lon, -anchor.lon)))
+                    points.append(GeoPoint(float(lat), lon))
+    if not points:
+        points.append(anchor)
+    features = [Feature(f"f{i:03d}", p, draw(st.sampled_from(CATEGORIES))) for i, p in enumerate(points)]
+    centres = [anchor, _antipode(anchor), GeoPoint(90.0, anchor.lon), GeoPoint(-89.9999, -anchor.lon),
+               _shifted(anchor, draw(st.floats(-1e-3, 1e-3)), 0.0)]
+    centres += draw(st.lists(st.sampled_from(points), max_size=3))
+    radii = [radius] + [distance(anchor, p) for p in draw(st.lists(st.sampled_from(points), max_size=3))]
+    return features, centres, radii
+
+
+class TestBandEdges:
+    @settings(max_examples=200, deadline=None)
+    @given(_band_worlds(), st.data())
+    def test_banded_scans_match_brute_force(self, world, data):
+        """nearest, range_query and query_precisions against the brute-force
+        oracles, in blocks of at most 2n cells, so one or two rows at the
+        full width; k may reach past the store."""
+        features, centres, radii = world
+        store = FeatureStore.build(features)
+        stored = list(store)
+        n = len(features)
+        k = data.draw(st.one_of(st.integers(1, 15), st.integers(max(n - 1, 1), n + 3)))
+        cells = data.draw(st.integers(1, 2 * n))
+        lats, lons = np.array([c.lat for c in centres]), np.array([c.lon for c in centres])
+        with mock.patch.object(features_module, "_BLOCK_CELLS", cells):
+            got = store.nearest(lats, lons, k)
+            for c, row in zip(centres, got.tolist()):
+                assert {stored[i].id for i in row} == {f.id for f in brute_force_top_k(features, c, k)}
+            for radius in radii:
+                category = data.draw(st.sampled_from((None, *CATEGORIES)))
+                for c in centres:
+                    assert store.range_query(c, radius, category) == brute_force_range(features, c, radius, category)
+                # each query judged at another centre, as a noisy query is
+                noisy = data.draw(st.permutations(range(len(centres))))
+                enlarged = radius + data.draw(st.floats(0.0, 5_000.0))
+                values, counts = query_precisions(store, lats, lons, lats[noisy], lons[noisy], radius, enlarged, category)
+                assert list(zip(values, counts)) == [
+                    _precision_literal(features, c, centres[j], radius, enlarged, category)
+                    for c, j in zip(centres, noisy)
+                ]
+
+
+class TestBandPruning:
+    def test_city_scans_read_under_half_the_store(self):
+        """On a city-sized store (14 x 12 km at 40 features per km^2), every
+        block's product of a nearest-k call and of a precision pass reads
+        fewer than half the features."""
+        lat0, lon0 = 37.70, -122.52
+        north, east = 14_000.0 / 111_320.0, 12_000.0 / (111_320.0 * math.cos(math.radians(37.76)))
+        store = FeatureStore.build(generate_synthetic_features(7, (lat0, lon0, lat0 + north, lon0 + east), 40.0))
+        n = len(store)
+        gen = np.random.Generator(np.random.PCG64(8))
+        lats = lat0 + gen.uniform(0.05, 0.95, 600) * north
+        lons = lon0 + gen.uniform(0.05, 0.95, 600) * east
+        widths = []
+        dots = FeatureStore._dots
+
+        def counted(self, *args):
+            out = dots(self, *args)
+            widths.append(out.shape[1])
+            return out
+
+        with mock.patch.object(FeatureStore, "_dots", counted):
+            store.nearest(lats, lons, 15)
+            assert widths and max(widths) < n / 2
+            widths.clear()
+            noisy = gen.permutation(600)[:300]
+            query_precisions(store, lats[:300], lons[:300], lats[noisy], lons[noisy], 500.0, 1_500.0)
+            assert widths and max(widths) < n / 2
 
 
 class TestGenerateSynthetic:
