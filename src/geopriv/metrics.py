@@ -239,14 +239,16 @@ def _chord_scores(anons: Sequence[PoiSet], real: np.ndarray, starts: np.ndarray,
     central values of each (set, candidate) pair become arcs. The sets are
     scored in blocks: one chord matrix per block, read by rows for each
     anonymous POI's nearest chord per candidate and by columns for each
-    real POI's nearest chord per set.
+    real POI's nearest chord per set. A block holds at most
+    ``_BLOCK_CELLS`` cells in the ``(3, rows, columns)`` difference that
+    :func:`_chords` builds, and in the (set, candidate, width) table.
     """
     n = len(sizes)
     widest = max(len(anon) for anon in anons)
     width = widest + int(sizes.max())
     owner = np.repeat(np.arange(n), sizes)
     at = widest + np.arange(len(real)) - starts[owner]
-    step = max(1, _BLOCK_CELLS // max(widest * len(real), n * width))
+    step = max(1, _BLOCK_CELLS // max(3 * widest * len(real), n * width))
     scores = np.empty((len(anons), n))
     for lo in range(0, len(anons), step):
         block = anons[lo:lo + step]

@@ -49,6 +49,18 @@ it per (run, user), so the observer's sweep loops run -> user ->
 threshold. Each of its results is bit-identical to :func:`extract_pois` at
 that threshold, because both feed the same projection to the one walk that
 :func:`extract_stays` uses and then to :func:`dj_cluster`.
+
+A sweep of several thresholds also builds, once per trace, a no-stay
+certificate: per point u, a lower bound on the chord diameter of the
+minimal window [u, f(u)] that spans min_time (f(u) is the first point at
+least min_time after u). Every window that spans min_time and holds a
+point k holds one of these windows: some [u, f(u)] with u <= k <= f(u), or
+[g(k), f(g(k))], where g(k) is the last point at least min_time before k.
+So when none of those bounds is within the threshold, no stay can hold k.
+At each threshold the walk cuts such points out, as it cuts at a long
+step: a window that holds k never spans min_time, so the walk restarted
+after k emits the same windows at the same points (the full argument is
+at :func:`extract_pois_sweep`), and the stays are unchanged.
 """
 
 from __future__ import annotations
@@ -109,59 +121,159 @@ class Stay:
     point_count: int
 
 
-# A trace as columns: latitudes, longitudes, timestamps, the 3-D chord
-# coordinates (metres, Earth-centred) that every distance test of the walk
-# compares, and as arrays the timestamps and the squared chord step from
-# each point to the next, which split the walk into segments.
-_Columns = tuple[
-    list[float], list[float], list[int], list[float], list[float], list[float], np.ndarray, np.ndarray
-]
+# Slack of the no-stay certificate (metres), proved sound here. A window
+# whose every pair passes the walk's float test has every exact chord
+# between its points' float coordinates below chord * (1 + 4u) <
+# chord + 6e-9 m (u = 2^-53, chord at most the Earth's diameter, 1.28e7 m;
+# a subtraction, two squarings, two additions and the rounding of chord2
+# each move the squared test by at most a factor 1 + u). The certificate
+# projects each point onto four vectors of norm within 1e-15 of one; each
+# projection (three products and two sums, and for a diagonal one more sum
+# and a product by sqrt(1/2)) lies within 2e-8 m of the exact projection
+# onto its vector, as every term is at most 6.4e6 m. A projected range over
+# points pairwise within d is then at most d (1 + 1e-15) + 4e-8 m, and its
+# rounding adds 1 ulp. So the window's bound is below chord + 1e-7 m,
+# while chord + 1 rounds to at least chord + 1 - 2e-9 m: a bound above it
+# proves that no window holding those points passes the walk's test.
+_NO_STAY_SLACK_M = 1.0
 
 
-def _project(trace: MobilityTrace) -> _Columns:
-    """The trace's columns and chord projection; they do not depend on the
-    extraction parameters, so a threshold sweep computes them once.
+class _Projection:
+    """A trace's columns for the walk. None depends on the extraction
+    parameters, so a threshold sweep builds them once per trace.
 
-    ``step2[i - 1]`` is the same float arithmetic, in the same order, as
-    the walk's first scan comparison at point i, against point i - 1."""
-    xyz = chord_xyz(trace.lat, trace.lon)
-    dx, dy, dz = (xyz[1:] - xyz[:-1]).T
-    step2 = dx * dx + dy * dy + dz * dz
-    xs, ys, zs = xyz.T.tolist()
-    return trace.lat.tolist(), trace.lon.tolist(), trace.t.tolist(), xs, ys, zs, trace.t, step2
+    ``t``, ``xyz`` (the 3-D chord coordinates, metres, Earth-centred,
+    that every distance test of the walk compares) and ``lat``/``lon`` are
+    arrays, and ``step2`` holds the squared chord step from each point to
+    the next: ``step2[i - 1]`` is the same float arithmetic, in the same
+    order, as the walk's first scan comparison at point i, against point
+    i - 1. The walk's loop reads Python lists of t, x, y and z, built on
+    the first walk that has a segment to walk (:meth:`lists`), and a sweep
+    builds its no-stay certificate once (:meth:`walkable`).
+    """
+
+    __slots__ = ("lat", "lon", "t", "xyz", "step2", "_lists", "_certificate")
+
+    def __init__(self, trace: MobilityTrace) -> None:
+        self.lat, self.lon, self.t = trace.lat, trace.lon, trace.t
+        self.xyz = chord_xyz(trace.lat, trace.lon)
+        dx, dy, dz = (self.xyz[1:] - self.xyz[:-1]).T
+        self.step2 = dx * dx + dy * dy + dz * dz
+        self._lists: tuple[list[int], list[float], list[float], list[float]] | None = None
+        self._certificate: tuple[int, np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def lists(self) -> tuple[list[int], list[float], list[float], list[float]]:
+        if self._lists is None:
+            self._lists = (self.t.tolist(), *self.xyz.T.tolist())
+        return self._lists
+
+    def walkable(self, chord: float, min_time: int) -> np.ndarray:
+        """Per point, whether the walk at ``chord`` must visit it: False
+        only where the certificate proves that no window holding the point
+        spans min_time and passes the walk's test. A point k is kept when
+        the no-stay bound of some minimal window [u, f(u)] with
+        u <= k <= f(u), or of g(k)'s, is at most chord + _NO_STAY_SLACK_M
+        (see :func:`extract_pois_sweep`)."""
+        if self._certificate is None or self._certificate[0] != min_time:
+            self._certificate = (min_time, *_no_stay_bounds(self, min_time))
+        _, f, g, bound = self._certificate
+        n = len(f)
+        good = bound <= chord + _NO_STAY_SLACK_M
+        # the furthest f(u) over the good u <= k reaches k
+        reach = np.maximum.accumulate(np.where(good[:n], f, -1))
+        return (reach >= np.arange(n)) | good[g]
 
 
-def _walk(cols: _Columns, params: ExtractionParams) -> list[Stay]:
+def _no_stay_bounds(proj: _Projection, min_time: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(f, g, bound)``: f(u), the first point at least min_time after u
+    (n when there is none); g(k), the last point at least min_time before
+    k (-1 when there is none); and per u, a lower bound on the chord
+    diameter of the minimal window [u, f(u)], infinite where f(u) = n and
+    at the extra index n, which g = -1 reads.
+
+    The bound is the largest range of the points' chord coordinates
+    projected onto four unit vectors of the tangent plane at the first
+    point: east, north and (east +- north) / sqrt(2). A projection onto a
+    unit vector never lengthens a chord, so a window's diameter is at least
+    each range. The products are elementwise, not a matrix product, so the
+    bounds do not depend on a BLAS kernel. The ranges come from a sparse
+    table of min/max over blocks of 2^j points, built one level at a time:
+    a window of w points is the union of the two blocks of 2^floor(log2 w)
+    points at its ends.
+    """
+    t = proj.t
+    n = len(t)
+    f = np.searchsorted(t, t + min_time)
+    g = np.searchsorted(t, t - min_time, side="right") - 1
+    phi, lam = math.radians(float(proj.lat[0])), math.radians(float(proj.lon[0]))
+    x, y, z = proj.xyz.T
+    east = x * -math.sin(lam) + y * math.cos(lam)
+    north = x * (-math.sin(phi) * math.cos(lam)) + y * (-math.sin(phi) * math.sin(lam)) + z * math.cos(phi)
+    lo = hi = np.stack((east, north, (east + north) * math.sqrt(0.5), (east - north) * math.sqrt(0.5)))
+    u = np.flatnonzero(f < n)
+    level = np.frexp(f[u] - u + 1)[1] - 1  # floor(log2) of the window's point count
+    bound = np.full(n + 1, np.inf)
+    for j in range(int(level.max(initial=-1)) + 1):
+        # lo[:, i] and hi[:, i] cover the block [i, i + 2^j)
+        if j:
+            half = 1 << (j - 1)
+            lo = np.minimum(lo[:, :-half], lo[:, half:])
+            hi = np.maximum(hi[:, :-half], hi[:, half:])
+        a = u[level == j]
+        b = f[a] - (1 << j) + 1
+        top = np.maximum(hi.take(a, axis=1), hi.take(b, axis=1))
+        bound[a] = (top - np.minimum(lo.take(a, axis=1), lo.take(b, axis=1))).max(axis=0)
+    return f, g, bound
+
+
+def _segments(link: np.ndarray, t: np.ndarray, min_time: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The (starts, ends) of the runs of points joined by ``link`` (point
+    i - 1 to point i at ``link[i - 1]``) that span min_time, and the number
+    of runs."""
+    cuts = np.flatnonzero(~link) + 1
+    starts = np.concatenate(([0], cuts))
+    ends = np.concatenate((cuts, [len(t)]))
+    kept = t[ends - 1] - t[starts] >= min_time
+    return starts[kept], ends[kept], len(starts)
+
+
+def _walk(proj: _Projection, params: ExtractionParams, certify: bool = False) -> list[Stay]:
     """The stay walk over a projected trace (see :func:`extract_stays`).
 
     It walks only the segments between steps longer than max_distance that
-    span at least min_time, one after another. The hot loop makes no
-    builtin calls per point: ``max``/``min`` are written as
-    ``if b > a``/``if b < a``, which keep the same operand on ties, and
-    list items are read into locals once.
+    span at least min_time, one after another; with ``certify``, it also
+    cuts out every point that the no-stay certificate proves no stay can
+    hold (see :func:`extract_pois_sweep`). The hot loop makes no builtin
+    calls per point: ``max``/``min`` are written as ``if b > a``/``if b < a``,
+    which keep the same operand on ties, and list items are read into
+    locals once.
     """
-    lats, lons, ts, xs, ys, zs, t, step2 = cols
-    n = len(ts)
+    t = proj.t
+    n = len(t)
     if n == 0:
         return []
     chord = chord_m(params.max_distance)
     chord2 = chord * chord
     min_time = params.min_time
-    cuts = np.flatnonzero(step2 > chord2) + 1
-    starts = np.concatenate(([0], cuts))
-    ends = np.concatenate((cuts, [n]))
-    kept = t[ends - 1] - t[starts] >= min_time
-    found = len(starts)
-    starts, ends = starts[kept], ends[kept]
+    link = proj.step2 <= chord2
+    starts, ends, found = _segments(link, t, min_time)
     logger.debug(
-        "max_distance %r m: walking %d of %d segments, %d of %d points",
+        "max_distance %r m: %d of %d segments between long steps span min_time, %d of %d points",
         params.max_distance, len(starts), found, int((ends - starts).sum()), n,
     )
+    if certify and len(starts):
+        # a cut-out point is a segment of its own, spanning 0 < min_time
+        walkable = proj.walkable(chord, min_time)
+        starts, ends, _ = _segments(link & walkable[1:] & walkable[:-1], t, min_time)
+    if not len(starts):
+        return []
+    ts, xs, ys, zs = proj.lists()
+    lat, lon = proj.lat, proj.lon
 
     def emit(start: int, end: int) -> Stay:
         m = end - start
         return Stay(
-            centroid=GeoPoint(math.fsum(lats[start:end]) / m, math.fsum(lons[start:end]) / m),
+            centroid=GeoPoint(math.fsum(lat[start:end].tolist()) / m, math.fsum(lon[start:end].tolist()) / m),
             start_t=ts[start],
             end_t=ts[end - 1],
             point_count=m,
@@ -267,7 +379,7 @@ def extract_stays(trace: MobilityTrace, params: ExtractionParams) -> list[Stay]:
     max_distance, which orders point pairs exactly like the great-circle
     distance.
     """
-    return _walk(_project(trace), params)
+    return _walk(_Projection(trace), params)
 
 
 def dj_cluster(stays: list[Stay], params: ExtractionParams) -> list[Poi]:
@@ -330,10 +442,43 @@ def extract_pois_sweep(
 
     The trace is projected once and walked once per threshold, so each
     result equals ``extract_pois(trace, replace(params, max_distance=t))``.
+
+    With more than one threshold, the walks also cut out the points that
+    no stay can hold. A point k can lie in a stay only if some window that
+    holds it spans min_time and passes the walk's test on every pair
+    (the walk's windows always pass it). Such a window [a, b] holds the
+    minimal window [u, f(u)] of some u <= k <= f(u), where f(u) is the
+    first point at least min_time after u: u = a when k <= f(a). Otherwise
+    it holds [g(k), k], where g(k) >= a is the last point at least min_time
+    before k, and so [g(k), f(g(k))]. The diameter of a window is at least
+    that of any window inside it, so k is kept when one of those minimal
+    windows has a no-stay bound (:func:`_no_stay_bounds`) of at most chord
+    + ``_NO_STAY_SLACK_M``; the slack's proof shows that a bound above that
+    fails the walk's float test.
+
+    Cutting out such a point k and restarting the walk after it, as a step
+    longer than max_distance does, changes no stay. After point i the
+    walk's window is the longest suffix of the points since its last
+    restart r that passes the test: an admission keeps that suffix, and a
+    pop goes to the newest violator. A window holding k never spans
+    min_time, so it is never emitted, and the window before k, if it spans
+    min_time, does not admit k, so it is emitted at k exactly as at the end
+    of the segment before k. Past k, while the window started from r holds
+    k it spans less than min_time, and so does its suffix after k, the
+    window of the walk restarted at k + 1; once the suffix no longer
+    reaches k, the two windows are the same. So both walks emit the same
+    windows at the same points, and after their first emission past k they
+    restart at the same point. The segment split on long steps is the case
+    of a step longer than max_distance.
+
+    The certificate is built once per trace, and only when some threshold
+    leaves a segment spanning min_time; a one-threshold sweep would pay
+    more for it than its walk saves.
     """
-    cols = _project(trace)
+    proj = _Projection(trace)
+    certify = len(thresholds) > 1
     out = []
     for threshold in thresholds:
         attack = replace(params, max_distance=float(threshold))
-        out.append(PoiSet(user=trace.user, pois=tuple(dj_cluster(_walk(cols, attack), attack))))
+        out.append(PoiSet(user=trace.user, pois=tuple(dj_cluster(_walk(proj, attack, certify), attack))))
     return out

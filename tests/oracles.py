@@ -13,7 +13,9 @@ malformed-line tolerance and the trace model with
 step that ``mechanism.perturb`` applies to arrays; the synthetic test data
 is built with it. ``walk_unpruned`` is the stay walk as it was before it
 split the trace into segments, kept verbatim so that the pruned walk can be
-held to it bit for bit; it shares the chord projection with it.
+held to it bit for bit; it shares the chord projection with it, as does
+``stay_capable_literal``, which finds by brute force the points that some
+stay could hold.
 
 Means are literal: a stay's centroid is the mean of its correctly rounded
 coordinate sums (``math.fsum``), as the walk defines it, and every other
@@ -129,8 +131,8 @@ def extract_stays_literal(trace: MobilityTrace, params: ExtractionParams) -> lis
 
 
 def walk_unpruned(trace: MobilityTrace, params: ExtractionParams) -> list[Stay]:
-    """The stay walk as it was before segment pruning: ``poi._project``
-    and ``poi._walk`` verbatim, one window over the whole trace. Every
+    """The stay walk as it was before segment pruning: the projection and
+    ``poi._walk`` as they were, one window over the whole trace. Every
     decision is the same float operation as the pruned walk's, so their
     stays must be equal field for field."""
     xs, ys, zs = chord_xyz(trace.lat, trace.lon).T.tolist()
@@ -212,6 +214,32 @@ def walk_unpruned(trace: MobilityTrace, params: ExtractionParams) -> list[Stay]:
     if start < n and ts[n - 1] - ts[start] >= min_time:
         stays.append(emit(start, n))
     return stays
+
+
+def stay_capable_literal(trace: MobilityTrace, params: ExtractionParams) -> list[bool]:
+    """Per point, whether some window of the trace that holds it spans
+    min_time and passes the walk's test on every pair: the squared chord
+    between the two points' ``chord_xyz`` coordinates, newer minus older,
+    added x, y then z, at most ``chord_m(max_distance)`` squared. Only
+    such a point can lie in a stay. Brute force: from each first point,
+    the window grows while every pair passes, and each window that spans
+    min_time marks its points."""
+    xyz = chord_xyz(trace.lat, trace.lon).tolist()
+    ts = trace.t.tolist()
+    chord = chord_m(params.max_distance)
+
+    def fits(newer: int, older: int) -> bool:
+        dx, dy, dz = (a - b for a, b in zip(xyz[newer], xyz[older]))
+        return dx * dx + dy * dy + dz * dz <= chord * chord
+
+    capable = [False] * len(ts)
+    for first in range(len(ts)):
+        for last in range(first, len(ts)):
+            if not all(fits(last, j) for j in range(first, last)):
+                break
+            if ts[last] - ts[first] >= params.min_time:
+                capable[first:last + 1] = [True] * (last + 1 - first)
+    return capable
 
 
 def dj_cluster_literal(stays: list[Stay], params: ExtractionParams) -> list[Poi]:

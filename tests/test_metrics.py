@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geopriv import features as features_module
+from geopriv import metrics as metrics_module
 from geopriv.core import EARTH_RADIUS_M, Dataset, GeoPoint, MobilityTrace, Poi, PoiSet, distance
 from geopriv.experiment import PrecisionConfig, precision_summary
 from geopriv.features import Feature, FeatureStore
@@ -231,6 +233,30 @@ class TestReidentificationRate:
         # an empty set names no one, not the first sorted user
         R = {"b": _poiset("b", (5000, 0)), "a": _poiset("a", (0, 0))}
         assert reidentification_rate(R, {"a": PoiSet("a", ()), "b": PoiSet("b", ())}) == 0.0
+
+    def test_memory_follows_the_block_budget(self):
+        # 10 anonymous sets of 12 POIs against 400 one-POI candidates, with
+        # blocks of two sets: the (3, 24, 400) chord difference of a block
+        # fills the budget of 28,800 cells. Blocks sized by the chord matrix
+        # alone would take five sets and a difference three times the
+        # budget, and peak near seven budgets of float64 (1.6 MB); the
+        # scores, the table and the chords of a block stay under five
+        n, sets, width = 400, 10, 12
+        real = {f"u{i:03d}": _poiset(f"u{i:03d}", (5000.0 * i, 0.0)) for i in range(n)}
+        obf = {
+            u: _poiset(u, *[(5000.0 * i, 10.0 * j) for j in range(width)]) if i < sets else PoiSet(u, ())
+            for i, u in enumerate(real)
+        }
+        cells = 6 * width * n
+        with mock.patch.object(metrics_module, "_BLOCK_CELLS", cells):
+            tracemalloc.start()
+            try:
+                rate = reidentification_rate(real, obf)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert rate == sets / n
+        assert peak < 5 * 8 * cells
 
     def test_requires_matching_users(self):
         R = {"a": _poiset("a", (0, 0))}

@@ -29,7 +29,7 @@ from geopriv.poi import (
     extract_stays,
 )
 
-from oracles import dj_cluster_literal, extract_stays_literal, offset, walk_unpruned
+from oracles import dj_cluster_literal, extract_stays_literal, offset, stay_capable_literal, walk_unpruned
 from synth import random_params, random_trace
 
 DEFAULTS = ExtractionParams()
@@ -597,3 +597,149 @@ class TestSegmentPruning:
             )
         # an empty trace has no segments and logs nothing
         assert handler.counts == (expected_counts if times else [])
+
+
+def _destination(p, bearing, d):
+    """The point ``d`` metres from ``p`` along the great circle leaving it
+    at ``bearing`` (radians from north), on the sphere of ``distance``."""
+    phi, lam, delta = math.radians(p.lat), math.radians(p.lon), d / EARTH_RADIUS_M
+    lat = math.asin(math.sin(phi) * math.cos(delta) + math.cos(phi) * math.sin(delta) * math.cos(bearing))
+    lon = lam + math.atan2(
+        math.sin(bearing) * math.sin(delta) * math.cos(phi),
+        math.cos(delta) - math.sin(phi) * math.sin(lat),
+    )
+    return GeoPoint(math.degrees(lat), (math.degrees(lon) + 180.0) % 360.0 - 180.0)
+
+
+# Cloud diameters, as max_distance plus one of these (metres): within a
+# millimetre of max_distance, and of it plus or minus 1 m, the slack of the
+# certificate (poi._NO_STAY_SLACK_M), where its cut falls.
+_DELTAS = (-1.001, -1.0, -1e-3, 1e-3, 1.0, 1.001)
+
+# A block of the certificate traces: (points, diameter - max_distance,
+# bearing of the diameter, distance from the block before in units of
+# max_distance or None for a far jump, span - min_time, seconds since the
+# block before, whether inner timestamps tie).
+_CERT_BLOCKS = st.tuples(
+    st.integers(2, 12),
+    st.sampled_from(_DELTAS),
+    st.sampled_from((0.0, 0.5 * math.pi, 0.25 * math.pi, None)),
+    st.sampled_from((None, 0.0, 0.4, 1.1)),
+    st.sampled_from((-1, 0, 1)),
+    st.sampled_from((0, 1, 600, 36_000)),
+    st.booleans(),
+)
+
+# Where the traces lie: mid-latitude, across the antimeridian, at 89 degrees.
+_CERT_ORIGINS = (GeoPoint(45.0, 5.0), GeoPoint(-35.0, 179.9995), GeoPoint(89.0, 5.0), GeoPoint(-89.0, -60.0))
+
+
+def _certificate_case(seed, origin, blocks, max_distance, min_time, nudge):
+    """A trace of clouds, each of the drawn diameter: two of its points are
+    the ends of a diameter through its centre, the rest lie strictly
+    inside, and its timestamps, in a drawn order of its points, run from 0
+    to min_time plus the drawn span. Each centre lies the drawn distance
+    from the one before. Thresholds are
+    max_distance and max_distance + 1 m; with ``nudge`` also the
+    threshold whose chord squares to exactly the first cloud's diameter as
+    the walk computes it, and the floats on either side of it."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    center = origin
+    t = 0
+    locations = []
+    diameters = []
+    for i, (n, delta, bearing, join, span, gap, ties) in enumerate(blocks):
+        if i:
+            d = 5.0 * max_distance if join is None else join * max_distance
+            center = _destination(center, float(gen.uniform(0.0, 2.0 * math.pi)), d)
+            t += gap
+        bearing = float(gen.uniform(0.0, 2.0 * math.pi)) if bearing is None else bearing
+        radius = (max_distance + delta) / 2.0
+        points = [_destination(center, bearing, radius), _destination(center, bearing + math.pi, radius)]
+        diameters.append(points[:])
+        points += [
+            _destination(center, float(a), float(r))
+            for a, r in zip(gen.uniform(0.0, 2.0 * math.pi, n - 2), 0.99 * radius * np.sqrt(gen.uniform(0.0, 1.0, n - 2)))
+        ]
+        order = gen.permutation(n).tolist()
+        span_s = min_time + span
+        inner = gen.choice((0, span_s // 2, span_s), n - 2) if ties else gen.integers(0, span_s + 1, n - 2)
+        offsets = [0, *sorted(inner.tolist()), span_s]
+        locations += [TL(t + dt, points[j]) for dt, j in zip(offsets, order)]
+        t += span_s
+    trace = MobilityTrace("u", tuple(locations))
+    thresholds = [max_distance, max_distance + 1.0]
+    if nudge:
+        (ax, ay, az), (bx, by, bz) = chord_xyz([p.lat for p in diameters[0]], [p.lon for p in diameters[0]]).tolist()
+        exact = _threshold_at((bx - ax) * (bx - ax) + (by - ay) * (by - ay) + (bz - az) * (bz - az))
+        if exact is not None:
+            thresholds += [exact, math.nextafter(exact, 0.0), math.nextafter(exact, math.inf)]
+    return trace, ExtractionParams(min_time=min_time, max_distance=max_distance, min_pts=1), thresholds
+
+
+@st.composite
+def _certificate_cases(draw):
+    return _certificate_case(
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.sampled_from(_CERT_ORIGINS)),
+        draw(st.lists(_CERT_BLOCKS, min_size=1, max_size=5)),
+        draw(st.sampled_from((30.0, 250.0))),
+        draw(st.sampled_from((60, 600))),
+        draw(st.booleans()),
+    )
+
+
+def _runs(mask):
+    """The (start, end) of each maximal run of True in ``mask``."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], np.asarray(mask, dtype=int), [0]))))
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
+
+
+class TestNoStayCertificate:
+    """The sweep's no-stay certificate against the brute-force stay-capable
+    points (``stay_capable_literal``): the certificate never cuts a point
+    that some stay could hold, the stays are the same when every other
+    point is cut out, and the certified sweep equals the single walks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_certificate_cases())
+    # a diagonal pair across the antimeridian, at exactly the nudged
+    # threshold, whose projected range exceeds its chord by 3e-11 m
+    @example(_certificate_case(0, _CERT_ORIGINS[1], [(2, -1.001, 0.25 * math.pi, None, 0, 0, False)], 30.0, 60, True))
+    @example(_certificate_case(5, _CERT_ORIGINS[1], [(6, 1e-3, 0.0, None, 0, 0, True), (4, -1.0, None, 0.4, 0, 0, False)], 250.0, 60, True))
+    @example(_certificate_case(6, _CERT_ORIGINS[2], [(5, 1.0, 0.5 * math.pi, None, 0, 1, True), (5, -1e-3, 0.0, 0.0, -1, 0, True)], 30.0, 600, True))
+    @example(_certificate_case(7, _CERT_ORIGINS[3], [(3, -1e-3, None, None, 1, 0, False), (8, 1.001, 0.0, 1.1, 0, 36_000, True)], 250.0, 60, True))
+    def test_certificate_keeps_every_capable_point(self, case):
+        trace, params, thresholds = case
+        points = [loc.point for loc in trace.locations]
+        projection = poi_module._Projection(trace)
+        for threshold in thresholds:
+            attack = replace(params, max_distance=threshold)
+            capable = stay_capable_literal(trace, attack)
+            walkable = projection.walkable(chord_m(threshold), params.min_time).tolist()
+            assert all(kept for kept, can in zip(walkable, capable) if can)
+            # a walk restarted at every run of capable points finds the same stays
+            runs = [
+                MobilityTrace.from_columns("u", trace.t[s:e], trace.lat[s:e], trace.lon[s:e])
+                for s, e in _runs(capable)
+            ]
+            assert [stay for run in runs for stay in walk_unpruned(run, attack)] == walk_unpruned(trace, attack)
+            # and so does the literal walk, wherever arcs and chords agree on every pair
+            if all(abs(distance(p, q) - threshold) > 1e-6 for i, p in enumerate(points) for q in points[i + 1:]):
+                literal = extract_stays_literal(trace, attack)
+                assert [stay for run in runs for stay in extract_stays_literal(run, attack)] == literal
+                assert walk_unpruned(trace, attack) == literal
+        swept = extract_pois_sweep(trace, params, thresholds)
+        for threshold, got in zip(thresholds, swept):
+            attack = replace(params, max_distance=threshold)
+            assert got == extract_pois(trace, attack)
+            assert extract_stays(trace, attack) == walk_unpruned(trace, attack)
+
+    def test_steady_motion_is_cut_out(self):
+        # 100 m per minute for two hours, then an hour-long dwell: no window
+        # of the motion fits 250 m, so only the dwell is walked
+        moving = [TL(60 * i, offset(BASE, 100.0 * i, 0.0)) for i in range(120)]
+        dwell = [TL(7200 + 60 * i, offset(BASE, 20_000.0, 5.0 * (i % 2))) for i in range(61)]
+        projection = poi_module._Projection(MobilityTrace("u", tuple(moving + dwell)))
+        walkable = projection.walkable(chord_m(250.0), 3600).tolist()
+        assert walkable == [False] * 120 + [True] * 61
