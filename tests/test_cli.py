@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from geopriv import cli, experiment
 from geopriv.cli import main
 from geopriv.core import Dataset, GeoPoint, MobilityTrace, TimestampedLocation
+from geopriv.features import FeatureStore, generate_synthetic_features
 from geopriv.ingest import FilterPolicy, dataset_digest, parse_canonical, parse_pois, write_canonical
 from geopriv.mechanism import PrivacyLevel
 from geopriv.poi import ExtractionParams
@@ -519,6 +520,69 @@ class TestPrecisionCommand:
         ])
         assert result.exit_code == 2, result.output
         assert "precision alpha must be in (0, 1)" in result.output
+
+
+def _level_table(path, epsilon):
+    """The bytes of a report table cut to its header and one level's rows."""
+    header, *rows = path.read_bytes().splitlines(keepends=True)
+    column = header.rstrip(b"\n").split(b",").index(b"epsilon")
+    return header + b"".join(row for row in rows if row.split(b",")[column] == repr(epsilon).encode())
+
+
+class TestFrontDoors:
+    """The study has two front doors: ``run_experiment`` with
+    ``write_report``, and the command chain ``pois`` -> ``obfuscate`` ->
+    ``sweep`` -> ``evaluate``, plus ``precision``. Per level, the chain
+    must write that level's tables of the API's report, byte for byte."""
+
+    def test_command_chain_writes_run_experiments_tables(self, tmp_path):
+        dataset, _ = planted_dataset(
+            n_users=6, n_pois=3, points_per_dwell=(31, 61, 45), point_interval_s=60, seed=13
+        )
+        # a user who never dwells has no POIs, and both doors exclude them
+        mover = MobilityTrace("u99", tuple(
+            TimestampedLocation(60 * i, GeoPoint(45.1 + 0.01 * i, 5.0)) for i in range(40)
+        ))
+        dataset = Dataset({**dataset.traces, "u99": mover})
+        traces = tmp_path / "traces.csv"
+        with open(traces, "w", newline="") as fh:
+            write_canonical(dataset, fh)
+        b = dataset_bounds(dataset, 3000)
+        synthetic = f"density=8,seed=5,bbox={b[0]!r},{b[1]!r},{b[2]!r},{b[3]!r}"
+        store = FeatureStore.build(generate_synthetic_features(5, b, 8.0))
+        config = experiment.ExperimentConfig(
+            runs=2, master_seed=2024, extraction=ExtractionParams(min_time=900),
+            sweep=experiment.SweepConfig(min_m=100, max_m=2000, step_m=100),
+        )
+        api = tmp_path / "api"
+        metadata = experiment.write_report(experiment.run_experiment(dataset, config, store), api)["metadata"]
+
+        pois_csv = tmp_path / "pois.csv"
+        _run("pois", "--input", str(traces), "--output", str(pois_csv), "--min-time", "900")
+        for i, level in enumerate(experiment.DEFAULT_LEVELS):
+            eps, campaign, cli_out = repr(level.epsilon), tmp_path / f"campaign{i}", tmp_path / f"cli{i}"
+            cli_out.mkdir()
+            _run("obfuscate", "--input", str(traces), "--epsilon", eps, "--runs", "2", "--seed", "2024",
+                 "--output-dir", str(campaign))
+            verdict = _run("sweep", "--real", str(pois_csv), "--campaign", str(campaign), "--min", "100",
+                           "--max", "2000", "--step", "100", "--out", str(cli_out / "sweep.csv")
+                           ).output.splitlines()[-1]
+            threshold = verdict.split(" threshold")[1].strip(": ").split(" ")[0]
+            assert ("unreached" not in verdict) == metadata["levels"][i]["reached"]
+            _run("evaluate", "--real", str(pois_csv), "--campaign", str(campaign), "--threshold", threshold,
+                 "--synthetic", synthetic, "--out", str(cli_out / "report"))
+            _run("precision", "--input", str(traces), "--epsilon", eps, "--seed", "2024",
+                 "--synthetic", synthetic, "--out", str(cli_out / "precision.csv"))
+            for name in ("recall_users.csv", "distances.csv", "recall.csv", "reident.csv",
+                         "cdf_geo.csv", "cdf_semantic.csv"):
+                assert (cli_out / "report" / name).read_bytes() == _level_table(api / name, level.epsilon), name
+            for name in ("sweep.csv", "precision.csv"):
+                assert (cli_out / name).read_bytes() == _level_table(api / name, level.epsilon), name
+            level_metadata = json.loads((cli_out / "report" / "manifest.json").read_text())["metadata"]
+            assert level_metadata == metadata["per_level"][i]
+            assert level_metadata["excluded_users"] == ["u99"]
+        # the fixture holds a level that misses the recall target and one that clears it
+        assert {level["reached"] for level in metadata["levels"]} == {False, True}
 
 
 @pytest.mark.parametrize("case", ["pois", "sweep", "evaluate", "obfuscate", "ingest", "corrupt input"])
