@@ -42,13 +42,17 @@ coordinates from ``core.chord_xyz``, the one chord projection, against
 ``core.chord_m`` of the threshold; chord length orders point pairs like
 great-circle distance. Phase one runs on a projection of the trace: its
 latitude, longitude and time columns plus those chord coordinates and the
-squared chord steps between consecutive points. The projection does not
-depend on the parameters, so :func:`extract_pois_sweep` projects a trace
-once and walks it once per threshold; ``experiment.threshold_sweep`` calls
-it per (run, user), so the observer's sweep loops run -> user ->
-threshold. Each of its results is bit-identical to :func:`extract_pois` at
-that threshold, because both feed the same projection to the one walk that
-:func:`extract_stays` uses and then to :func:`dj_cluster`.
+squared chord steps between consecutive points. Its box test reads the
+exact bounding box of the window's chord coordinates, kept after every
+step: an admission widens it by the new point, a pop rebuilds it from the
+surviving members, and an emission restarts it at the point that ended
+the stay. The projection does not depend on the parameters, so
+:func:`extract_pois_sweep` projects a trace once and walks it once per
+threshold; ``experiment.threshold_sweep`` calls it per (run, user), so
+the observer's sweep loops run -> user -> threshold. Each of its results
+is bit-identical to :func:`extract_pois` at that threshold, because both
+feed the same projection to the one walk that :func:`extract_stays` uses
+and then to :func:`dj_cluster`.
 
 A sweep of several thresholds also builds, once per trace, a no-stay
 certificate: per point u, a lower bound on the chord diameter of the
@@ -243,10 +247,12 @@ def _walk(proj: _Projection, params: ExtractionParams, certify: bool = False) ->
     It walks only the segments between steps longer than max_distance that
     span at least min_time, one after another; with ``certify``, it also
     cuts out every point that the no-stay certificate proves no stay can
-    hold (see :func:`extract_pois_sweep`). The hot loop makes no builtin
-    calls per point: ``max``/``min`` are written as ``if b > a``/``if b < a``,
-    which keep the same operand on ties, and list items are read into
-    locals once.
+    hold (see :func:`extract_pois_sweep`). The box test and the admission
+    make no builtin calls: ``max``/``min`` are written as ``if b > a``/
+    ``if b < a``, which keep the same operand on ties; only a pop calls the
+    builtins, once per coordinate over the survivors. The DEBUG line counts
+    the segments and points of the step split, before the certificate's
+    cuts, not what the certified walk walks.
     """
     t = proj.t
     n = len(t)
@@ -281,13 +287,12 @@ def _walk(proj: _Projection, params: ExtractionParams, certify: bool = False) ->
 
     stays: list[Stay] = []
     for start, end in zip(starts.tolist(), ends.tolist()):
-        i = start  # window is the slice [start, i)
-        # bounding box of (a superset of) the window's chord coordinates; the
-        # empty window's box of +-inf fails the box test, and its scan finds
-        # no violator, so it admits like any window that fits
-        bx0 = by0 = bz0 = math.inf
-        bx1 = by1 = bz1 = -math.inf
-        while i < end:
+        # the window is the slice [start, i), and the box is its exact
+        # bounding box over the chord coordinates
+        bx0 = bx1 = xs[start]
+        by0 = by1 = ys[start]
+        bz0 = bz1 = zs[start]
+        for i in range(start + 1, end):
             x, y, z = xs[i], ys[i], zs[i]
             dx = bx1 - x
             if x - bx0 > dx: dx = x - bx0
@@ -295,50 +300,35 @@ def _walk(proj: _Projection, params: ExtractionParams, certify: bool = False) ->
             if y - by0 > dy: dy = y - by0
             dz = bz1 - z
             if z - bz0 > dz: dz = z - bz0
-            if dx * dx + dy * dy + dz * dz <= chord2:
-                # within max_distance of the whole box, hence of every member
-                if x < bx0: bx0 = x
-                if x > bx1: bx1 = x
-                if y < by0: by0 = y
-                if y > by1: by1 = y
-                if z < bz0: bz0 = z
-                if z > bz1: bz1 = z
-                i += 1
-                continue
-            # scan newest-first: the first violator is the one every pop must
-            # outlive; members behind it are already verified compatible, and
-            # a window with no violator keeps every member
-            violator = start - 1
-            sx0 = sx1 = x
-            sy0 = sy1 = y
-            sz0 = sz1 = z
-            for j in range(i - 1, start - 1, -1):
-                xj = xs[j]
-                yj = ys[j]
-                zj = zs[j]
-                dx = x - xj
-                dy = y - yj
-                dz = z - zj
-                if dx * dx + dy * dy + dz * dz > chord2:
-                    violator = j
-                    break
-                if xj < sx0: sx0 = xj
-                elif xj > sx1: sx1 = xj
-                if yj < sy0: sy0 = yj
-                elif yj > sy1: sy1 = yj
-                if zj < sz0: sz0 = zj
-                elif zj > sz1: sz1 = zj
-            if violator >= start and ts[i - 1] - ts[start] >= min_time:
-                stays.append(emit(start, i))
-                start = i
-                bx0 = by0 = bz0 = math.inf
-                bx1 = by1 = bz1 = -math.inf
-            else:
-                # pop everything up to the violator, then admit; the scan
-                # verified the surviving members and rebuilt their box exactly
-                start = violator + 1
-                bx0, bx1, by0, by1, bz0, bz1 = sx0, sx1, sy0, sy1, sz0, sz1
-                i += 1
+            if dx * dx + dy * dy + dz * dz > chord2:
+                # x may lie too far from a member: scan newest-first for the
+                # newest violator, which every member up to it goes with; with
+                # none, x fits every member
+                for j in range(i - 1, start - 1, -1):
+                    dx = x - xs[j]
+                    dy = y - ys[j]
+                    dz = z - zs[j]
+                    if dx * dx + dy * dy + dz * dz > chord2:
+                        if ts[i - 1] - ts[start] >= min_time:
+                            stays.append(emit(start, i))
+                            start = i
+                            bx0 = by0 = bz0 = math.inf
+                            bx1 = by1 = bz1 = -math.inf
+                        else:
+                            # i - 1 survives, as the step into x is no longer
+                            # than max_distance inside a segment
+                            start = j + 1
+                            bx0, bx1 = min(xs[start:i]), max(xs[start:i])
+                            by0, by1 = min(ys[start:i]), max(ys[start:i])
+                            bz0, bz1 = min(zs[start:i]), max(zs[start:i])
+                        break
+            # admit x
+            if x < bx0: bx0 = x
+            if x > bx1: bx1 = x
+            if y < by0: by0 = y
+            if y > by1: by1 = y
+            if z < bz0: bz0 = z
+            if z > bz1: bz1 = z
         # the step that ends the segment, or the trace's end, emits the
         # last window when it spans min_time
         if ts[end - 1] - ts[start] >= min_time:
@@ -360,8 +350,10 @@ def extract_stays(trace: MobilityTrace, params: ExtractionParams) -> list[Stay]:
       so one backward scan finds the violator and batches the pops;
     * a bounding box over the window's chord coordinates gives an O(1)
       "definitely fits" test that short-circuits the scan for the long
-      stationary runs that dominate real traces. The box may go stale
-      (too wide) after pops, which is only ever conservative;
+      stationary runs that dominate real traces. It is the window's exact
+      box after every step, so the scan runs only to find the violator:
+      an admission widens the box by the new point, a pop rebuilds it once
+      from the survivors, and an emission restarts it at the new point;
     * segments between steps longer than max_distance are independent.
       When the step into point i is that long, the box holds point i - 1,
       so the box test fails; the newest-first scan names i - 1 as the

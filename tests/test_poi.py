@@ -524,6 +524,25 @@ def _pruning_case(seed, blocks, lead, trail, max_distance, min_time, nudge):
     return trace, ExtractionParams(min_time=min_time, max_distance=max_distance, min_pts=1), thresholds
 
 
+def _one_survivor_case():
+    """A pop that keeps exactly one member. Points 0 and 1 share a window;
+    point 2 lies beyond the first threshold from point 0, and exactly at it
+    from point 1: the threshold's chord squares to that step, so the link
+    into point 2 holds and the scan passes point 1. The window spans less
+    than min_time, so point 0 is popped and point 1 alone survives; point 3,
+    between 1 and 2, then closes a stay of points 1 to 3. The sweep's
+    certificate cuts point 0, so only the walks of ``extract_stays`` pop."""
+    for east in np.arange(400.0, 410.0, 0.25).tolist():
+        trace = MobilityTrace("u", (
+            TL(0, BASE), TL(60, offset(BASE, 150.0, 0.0)), TL(120, offset(BASE, east, 0.0)),
+            TL(700, offset(BASE, (150.0 + east) / 2.0, 0.0)),
+        ))
+        threshold = _threshold_at(_scan_steps(trace)[1])
+        if threshold is not None:
+            return trace, ExtractionParams(min_time=600, min_pts=1), [threshold, 2.0 * threshold]
+    raise AssertionError("no threshold squares to the step into point 2")
+
+
 _PRUNING_BLOCKS = st.tuples(
     st.sampled_from(("dwell", "drift", "pair", "single")),
     st.integers(2, 30),
@@ -568,6 +587,7 @@ class TestSegmentPruning:
     @example((MobilityTrace("u", (TL(0, BASE),)), ExtractionParams(min_pts=1), [100.0]))
     @example(_pruning_case(3, [("pair", 2, 0, True)], False, False, 250.0, 600, True))
     @example(_pruning_case(4, [("dwell", 20, 0, True), ("dwell", 12, -1, False)], True, True, 30.0, 60, False))
+    @example(_one_survivor_case())
     def test_pruned_walk_equals_unpruned(self, case):
         assume(case is not None)
         trace, params, thresholds = case
