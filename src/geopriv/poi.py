@@ -322,7 +322,7 @@ def _walk(proj: _Projection, params: ExtractionParams, certify: bool = False) ->
                             by0, by1 = min(ys[start:i]), max(ys[start:i])
                             bz0, bz1 = min(zs[start:i]), max(zs[start:i])
                         break
-            # admit x
+            # x fits every member left, by the box test or by the scan
             if x < bx0: bx0 = x
             if x > bx1: bx1 = x
             if y < by0: by0 = y
