@@ -567,8 +567,11 @@ class TestFrontDoors:
             verdict = _run("sweep", "--real", str(pois_csv), "--campaign", str(campaign), "--min", "100",
                            "--max", "2000", "--step", "100", "--out", str(cli_out / "sweep.csv")
                            ).output.splitlines()[-1]
-            threshold = verdict.split(" threshold")[1].strip(": ").split(" ")[0]
-            assert ("unreached" not in verdict) == metadata["levels"][i]["reached"]
+            # the chain's sweep chooses the threshold the API chose
+            swept = metadata["levels"][i]
+            threshold = str(swept["optimal_threshold_m"] if swept["reached"] else swept["best_threshold_m"])
+            assert verdict.endswith(f"threshold: {threshold} m (recall target 0.7 reached)" if swept["reached"]
+                                    else f"unreached; best threshold {threshold} m")
             _run("evaluate", "--real", str(pois_csv), "--campaign", str(campaign), "--threshold", threshold,
                  "--synthetic", synthetic, "--out", str(cli_out / "report"))
             _run("precision", "--input", str(traces), "--epsilon", eps, "--seed", "2024",
