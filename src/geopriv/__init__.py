@@ -13,7 +13,6 @@ from .core import (
     Poi,
     PoiSet,
     TimestampedLocation,
-    centroid,
     distance,
 )
 from .mechanism import (

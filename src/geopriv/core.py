@@ -28,7 +28,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -285,20 +285,7 @@ def chord_xyz(lats, lons) -> np.ndarray:
 def sequential_sum(values: Iterable[float]) -> float:
     """The floats added left to right, each addition rounded: the sum that
     built-in ``sum()`` gave before Python 3.12, which compensates its float
-    sums. Every centroid and report mean adds with it, so the reports do
+    sums. Every POI centroid and report mean adds with it, so the reports do
     not depend on the Python version."""
     return reduce(operator.add, values, 0.0)
 
-
-def centroid(points: Sequence[GeoPoint]) -> GeoPoint:
-    """Arithmetic mean of latitudes and longitudes, each summed in the
-    points' order (:func:`sequential_sum`).
-
-    Valid at city scale (points spanning < 100 km, away from the
-    antimeridian); raises on an empty input.
-    """
-    if not points:
-        raise ValueError("empty point set")
-    lat = sequential_sum(p.lat for p in points) / len(points)
-    lon = sequential_sum(p.lon for p in points) / len(points)
-    return GeoPoint(lat, lon)

@@ -392,15 +392,23 @@ def evaluate(
     """Score one privacy level's observed POI sets, one mapping per run.
 
     Produces per-user and per-pair rows, the mean recall and the mean
-    re-identification rate. Every run must observe the same users, each
-    with ground-truth POIs, as :func:`observe` and :func:`threshold_sweep`
-    do; a run whose users differ from run 0's is refused by name.
+    re-identification rate. There must be a run, and every run must observe
+    the same users, at least one, each with ground-truth POIs, as
+    :func:`observe` and :func:`threshold_sweep` do; a run whose users differ
+    from run 0's, or a user without ground truth, is refused by name.
     """
+    if not observed:
+        raise ValueError("no observed runs to evaluate")
     users = sorted(observed[0])
+    if not users:
+        raise ValueError("observed run 0 observes no users")
     for run, sets in enumerate(observed):
         differ = sorted(set(users).symmetric_difference(sets))
         if differ:
             raise ValueError(f"observed run {run} differs from run 0 in users: {', '.join(differ)}")
+    missing = [u for u in users if u not in ground_truth]
+    if missing:
+        raise ValueError(f"observed users without ground truth: {', '.join(missing)}")
 
     real_sets = {u: ground_truth[u] for u in users}
     results = [[remap(sets[u], real_sets[u]) for u in users] for sets in observed]

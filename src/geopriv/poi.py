@@ -19,17 +19,18 @@ unioned with every existing cluster it intersects, chaining overlapping
 neighbourhoods together. The returned POIs are the cluster centroids with
 the member count as support.
 
-:func:`dj_cluster` builds every neighbourhood at once, as the rows of one
-squared-chord matrix over the stay centroids, with the same float
-operations per cell, in the same order, as the walk's test. The rows are
-built in blocks of at most ``core._BLOCK_CELLS`` cells, and each core's
-row is kept as a bitset (a Python int). The cores' bitsets are then
-merged in stay order exactly as the naive loop merges sets: a new core
-neighbourhood absorbs every cluster it meets, and the merged cluster goes
-last. So the POIs come in the order of the last core that joined each
-cluster, and each centroid adds its members' latitudes and longitudes in
-ascending stay order (``core.centroid``), read off the cluster's bitset
-lowest bit first. Beside the blocks, memory holds the bitsets: the
+:func:`_cluster`, the clustering core, reads the stay centroids as two
+columns and builds every neighbourhood at once, as the rows of one
+squared-chord matrix over them, with the same float operations per cell,
+in the same order, as the walk's test. The rows are built in blocks of at
+most ``core._BLOCK_CELLS`` cells, and each core's row is kept as a bitset
+(a Python int). The cores' bitsets are then merged in stay order exactly
+as the naive loop merges sets: a new core neighbourhood absorbs every
+cluster it meets, and the merged cluster goes last. So the POIs come in
+the order of the last core that joined each cluster, and each centroid is
+two ``core.sequential_sum``s of its members' latitudes and longitudes in
+ascending stay order, read off the cluster's bitset lowest bit first, over
+the member count. Beside the blocks, memory holds the bitsets: the
 clusters are disjoint, so of n stays there are at most n / min_pts
 clusters of at most n / 8 bytes each, n * n / 16 bytes in all at
 min_pts 2 (about 6 MB for 10,000 stays).
@@ -49,10 +50,12 @@ surviving members, and an emission restarts it at the point that ended
 the stay. The projection does not depend on the parameters, so
 :func:`extract_pois_sweep` projects a trace once and walks it once per
 threshold; ``experiment.threshold_sweep`` calls it per (run, user), so
-the observer's sweep loops run -> user -> threshold. Each of its results
-is bit-identical to :func:`extract_pois` at that threshold, because both
-feed the same projection to the one walk that :func:`extract_stays` uses
-and then to :func:`dj_cluster`.
+the observer's sweep loops run -> user -> threshold. The walk returns
+each stay as the ``(start, end)`` span of its points, which
+``_Projection.centroids`` turns into centroid columns for :func:`_cluster`.
+Only :func:`extract_stays` builds :class:`Stay` objects, and
+:func:`dj_cluster` hands their centroid columns to that same core, so each
+sweep result is bit-identical to :func:`extract_pois` at its threshold.
 
 A sweep of several thresholds also builds, once per trace, a no-stay
 certificate: per point u, a lower bound on the chord diameter of the
@@ -82,9 +85,9 @@ from .core import (
     MobilityTrace,
     Poi,
     PoiSet,
-    centroid,
     chord_m,
     chord_xyz,
+    sequential_sum,
 )
 
 logger = logging.getLogger(__name__)
@@ -171,6 +174,11 @@ class _Projection:
             self._lists = (self.t.tolist(), *self.xyz.T.tolist())
         return self._lists
 
+    def centroids(self, spans: list[tuple[int, int]]) -> tuple[list[float], list[float]]:
+        """The stays' centroid columns: per span, the mean latitude and
+        longitude of its points, each correctly rounded (``math.fsum``)."""
+        return tuple([math.fsum(c[s:e].tolist()) / (e - s) for s, e in spans] for c in (self.lat, self.lon))
+
     def walkable(self, chord: float, min_time: int) -> np.ndarray:
         """Per point, whether the walk at ``chord`` must visit it: False
         only where the certificate proves that no window holding the point
@@ -241,8 +249,9 @@ def _segments(link: np.ndarray, t: np.ndarray, min_time: int) -> tuple[np.ndarra
     return starts[kept], ends[kept], len(starts)
 
 
-def _walk(proj: _Projection, params: ExtractionParams, certify: bool = False) -> list[Stay]:
-    """The stay walk over a projected trace (see :func:`extract_stays`).
+def _walk(proj: _Projection, params: ExtractionParams, certify: bool = False) -> list[tuple[int, int]]:
+    """The stay walk over a projected trace (see :func:`extract_stays`):
+    each stay as the ``(start, end)`` span of its points, in trace order.
 
     It walks only the segments between steps longer than max_distance that
     span at least min_time, one after another; with ``certify``, it also
@@ -274,18 +283,7 @@ def _walk(proj: _Projection, params: ExtractionParams, certify: bool = False) ->
     if not len(starts):
         return []
     ts, xs, ys, zs = proj.lists()
-    lat, lon = proj.lat, proj.lon
-
-    def emit(start: int, end: int) -> Stay:
-        m = end - start
-        return Stay(
-            centroid=GeoPoint(math.fsum(lat[start:end].tolist()) / m, math.fsum(lon[start:end].tolist()) / m),
-            start_t=ts[start],
-            end_t=ts[end - 1],
-            point_count=m,
-        )
-
-    stays: list[Stay] = []
+    spans: list[tuple[int, int]] = []
     for start, end in zip(starts.tolist(), ends.tolist()):
         # the window is the slice [start, i), and the box is its exact
         # bounding box over the chord coordinates
@@ -310,7 +308,7 @@ def _walk(proj: _Projection, params: ExtractionParams, certify: bool = False) ->
                     dz = z - zs[j]
                     if dx * dx + dy * dy + dz * dz > chord2:
                         if ts[i - 1] - ts[start] >= min_time:
-                            stays.append(emit(start, i))
+                            spans.append((start, i))
                             start = i
                             bx0 = by0 = bz0 = math.inf
                             bx1 = by1 = bz1 = -math.inf
@@ -332,8 +330,8 @@ def _walk(proj: _Projection, params: ExtractionParams, certify: bool = False) ->
         # the step that ends the segment, or the trace's end, emits the
         # last window when it spans min_time
         if ts[end - 1] - ts[start] >= min_time:
-            stays.append(emit(start, end))
-    return stays
+            spans.append((start, end))
+    return spans
 
 
 def extract_stays(trace: MobilityTrace, params: ExtractionParams) -> list[Stay]:
@@ -371,22 +369,31 @@ def extract_stays(trace: MobilityTrace, params: ExtractionParams) -> list[Stay]:
     max_distance, which orders point pairs exactly like the great-circle
     distance.
     """
-    return _walk(_Projection(trace), params)
+    proj = _Projection(trace)
+    spans = _walk(proj, params)
+    ts = proj.lists()[0] if spans else []
+    return [
+        Stay(GeoPoint(lat, lon), ts[s], ts[e - 1], e - s)
+        for (s, e), lat, lon in zip(spans, *proj.centroids(spans))
+    ]
 
 
 def dj_cluster(stays: list[Stay], params: ExtractionParams) -> list[Poi]:
     """Merge stays into POI clusters by chained neighbourhood joins.
 
-    A stay counts as its own neighbour. The neighbourhoods are the rows of
-    one blocked squared-chord matrix, merged as bitsets in stay order (see
-    the module docstring).
+    A stay counts as its own neighbour. Only the stays' centroid columns
+    are read, by the columnar core :func:`_cluster` that the sweep calls
+    directly (see the module docstring).
     """
-    xs, ys, zs = chord_xyz(
-        [s.centroid.lat for s in stays], [s.centroid.lon for s in stays]
-    ).T
+    return _cluster([s.centroid.lat for s in stays], [s.centroid.lon for s in stays], params)
+
+
+def _cluster(lats: list[float], lons: list[float], params: ExtractionParams) -> list[Poi]:
+    """:func:`dj_cluster` over the stays' centroid columns."""
+    xs, ys, zs = chord_xyz(lats, lons).T
     chord = chord_m(params.merge_distance)
     chord2 = chord * chord
-    n = len(stays)
+    n = len(lats)
     step = max(1, _BLOCK_CELLS // max(n, 1))
 
     clusters: list[int] = []
@@ -416,7 +423,9 @@ def dj_cluster(stays: list[Stay], params: ExtractionParams) -> list[Poi]:
             low = cluster & -cluster
             members.append(low.bit_length() - 1)
             cluster ^= low
-        pois.append(Poi(centroid=centroid([stays[j].centroid for j in members]), support=len(members)))
+        m = len(members)
+        lat, lon = (sequential_sum(c[j] for j in members) / m for c in (lats, lons))
+        pois.append(Poi(centroid=GeoPoint(lat, lon), support=m))
     return pois
 
 
@@ -464,13 +473,16 @@ def extract_pois_sweep(
     of a step longer than max_distance.
 
     The certificate is built once per trace, and only when some threshold
-    leaves a segment spanning min_time; a one-threshold sweep would pay
-    more for it than its walk saves.
+    leaves a segment spanning min_time. A single walk pays more for it than
+    it saves: certifying every walk, :func:`extract_stays`'s too, made a
+    study-crowd bench job (one threshold) 12% slower and campaign-io's
+    ground-truth walks 26% slower (seed 2201, 40 rounds alternated in one
+    process on 2 vCPUs; slower in 34 and 39 of them).
     """
     proj = _Projection(trace)
     certify = len(thresholds) > 1
     out = []
     for threshold in thresholds:
         attack = replace(params, max_distance=float(threshold))
-        out.append(PoiSet(user=trace.user, pois=tuple(dj_cluster(_walk(proj, attack, certify), attack))))
+        out.append(PoiSet(trace.user, tuple(_cluster(*proj.centroids(_walk(proj, attack, certify)), attack))))
     return out

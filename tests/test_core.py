@@ -10,7 +10,6 @@ from geopriv.core import (
     PoiSet,
     Poi,
     TimestampedLocation,
-    centroid,
     chord_xyz,
     distance,
     sequential_sum,
@@ -94,32 +93,6 @@ class TestSequentialSum:
     def test_empty_and_signed_zero(self):
         assert sequential_sum([]) == 0.0
         assert math.copysign(1.0, sequential_sum([-0.0])) == 1.0
-
-    def test_centroid_adds_in_order(self):
-        c = centroid([GeoPoint(0.1, 0.1)] * 10)
-        assert c == GeoPoint(0.9999999999999999 / 10, 0.9999999999999999 / 10)
-
-
-class TestCentroid:
-    def test_singleton(self):
-        assert centroid([GeoPoint(10, 20)]) == GeoPoint(10, 20)
-
-    def test_midpoint(self):
-        assert centroid([GeoPoint(0, 0), GeoPoint(2, 0)]) == GeoPoint(1, 0)
-
-    def test_three_points(self):
-        assert centroid([GeoPoint(0, 0), GeoPoint(0, 1), GeoPoint(0, 2)]) == GeoPoint(0, 1)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty point set"):
-            centroid([])
-
-    def test_repeated_point_is_fixed(self):
-        p = GeoPoint(48.85, 2.35)
-        for n in (1, 2, 7):
-            c = centroid([p] * n)
-            assert c.lat == pytest.approx(p.lat, abs=1e-12)
-            assert c.lon == pytest.approx(p.lon, abs=1e-12)
 
 
 class TestOffset:

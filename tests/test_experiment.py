@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geopriv.core import Dataset, GeoPoint, MobilityTrace, TimestampedLocation as TL
+from geopriv.core import Dataset, GeoPoint, MobilityTrace, Poi, PoiSet, TimestampedLocation as TL
 from geopriv.experiment import (
     EvaluationReport,
     ExperimentConfig,
@@ -32,6 +32,7 @@ from synth import dataset_bounds, planted_dataset
 
 MEDIUM = PrivacyLevel.from_level(math.log(6), 500.0)
 PARAMS = ExtractionParams(min_time=900)
+_POI = Poi(GeoPoint(45.0, 5.0), 2)
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +154,21 @@ def test_evaluate_refuses_runs_observing_other_users(small_world):
     observed[1] = {u: ps for u, ps in observed[1].items() if u != "u04"}
     with pytest.raises(ValueError, match="observed run 1 differs from run 0 in users: u04"):
         evaluate(observed, truth, MEDIUM, 2000, store)
+
+
+@pytest.mark.parametrize(
+    "observed, truth, message",
+    [
+        ([], {"a": PoiSet("a", (_POI,))}, "no observed runs"),
+        ([{}], {"a": PoiSet("a", (_POI,))}, "observed run 0 observes no users"),
+        ([{"a": PoiSet("a", (_POI,))}], {}, "observed users without ground truth: a"),
+        ([{"a": PoiSet("a", (_POI,))}], {"a": PoiSet("a", ())}, "user 'a' has no real POIs"),
+    ],
+    ids=["no runs", "no users", "user without ground truth", "user without real POIs"],
+)
+def test_evaluate_refuses_mismatched_observations_by_name(small_world, observed, truth, message):
+    with pytest.raises(ValueError, match=message):
+        evaluate(observed, truth, MEDIUM, 2000, small_world[2])
 
 
 class TestEvaluate:

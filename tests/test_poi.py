@@ -351,6 +351,21 @@ class TestSweepExtraction:
             assert got == extract_pois(trace, attack)
             TestOracleEquivalence()._assert_same(trace, attack)
 
+    def test_only_extract_stays_builds_stay_objects(self):
+        # the sweep walks and clusters spans and centroid columns; Stay
+        # objects exist only at the public edge, extract_stays
+        far = offset(BASE, 5000.0, 0.0)
+        trace = MobilityTrace("u", tuple(_dwell(BASE, 0) + _dwell(far, 10_000) + _dwell(BASE, 20_000)))
+        for thresholds in ([250.0], [100.0, 250.0]):
+            want = [extract_pois(trace, replace(DEFAULTS, max_distance=t)) for t in thresholds]
+            assert [p.support for p in want[-1].pois] == [2]
+            with mock.patch.object(poi_module, "Stay", side_effect=AssertionError("a Stay was built")):
+                assert extract_pois_sweep(trace, DEFAULTS, thresholds) == want
+                with pytest.raises(AssertionError, match="a Stay was built"):
+                    extract_stays(trace, DEFAULTS)
+        stays = extract_stays(trace, DEFAULTS)
+        assert len(stays) == 3 and all(isinstance(stay, Stay) for stay in stays)
+
 
 # Metres per degree along the equator, where a small east/north layout in
 # metres keeps its distances to well under a millimetre.
