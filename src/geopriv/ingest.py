@@ -66,23 +66,22 @@ class FilterPolicy:
             raise ValueError("filter thresholds must be >= 1")
 
 
-def _fmt_degrees(x: float) -> str:
-    # Six decimals when that round-trips exactly, full repr otherwise.
-    s = f"{x:.6f}"
-    return s if float(s) == x else repr(x)
+def _fmt_degrees(x: np.ndarray) -> list[str]:
+    """Each coordinate of ``x`` as text: six decimals when that form reads
+    back as the same float, the shortest ``repr`` otherwise.
 
-
-def _fmt_degrees_column(x: np.ndarray) -> list[str]:
-    """``_fmt_degrees`` of every value of a coordinate column.
-
-    A value whose six-decimal form round-trips lies within float error
-    (below 1e-7 for magnitudes up to 180) of a whole number of millionths
-    once scaled by 1e6; a value farther than 1e-3 from one therefore takes
-    the repr form without the six-decimal attempt, as noisy points do.
+    The test ``rint(x * 1e6) / 1e6 == x`` decides this exactly for
+    |x| <= 180. Let m be the integer nearest the exact x * 10^6, so that
+    the six-decimal form reads back as fl(m / 1e6); k = rint(fl(x * 1e6)),
+    and the test compares fl(k / 1e6) with x. Whenever x = fl(j / 1e6) for
+    an integer j, x lies within half an ulp of j / 10^6, at most 2^-46 for
+    |x| < 2^8, so x * 10^6 lies within 1.5e-8 of j; fl(x * 1e6), below 2^28
+    in magnitude, adds at most half an ulp, 2^-26 < 1.5e-8. Both stay far
+    below 0.5, so if the six-decimal form reads back (j = m), k = m and the
+    test holds; if the test holds (j = k), m = k and the form reads back.
     """
-    scaled = x * 1e6
-    off_grid = (np.abs(scaled - np.rint(scaled)) > 1e-3).tolist()
-    return [repr(v) if off else _fmt_degrees(v) for v, off in zip(x.tolist(), off_grid)]
+    on_grid = (np.rint(x * 1e6) / 1e6 == x).tolist()
+    return [f"{v:.6f}" if on else repr(v) for v, on in zip(x.tolist(), on_grid)]
 
 
 def _after_header(lines: Iterable[str] | TextIO, header: str, what: str) -> Iterator[str]:
@@ -172,9 +171,7 @@ def write_canonical(dataset: Dataset, out: TextIO) -> int:
     count = 0
     for user in dataset.users():
         trace = dataset.traces[user]
-        lats = _fmt_degrees_column(trace.lat)
-        lons = _fmt_degrees_column(trace.lon)
-        for t, lat, lon in zip(trace.t.tolist(), lats, lons):
+        for t, lat, lon in zip(trace.t.tolist(), _fmt_degrees(trace.lat), _fmt_degrees(trace.lon)):
             out.write(f"{user},{t},{lat},{lon}\n")
         count += len(trace)
     return count
@@ -303,11 +300,12 @@ def write_pois(poi_sets: Mapping[str, PoiSet], out: TextIO) -> int:
     out.write(POI_HEADER + "\n")
     count = 0
     for user in sorted(poi_sets):
-        for poi in poi_sets[user].pois:
-            out.write(
-                f"{user},{_fmt_degrees(poi.centroid.lat)},{_fmt_degrees(poi.centroid.lon)},{poi.support}\n"
-            )
-            count += 1
+        pois = poi_sets[user].pois
+        lats = _fmt_degrees(np.array([p.centroid.lat for p in pois], dtype=np.float64))
+        lons = _fmt_degrees(np.array([p.centroid.lon for p in pois], dtype=np.float64))
+        for poi, lat, lon in zip(pois, lats, lons):
+            out.write(f"{user},{lat},{lon},{poi.support}\n")
+        count += len(pois)
     return count
 
 

@@ -272,10 +272,11 @@ def _walk(proj: _Projection, params: ExtractionParams, certify: bool = False) ->
     min_time = params.min_time
     link = proj.step2 <= chord2
     starts, ends, found = _segments(link, t, min_time)
-    logger.debug(
-        "max_distance %r m: %d of %d segments between long steps span min_time, %d of %d points",
-        params.max_distance, len(starts), found, int((ends - starts).sum()), n,
-    )
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "max_distance %r m: %d of %d segments between long steps span min_time, %d of %d points",
+            params.max_distance, len(starts), found, int((ends - starts).sum()), n,
+        )
     if certify and len(starts):
         # a cut-out point is a segment of its own, spanning 0 < min_time
         walkable = proj.walkable(chord, min_time)
@@ -390,6 +391,8 @@ def dj_cluster(stays: list[Stay], params: ExtractionParams) -> list[Poi]:
 
 def _cluster(lats: list[float], lons: list[float], params: ExtractionParams) -> list[Poi]:
     """:func:`dj_cluster` over the stays' centroid columns."""
+    if not lats:
+        return []
     xs, ys, zs = chord_xyz(lats, lons).T
     chord = chord_m(params.merge_distance)
     chord2 = chord * chord

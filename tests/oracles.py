@@ -9,8 +9,10 @@ here: no production path evaluates it, and ``inverse_radius_cdf_bisect``
 inverts it to check the mechanism's quantile solve. The parser oracle validates each record as
 TimestampedLocation/GeoPoint objects and shares only the CSV header, the
 malformed-line tolerance and the trace model with
-``ingest.parse_canonical``. ``offset`` is the scalar form of the noise
-step that ``mechanism.perturb`` applies to arrays; the synthetic test data
+``ingest.parse_canonical``. ``fmt_degrees`` is the scalar rule for every
+coordinate the package writes, one round trip through ``float`` per value,
+which ``ingest._fmt_degrees`` decides for a whole column at once.
+``offset`` is the scalar form of the noise step that ``mechanism.perturb`` applies to arrays; the synthetic test data
 is built with it. ``walk_unpruned`` is the stay walk as it was before it
 split the trace into segments, kept verbatim so that the pruned walk can be
 held to it bit for bit; it shares the chord projection with it, as does
@@ -72,6 +74,12 @@ from geopriv.mechanism import (
 from geopriv.poi import ExtractionParams, Stay
 
 logger = logging.getLogger(__name__)
+
+
+def fmt_degrees(x: float) -> str:
+    """``x`` with six decimals when that reads back as ``x``, its repr otherwise."""
+    s = f"{x:.6f}"
+    return s if float(s) == x else repr(x)
 
 
 def offset(p: GeoPoint, dx: float, dy: float) -> GeoPoint:

@@ -15,7 +15,6 @@ from geopriv.ingest import (
     FEATURE_HEADER,
     FilterPolicy,
     _fmt_degrees,
-    _fmt_degrees_column,
     dataset_digest,
     filter_dataset,
     parse_canonical,
@@ -29,7 +28,7 @@ from geopriv.ingest import (
 from geopriv.core import Poi, PoiSet
 from geopriv.features import Feature
 
-from oracles import parse_canonical_literal
+from oracles import fmt_degrees, parse_canonical_literal
 
 DAY = 86_400
 
@@ -342,14 +341,19 @@ _NEAR_GRID = st.builds(
     st.integers(-180_000_000, 180_000_000),
     st.sampled_from([0, 1, -1]),
 )
+# values whose seventh decimal is a 5: six-decimal rounding sits on a tie
+_HALF_WAY = st.builds(lambda k: (k + 0.5) / 1e6, st.integers(-180_000_000, 179_999_999))
+_EDGES = st.sampled_from([0.0, -0.0, 90.0, -90.0, 180.0, -180.0])
+_DEGREES = st.one_of(st.floats(-180, 180, allow_nan=False), _NEAR_GRID, _HALF_WAY, _EDGES)
 
 
 class TestFormatDegrees:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.one_of(st.floats(-180, 180, allow_nan=False), _NEAR_GRID), max_size=20))
+    @given(st.lists(_DEGREES, max_size=20))
+    @example([0.0, -0.0, 90.0, -90.0, 180.0, -180.0, 0.0000005, 1e-7])
     def test_column_matches_scalar(self, values):
         column = np.array(values, dtype=np.float64)
-        assert _fmt_degrees_column(column) == [_fmt_degrees(v) for v in values]
+        assert _fmt_degrees(column) == [fmt_degrees(v) for v in values]
 
 
 class TestRoundTripProperty:
@@ -532,13 +536,26 @@ class TestFilterDataset:
         assert all(loc.t < DAY for loc in out.traces["u"].locations)
 
 
+def _grid_or_float(bound):
+    """On-grid (millionths), just-off-grid and arbitrary degrees in [-bound, bound]."""
+    n = bound * 1_000_000
+    return st.one_of(
+        st.builds(lambda k: k / 1e6, st.integers(-n, n)),
+        st.builds(lambda k: float(np.nextafter(k / 1e6, 0.0)), st.integers(-n, n)),
+        st.floats(-bound, bound, allow_nan=False),
+    )
+
+
+_POIS = st.builds(Poi, st.builds(GeoPoint, _grid_or_float(90), _grid_or_float(180)), st.integers(1, 50))
+
+
 def _write_features(features, out):
     """Write features as the CSV that parse_features reads; returns the row count."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(FEATURE_HEADER.split(","))
     count = 0
     for f in features:
-        writer.writerow([f.id, _fmt_degrees(f.point.lat), _fmt_degrees(f.point.lon), f.category, f.name])
+        writer.writerow([f.id, fmt_degrees(f.point.lat), fmt_degrees(f.point.lon), f.category, f.name])
         count += 1
     return count
 
@@ -565,6 +582,21 @@ class TestFeatureAndPoiCsv:
         got = parse_pois(buf)
         # users with zero POIs have no rows to carry them
         assert got == {"u1": sets["u1"]}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.sampled_from(["a", "b", "u 3", "é"]), st.lists(_POIS, max_size=4), max_size=3))
+    def test_poi_round_trip_property(self, pois_by_user):
+        sets = {user: PoiSet(user, tuple(pois)) for user, pois in pois_by_user.items()}
+        buf = io.StringIO()
+        assert write_pois(sets, buf) == sum(map(len, sets.values()))
+        # every row carries the scalar rule's text, users in sorted order
+        assert buf.getvalue().splitlines()[1:] == [
+            f"{user},{fmt_degrees(p.centroid.lat)},{fmt_degrees(p.centroid.lon)},{p.support}"
+            for user in sorted(sets)
+            for p in sets[user].pois
+        ]
+        buf.seek(0)
+        assert parse_pois(buf) == {user: s for user, s in sets.items() if len(s)}
 
     def test_digest_is_stable_and_sensitive(self):
         ds = Dataset({"u": MobilityTrace("u", (TimestampedLocation(1, GeoPoint(1, 2)),))})
