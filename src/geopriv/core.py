@@ -69,7 +69,8 @@ class TimestampedLocation:
 
 def _column(values, dtype) -> np.ndarray:
     """``values`` as a read-only array of ``dtype``. An array that already
-    is one and owns its memory is shared; anything else is copied, so no
+    is one and owns its memory is shared, as are the fresh columns the
+    package marks with :func:`_read_only`; anything else is copied, so no
     caller can change a trace's columns afterwards."""
     if (
         isinstance(values, np.ndarray)
@@ -79,6 +80,16 @@ def _column(values, dtype) -> np.ndarray:
     ):
         return values
     column = np.array(values, dtype=dtype)
+    column.flags.writeable = False
+    return column
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    """``column``, marked read-only so that :func:`_column` shares it.
+
+    Only for an array its caller has just built and hands on alone, with
+    no view of it kept anywhere: a trace's columns must never change.
+    """
     column.flags.writeable = False
     return column
 

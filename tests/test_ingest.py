@@ -2,6 +2,7 @@ import csv
 import io
 import logging
 import tempfile
+import tracemalloc
 from collections import defaultdict
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from geopriv import ingest
 from geopriv.core import Dataset, GeoPoint, MobilityTrace, TimestampedLocation
 from geopriv.ingest import (
     FEATURE_HEADER,
@@ -27,6 +29,7 @@ from geopriv.ingest import (
 )
 from geopriv.core import Poi, PoiSet
 from geopriv.features import Feature
+from geopriv.mechanism import PrivacyLevel, RandomSource, obfuscate_trace
 
 from oracles import fmt_degrees, parse_canonical_literal
 
@@ -76,6 +79,55 @@ class TestParseCanonical:
 
 
 _HEADER = "user_id,timestamp,lat,lon"
+
+
+class TestBoundedMemory:
+    def test_parse_peak_per_point(self):
+        # 100,000 points of 20 users, each user's rows together and in time
+        # order as write_canonical writes them. The columns alone take 24 B
+        # a point; holding every record as Python objects took about 130.
+        text = io.StringIO("".join(
+            [_HEADER + "\n"] + [
+                f"u{u},{1_211_068_800 + 60 * i},{37.7 + (i % 997) * 1e-5:.6f},{-122.4 - (i % 991) * 1.1e-5!r}\n"
+                for u in range(20)
+                for i in range(5000)
+            ]
+        ))
+        tracemalloc.start()
+        try:
+            ds = parse_canonical(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.total_locations() == 100_000
+        assert peak / 100_000 < 64
+
+
+class TestFreshColumns:
+    """Columns the package builds are read-only and own their memory, so a
+    trace shares them; a caller's writeable array is copied."""
+
+    @staticmethod
+    def _owned(trace):
+        return all(not c.flags.writeable and c.flags.owndata and c.base is None for c in (trace.t, trace.lat, trace.lon))
+
+    def test_built_columns(self):
+        ds = parse_canonical(_csv(_HEADER, "a,2,1,1", "a,1,2,2", "b,5,3,3"))
+        assert all(self._owned(trace) for trace in ds.traces.values())
+        kept = filter_dataset(ds, FilterPolicy(min_locations_per_day=1, min_qualifying_days=1))
+        assert kept.users() == ["a"] and self._owned(kept.traces["a"])
+        noisy = obfuscate_trace(ds.traces["a"], PrivacyLevel(0.01), RandomSource(3))
+        assert self._owned(noisy) and noisy.t is ds.traces["a"].t
+
+    def test_shared_or_copied(self):
+        lat = np.array([1.0, 2.0])
+        lat.flags.writeable = False
+        t, lon = np.array([1, 2]), np.array([3.0, 4.0])
+        trace = MobilityTrace.from_columns("a", t, lat, lon)
+        assert trace.lat is lat
+        assert self._owned(trace) and t.flags.writeable and lon.flags.writeable
+        t[0], lon[0] = 0, 0.0
+        assert trace.t.tolist() == [1, 2] and trace.lon.tolist() == [3.0, 4.0]
 
 
 def _valid_line(user, t, lat, lon, style):
@@ -279,6 +331,63 @@ class TestOneReader:
         assert outcomes[2] == outcomes[0]
         result = outcomes[0][0]
         assert isinstance(result, str) or "z" not in result.traces
+
+
+def _block_lines(*runs):
+    """Canonical lines from (count, line) runs."""
+    return [_HEADER] + [line for count, line in runs for _ in range(count)]
+
+
+def _block_entries(*runs):
+    """Record soup entries from (count, entry) runs."""
+    return [entry for count, entry in runs for _ in range(count)]
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+class TestBlockEdges:
+    """The record properties again, with the reader's pending lists turned
+    into numpy blocks every ``block`` records, so that users, bad records
+    and overflowing timestamps fall on either side of a block edge."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(line_soups())
+    # the only valid record of "b" is in the last block
+    @example(_block_lines((14, "a,1,0,0"), (1, "b,3,1.5,2.5")))
+    # "z" has invalid records in several blocks and stays absent
+    @example(_block_lines((1, "z,-1,45.0,5.0"), (99, "a,1,0,0"), (1, "z,2,91,5.0"), (99, "a,2,0,0")))
+    # blank and malformed lines right after a block edge
+    @example(_block_lines((7, "a,1,0,0"), (1, ""), (1, "garbage"), (1, "\t"), (7, "a,2,0,0"),
+                          (1, "  "), (1, "b,x,1,1"), (186, "a,3,0,0")))
+    def test_parser_oracle(self, block, lines):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_BLOCK_RECORDS", block)
+            TestParserOracle.test_matches_line_by_line_parser.hypothesis.inner_test(TestParserOracle(), lines)
+
+    @settings(max_examples=50, deadline=None)
+    @given(record_soups())
+    @example(_block_entries((14, ("a", (1, "0.0", "0.0"))), (1, ("b", (3, "1.5", "2.5")))))
+    @example(_block_entries((1, ("z", (-1, "45.0", "5.0"))), (99, ("a", (1, "0.0", "0.0"))),
+                            (1, ("z", (7, "91", "5.0"))), (99, ("a", (2, "0.0", "0.0")))))
+    @example(_block_entries((7, ("a", (1, "0.0", "0.0"))), (1, ("a", "")), (1, ("b", "garbage")),
+                            (1, ("a", "\t")), (7, ("a", (2, "0.0", "0.0"))), (1, ("b", "  ")),
+                            (1, ("a", "x;y")), (186, ("a", (3, "0.0", "0.0")))))
+    def test_one_reader(self, block, entries):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_BLOCK_RECORDS", block)
+            TestOneReader.test_three_layouts_read_alike.hypothesis.inner_test(TestOneReader(), entries)
+
+    @settings(max_examples=50, deadline=None)
+    @given(line_soups())
+    # timestamps beyond int64 in a later block than the user's valid records
+    @example(_block_lines(*((1, f"a,{i},10,10") for i in range(200)), (1, f"a,{2**63},0,0"),
+                          (1, f"b,{2**63 - 1},0,0"), (1, f"b,{-(2**63) - 1},0,0")))
+    def test_reads_as_one_block(self, block, lines):
+        # every drawn input fits in one block of the default size
+        assert len(lines) < ingest._BLOCK_RECORDS
+        one_block = _outcome(parse_canonical, "geopriv.ingest", lines)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_BLOCK_RECORDS", block)
+            assert _outcome(parse_canonical, "geopriv.ingest", lines) == one_block
 
 
 class TestWriteCanonical:
