@@ -19,20 +19,15 @@ and dropped; any count is logged, and more than ``MALFORMED_TOLERANCE`` of
 the non-blank lines makes the input corrupt. A user appears only through
 a valid record, and each trace is sorted stably by time.
 
-The reader works in blocks of ``_BLOCK_RECORDS`` parsed records: it
-appends each record to its user's pending Python lists, and after every
-block it turns those lists into int64/float64 numpy blocks (a timestamp
-beyond int64 fails the epoch check) and empties them. At the end it joins
-each user's blocks, then masks, sorts and validates them. So the Python
-objects it holds never exceed one block's records; besides them it holds
-the blocks, 24 bytes a point, the size of the columns it returns, and the
-sorting copies of one user's columns at a time. Each block costs one
-array triple per user it holds, so this bound assumes what every source
-here gives: each user's records mostly together, as in canonical CSV
-written user by user, one cab file or one Geolife directory. An input
-that interleaves thousands of users row by row pays more per point than
-it would with whole-input lists. ``write_canonical`` formats and writes
-one block of rows at a time.
+The reader packs each record into its user's byte buffer as an int64
+timestamp and two float64 coordinates (a timestamp beyond int64 is stored
+as -1, which fails the epoch check). At the end it reads each buffer as
+numpy columns, masks, sorts and validates them, and releases the buffer
+once that user's columns are built. So it holds 24 bytes a record, plus
+the buffers' over-allocation (about an eighth), however the users'
+records are interleaved; besides them it holds the columns it returns,
+24 bytes a point, and the sorting copies of one user's columns at a time.
+``write_canonical`` formats and writes ``_BLOCK_RECORDS`` rows at a time.
 
 Day-level filtering keeps, per user, only UTC calendar days with strictly
 more than ``min_locations_per_day`` records, and then only users with at
@@ -44,6 +39,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
+import struct
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date
@@ -67,12 +63,8 @@ MALFORMED_TOLERANCE = 0.01
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
-# Records per block of the reader and rows per write of write_canonical
-# (module docstring). Parsing 100,000 points of 20 users whose rows come
-# user by user peaks at 28 B a point with blocks of up to 4,096 records and
-# at 41 B with 16,384, where a block's Python objects start to count. With
-# 500 users' rows interleaved, every block holds a small array triple per
-# user, and the peak falls from 205 B a point at 1,024 to 74 B at 4,096.
+# Rows per write of write_canonical: its transient text and formatting
+# lists are bounded by one block, not by a user's trace.
 _BLOCK_RECORDS = 4096
 
 
@@ -122,20 +114,16 @@ def _after_header(lines: Iterable[str] | TextIO, header: str, what: str) -> Iter
 # (user, t, lat, lon); raises ValueError when the line does not parse.
 _Split = Callable[[str, str], tuple[str, int, float, float]]
 
-
-# The reader's state: per user, the pending records' t, lat and lon lists,
-# and the t, lat and lon blocks made of them so far.
-_Pending = dict[str, tuple[list[int], list[float], list[float]]]
-_Blocks = dict[str, tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]]
+# The reader's record, packed as bytes and read back as a numpy row.
+_pack_record = struct.Struct("=qdd").pack
+_RECORD = np.dtype([("t", "=i8"), ("lat", "=f8"), ("lon", "=f8")])
 
 
 def _read_traces(source: str, groups: Iterable[tuple[str, Iterable[str]]], split: _Split) -> Dataset:
     """The Dataset of the records in ``groups``, under the one
-    malformed-record policy of the module docstring, read in blocks of
-    ``_BLOCK_RECORDS`` records."""
-    pending: _Pending = {}
-    blocks: _Blocks = {}
-    left = _BLOCK_RECORDS
+    malformed-record policy of the module docstring, each user's records
+    packed into one buffer as they are read."""
+    buffers: dict[str, bytearray] = {}
     total = 0
     malformed = 0
     for group, lines in groups:
@@ -148,21 +136,19 @@ def _read_traces(source: str, groups: Iterable[tuple[str, Iterable[str]]], split
             except ValueError:
                 malformed += 1
                 continue
-            cols = pending.get(user)
-            if cols is None:
-                cols = pending[user] = ([], [], [])
-            cols[0].append(t)
-            cols[1].append(lat)
-            cols[2].append(lon)
-            left -= 1
-            if not left:
-                _to_blocks(pending, blocks)
-                left = _BLOCK_RECORDS
-    _to_blocks(pending, blocks)
+            buffer = buffers.get(user)
+            if buffer is None:
+                buffer = buffers[user] = bytearray()
+            try:
+                buffer += _pack_record(t, lat, lon)
+            except struct.error:  # beyond int64: -1 fails the epoch check
+                buffer += _pack_record(-1, lat, lon)
 
     traces = {}
-    for user, columns in blocks.items():
-        t, lat, lon = map(_joined, columns)
+    for user in list(buffers):
+        # each user's buffer is released once its columns are built
+        records = np.frombuffer(buffers.pop(user), dtype=_RECORD)
+        t, lat, lon = records["t"], records["lat"], records["lon"]
         ok = (t >= 0) & (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
         keep = np.flatnonzero(ok)
         malformed += len(t) - len(keep)
@@ -177,29 +163,6 @@ def _read_traces(source: str, groups: Iterable[tuple[str, Iterable[str]]], split
         if malformed / total > MALFORMED_TOLERANCE:
             raise ValueError(f"corrupt input: {malformed} of {total} lines malformed")
     return Dataset(traces)
-
-
-def _to_blocks(pending: _Pending, blocks: _Blocks) -> None:
-    """Move each user's pending records into one more int64/float64 block
-    of that user, and empty ``pending``."""
-    for user, (ts, lats, lons) in pending.items():
-        try:
-            t = np.array(ts, dtype=np.int64)
-        except OverflowError:
-            # beyond int64: -1 makes the record fail the epoch check
-            t = np.array([v if 0 <= v < 2**63 else -1 for v in ts], dtype=np.int64)
-        user_blocks = blocks.setdefault(user, ([], [], []))
-        user_blocks[0].append(t)
-        user_blocks[1].append(np.array(lats, dtype=np.float64))
-        user_blocks[2].append(np.array(lons, dtype=np.float64))
-    pending.clear()
-
-
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """One column from its blocks, which are released as it is built."""
-    column = np.concatenate(parts)
-    parts.clear()
-    return column
 
 
 def _canonical_record(_: str, line: str) -> tuple[str, int, float, float]:

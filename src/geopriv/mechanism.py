@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_OFFSET_LAT, METERS_PER_DEGREE, MobilityTrace, _read_only
+from .core import MAX_OFFSET_LAT, METERS_PER_DEGREE, MobilityTrace
 
 TWO_PI = 2.0 * math.pi
 
@@ -191,4 +191,4 @@ def obfuscate_trace(trace: MobilityTrace, level: PrivacyLevel, rng: RandomSource
             f"noise moved a point of user {trace.user!r} to latitude "
             f"{float(lat[past_pole[0]])!r}, past the pole"
         )
-    return MobilityTrace.from_columns(trace.user, trace.t, _read_only(lat), _read_only(lon))
+    return MobilityTrace.from_columns(trace.user, trace.t, lat, lon)

@@ -77,20 +77,36 @@ class TestParseCanonical:
         assert ds.traces["u2"].t.tolist() == [2**63 - 1]
         assert "1 of 202" in caplog.text
 
+    def test_records_around_an_overflow_keep_their_fields(self, caplog):
+        lines = [_HEADER] + [f"u1,{i},{i % 90},{i % 180}" for i in range(150)]
+        lines += [f"u1,{2**63},1,1", f"u2,{-(2**63) - 1},2,2", f"u2,{2**63 - 1},3,3"]
+        lines += [f"u1,{i},{i % 90},{i % 180}" for i in range(150, 300)]
+        with caplog.at_level("WARNING"):
+            ds = parse_canonical(_csv(*lines))
+        assert ds.traces["u1"].t.tolist() == list(range(300))
+        assert ds.traces["u1"].lat.tolist() == [i % 90 for i in range(300)]
+        assert ds.traces["u1"].lon.tolist() == [i % 180 for i in range(300)]
+        assert ds.traces["u2"].t.tolist() == [2**63 - 1] and ds.traces["u2"].lat.tolist() == [3.0]
+        assert "2 of 303" in caplog.text
+
 
 _HEADER = "user_id,timestamp,lat,lon"
 
 
 class TestBoundedMemory:
-    def test_parse_peak_per_point(self):
-        # 100,000 points of 20 users, each user's rows together and in time
-        # order as write_canonical writes them. The columns alone take 24 B
-        # a point; holding every record as Python objects took about 130.
+    @pytest.mark.parametrize("users, interleaved", [(20, False), (500, True)])
+    def test_parse_peak_per_point(self, users, interleaved):
+        # 100,000 points, each user's rows together and in time order as
+        # write_canonical writes them, or one row of each user in turn. The
+        # columns alone take 24 B a point; holding every record as Python
+        # objects took about 130, in either layout.
+        rows = [(u, i) for i in range(100_000 // users) for u in range(users)]
+        if not interleaved:
+            rows.sort()
         text = io.StringIO("".join(
             [_HEADER + "\n"] + [
                 f"u{u},{1_211_068_800 + 60 * i},{37.7 + (i % 997) * 1e-5:.6f},{-122.4 - (i % 991) * 1.1e-5!r}\n"
-                for u in range(20)
-                for i in range(5000)
+                for u, i in rows
             ]
         ))
         tracemalloc.start()
@@ -99,13 +115,14 @@ class TestBoundedMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ds.total_locations() == 100_000
+        assert ds.total_locations() == 100_000 and len(ds.users()) == users
         assert peak / 100_000 < 64
 
 
 class TestFreshColumns:
-    """Columns the package builds are read-only and own their memory, so a
-    trace shares them; a caller's writeable array is copied."""
+    """The columns of the traces the package builds are read-only and own
+    their memory; a read-only array that owns its memory is shared, and a
+    caller's writeable array is copied."""
 
     @staticmethod
     def _owned(trace):
@@ -333,63 +350,6 @@ class TestOneReader:
         assert isinstance(result, str) or "z" not in result.traces
 
 
-def _block_lines(*runs):
-    """Canonical lines from (count, line) runs."""
-    return [_HEADER] + [line for count, line in runs for _ in range(count)]
-
-
-def _block_entries(*runs):
-    """Record soup entries from (count, entry) runs."""
-    return [entry for count, entry in runs for _ in range(count)]
-
-
-@pytest.mark.parametrize("block", [1, 2, 7])
-class TestBlockEdges:
-    """The record properties again, with the reader's pending lists turned
-    into numpy blocks every ``block`` records, so that users, bad records
-    and overflowing timestamps fall on either side of a block edge."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(line_soups())
-    # the only valid record of "b" is in the last block
-    @example(_block_lines((14, "a,1,0,0"), (1, "b,3,1.5,2.5")))
-    # "z" has invalid records in several blocks and stays absent
-    @example(_block_lines((1, "z,-1,45.0,5.0"), (99, "a,1,0,0"), (1, "z,2,91,5.0"), (99, "a,2,0,0")))
-    # blank and malformed lines right after a block edge
-    @example(_block_lines((7, "a,1,0,0"), (1, ""), (1, "garbage"), (1, "\t"), (7, "a,2,0,0"),
-                          (1, "  "), (1, "b,x,1,1"), (186, "a,3,0,0")))
-    def test_parser_oracle(self, block, lines):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "_BLOCK_RECORDS", block)
-            TestParserOracle.test_matches_line_by_line_parser.hypothesis.inner_test(TestParserOracle(), lines)
-
-    @settings(max_examples=50, deadline=None)
-    @given(record_soups())
-    @example(_block_entries((14, ("a", (1, "0.0", "0.0"))), (1, ("b", (3, "1.5", "2.5")))))
-    @example(_block_entries((1, ("z", (-1, "45.0", "5.0"))), (99, ("a", (1, "0.0", "0.0"))),
-                            (1, ("z", (7, "91", "5.0"))), (99, ("a", (2, "0.0", "0.0")))))
-    @example(_block_entries((7, ("a", (1, "0.0", "0.0"))), (1, ("a", "")), (1, ("b", "garbage")),
-                            (1, ("a", "\t")), (7, ("a", (2, "0.0", "0.0"))), (1, ("b", "  ")),
-                            (1, ("a", "x;y")), (186, ("a", (3, "0.0", "0.0")))))
-    def test_one_reader(self, block, entries):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "_BLOCK_RECORDS", block)
-            TestOneReader.test_three_layouts_read_alike.hypothesis.inner_test(TestOneReader(), entries)
-
-    @settings(max_examples=50, deadline=None)
-    @given(line_soups())
-    # timestamps beyond int64 in a later block than the user's valid records
-    @example(_block_lines(*((1, f"a,{i},10,10") for i in range(200)), (1, f"a,{2**63},0,0"),
-                          (1, f"b,{2**63 - 1},0,0"), (1, f"b,{-(2**63) - 1},0,0")))
-    def test_reads_as_one_block(self, block, lines):
-        # every drawn input fits in one block of the default size
-        assert len(lines) < ingest._BLOCK_RECORDS
-        one_block = _outcome(parse_canonical, "geopriv.ingest", lines)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "_BLOCK_RECORDS", block)
-            assert _outcome(parse_canonical, "geopriv.ingest", lines) == one_block
-
-
 class TestWriteCanonical:
     def test_empty_dataset(self):
         buf = io.StringIO()
@@ -454,6 +414,20 @@ _NEAR_GRID = st.builds(
 _HALF_WAY = st.builds(lambda k: (k + 0.5) / 1e6, st.integers(-180_000_000, 179_999_999))
 _EDGES = st.sampled_from([0.0, -0.0, 90.0, -90.0, 180.0, -180.0])
 _DEGREES = st.one_of(st.floats(-180, 180, allow_nan=False), _NEAR_GRID, _HALF_WAY, _EDGES)
+
+
+class TestWriteBlocks:
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    @settings(max_examples=30, deadline=None)
+    @given(datasets())
+    def test_block_size_does_not_change_bytes(self, block, ds):
+        whole = io.StringIO()
+        write_canonical(ds, whole)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_BLOCK_RECORDS", block)
+            blocked = io.StringIO()
+            assert write_canonical(ds, blocked) == ds.total_locations()
+        assert blocked.getvalue() == whole.getvalue()
 
 
 class TestFormatDegrees:
