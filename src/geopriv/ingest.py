@@ -22,11 +22,14 @@ a valid record, and each trace is sorted stably by time.
 The reader packs each record into its user's byte buffer as an int64
 timestamp and two float64 coordinates (a timestamp beyond int64 is stored
 as -1, which fails the epoch check). At the end it reads each buffer as
-numpy columns, masks, sorts and validates them, and releases the buffer
-once that user's columns are built. So it holds 24 bytes a record, plus
-the buffers' over-allocation (about an eighth), however the users'
-records are interleaved; besides them it holds the columns it returns,
-24 bytes a point, and the sorting copies of one user's columns at a time.
+numpy columns and releases the buffer once that user's columns are built.
+A user whose records are all valid and in time order, as in every file
+``write_canonical`` writes, gets a copy of each column and nothing more;
+any other user's records are masked, sorted stably and gathered. So it
+holds 24 bytes a record, plus the buffers' over-allocation (about an
+eighth), however the users' records are interleaved; besides them it holds
+the columns it returns, 24 bytes a point, and for one user at a time the
+mask, order and gathered columns of the sort.
 ``write_canonical`` formats and writes ``_BLOCK_RECORDS`` rows at a time.
 
 Day-level filtering keeps, per user, only UTC calendar days with strictly
@@ -150,6 +153,9 @@ def _read_traces(source: str, groups: Iterable[tuple[str, Iterable[str]]], split
         records = np.frombuffer(buffers.pop(user), dtype=_RECORD)
         t, lat, lon = records["t"], records["lat"], records["lon"]
         ok = (t >= 0) & (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
+        if ok.all() and not np.any(t[1:] < t[:-1]):  # from_columns copies each column once
+            traces[user] = MobilityTrace.from_columns(user, t, lat, lon)
+            continue
         keep = np.flatnonzero(ok)
         malformed += len(t) - len(keep)
         if len(keep):  # a user appears through a valid record only
@@ -266,7 +272,9 @@ def filter_dataset(dataset: Dataset, policy: FilterPolicy) -> Dataset:
     """Keep only qualifying UTC days and users with enough of them.
 
     A day qualifies with strictly more than ``min_locations_per_day``
-    records. Idempotent: filtering a filtered dataset changes nothing.
+    records. A kept user whose every day qualifies keeps its trace object
+    itself; the others get new columns. Idempotent: filtering a filtered
+    dataset changes nothing.
     """
     out: dict[str, MobilityTrace] = {}
     for user, trace in dataset.traces.items():
@@ -274,6 +282,9 @@ def filter_dataset(dataset: Dataset, policy: FilterPolicy) -> Dataset:
         day, count = np.unique(days, return_counts=True)
         good_days = day[count > policy.min_locations_per_day]
         if len(good_days) < policy.min_qualifying_days:
+            continue
+        if len(good_days) == len(day):
+            out[user] = trace
             continue
         kept = np.isin(days, good_days)
         out[user] = MobilityTrace.from_columns(

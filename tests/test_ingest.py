@@ -118,6 +118,27 @@ class TestBoundedMemory:
         assert ds.total_locations() == 100_000 and len(ds.users()) == users
         assert peak / 100_000 < 64
 
+    @pytest.mark.parametrize("newest_first, bound", [(False, 60), (True, 72)])
+    def test_one_user_peak_per_point(self, newest_first, bound):
+        # One user's 100,000 records. In time order they become the columns
+        # with one copy each, besides the 27 B a point of packed records;
+        # newest first they are masked, sorted and gathered (about 70 B).
+        times = range(100_000)[::-1] if newest_first else range(100_000)
+        text = io.StringIO("".join(
+            [_HEADER + "\n"] + [
+                f"u0,{1_211_068_800 + 60 * i},{37.7 + (i % 997) * 1e-5:.6f},{-122.4 - (i % 991) * 1.1e-5!r}\n"
+                for i in times
+            ]
+        ))
+        tracemalloc.start()
+        try:
+            ds = parse_canonical(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.users() == ["u0"] and ds.total_locations() == 100_000
+        assert peak / 100_000 < bound
+
 
 class TestFreshColumns:
     """The columns of the traces the package builds are read-only and own
@@ -233,6 +254,9 @@ class TestParserOracle:
     @example([_HEADER] + ["a,1,0,0"] * 98 + ["a,1,91,0"])
     @example([_HEADER] + ["a,1,0,0"] * 99 + ["a,1,nan,0"])
     @example([_HEADER] + ["a,1,0,0"] * 99 + ["z,-1,45.0,5.0"])
+    @example([_HEADER, "a,1,1,1", "b,1,2,2", "a,2,3,3", "b,2,4,4", "a,2,5,5"])
+    @example([_HEADER, "a,1,1,1", "a,2,2,2", "a,3,3,3", "a,2,4,4"])
+    @example([_HEADER] + [f"a,{t},0,{t}" for t in range(50)] + ["a,50,91,0"] + [f"a,{t},0,0" for t in range(51, 100)])
     def test_matches_line_by_line_parser(self, lines):
         got = _outcome(parse_canonical, "geopriv.ingest", lines)
         want = _outcome(parse_canonical_literal, "oracles", lines)
@@ -617,6 +641,19 @@ class TestFilterDataset:
         out = filter_dataset(ds, policy)
         assert len(out.traces["u"]) == 5
         assert all(loc.t < DAY for loc in out.traces["u"].locations)
+
+    def test_untouched_trace_is_returned_itself(self):
+        trace = _day_trace("u", {0: 3, 1: 2})
+        out = filter_dataset(Dataset({"u": trace}), FilterPolicy(min_locations_per_day=1, min_qualifying_days=2))
+        assert out.traces["u"] is trace
+
+    def test_dropped_day_gets_new_owned_columns(self):
+        trace = _day_trace("u", {0: 3, 1: 1})
+        out = filter_dataset(Dataset({"u": trace}), FilterPolicy(min_locations_per_day=1, min_qualifying_days=1))
+        kept = out.traces["u"]
+        assert kept is not trace and len(kept) == 3
+        for column in (kept.t, kept.lat, kept.lon):
+            assert not column.flags.writeable and column.flags.owndata and column.base is None
 
 
 def _grid_or_float(bound):
