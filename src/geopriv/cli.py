@@ -324,7 +324,8 @@ def sweep(real_path: str, campaign_dir: str, step: int, min_m: int, max_m: int, 
     _writable(files=(out_path,))
     campaign, level, ground_truth, params = _load_scored(real_path, campaign_dir)
     cfg = experiment.SweepConfig(min_m=min_m, max_m=max_m, step_m=step, recall_target=target)
-    result = experiment.threshold_sweep(campaign, ground_truth, params, cfg, level)
+    observed = experiment.observe(campaign, ground_truth, params, cfg.thresholds())
+    result = experiment.threshold_sweep(observed, ground_truth, target, level)
     for thr, rec in result.rows:
         click.echo(f"{thr}\t{rec:.4f}")
     if result.reached:
@@ -349,7 +350,7 @@ def evaluate(real_path: str, campaign_dir: str, threshold: int, features_path: s
     _writable(dirs=(out_dir,))
     campaign, level, ground_truth, params = _load_scored(real_path, campaign_dir)
     store = _resolve_store(features_path, synthetic_spec)
-    observed = experiment.observe(campaign, ground_truth, params, threshold)
+    observed = experiment.observe(campaign, ground_truth, params, [threshold])[threshold]
     report = experiment.evaluate(observed, ground_truth, level, threshold, store)
     experiment.write_report(report, out_dir)
     row = report.recall_rows[0]

@@ -3,11 +3,12 @@
 1. :func:`extract_ground_truth`: each user's real POIs;
 2. :func:`obfuscation_campaign`: independently seeded obfuscated copies of
    the dataset at one privacy level;
-3. :func:`threshold_sweep`: the observer's smallest threshold clearing the
-   recall target, with the POI sets observed there;
-4. :func:`observe`: the observer's POI sets at a given threshold;
-5. :func:`evaluate` scores observed POI sets, :func:`precision_summary`
-   obfuscated queries.
+3. :func:`observe`: the observer's one extraction pass, its POI sets at
+   each given threshold;
+4. :func:`threshold_sweep`: the smallest observed threshold clearing the
+   recall target;
+5. :func:`evaluate` scores the POI sets observed at one threshold,
+   :func:`precision_summary` obfuscated queries.
 
 :func:`run_experiment` composes them per level; :func:`write_report`
 writes the result.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -118,18 +119,12 @@ class SweepResult:
     ``optimal_m`` is the smallest threshold whose mean recall exceeds the
     target, or None when the target was never reached; ``best_m`` is the
     best-effort threshold (highest mean recall, smallest on ties).
-    ``chosen_pois`` holds, per run, the observer's POI sets at
-    ``chosen_m``, as :func:`observe` would extract them, ready for
-    :func:`evaluate`; no report file reads it, and equality ignores it.
     """
 
     epsilon: float
     rows: tuple[tuple[int, float], ...]
     optimal_m: int | None
     best_m: int
-    chosen_pois: tuple[dict[str, PoiSet], ...] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     @property
     def reached(self) -> bool:
@@ -269,56 +264,73 @@ def _eligible_users(campaign: Sequence[Dataset], ground_truth: Mapping[str, PoiS
     return eligible
 
 
-def threshold_sweep(
+def observe(
     campaign: Sequence[Dataset],
     ground_truth: Mapping[str, PoiSet],
     params: ExtractionParams,
-    sweep: SweepConfig,
-    level: PrivacyLevel,
-) -> SweepResult:
-    """Mean recall for each swept observer distance threshold.
+    thresholds: Iterable[int],
+) -> dict[int, list[dict[str, PoiSet]]]:
+    """Per threshold, per run, the POI sets the observer extracts, keeping
+    min_time and min_pts and setting max_distance to the threshold.
 
-    The observer keeps min_time and min_pts unchanged and varies only
-    max_distance (the merge radius follows it proportionally). Recall is
-    averaged across users within a run, then across runs.
-
-    Extraction loops run -> user -> threshold: each obfuscated trace is
-    projected once and walked once per threshold
-    (:func:`~geopriv.poi.extract_pois_sweep`). The recalls are then summed
-    per threshold, per run, in eligible-user order, the same additions in
-    the same order as a threshold -> run -> user loop, so every row is
-    bit-identical to it. The POI sets at ``chosen_m`` are kept on the
-    result for :func:`evaluate`.
+    Only users with ground-truth POIs are observed, in sorted order. The
+    loops run -> user -> threshold: each obfuscated trace is projected once
+    and walked once per threshold (:func:`~geopriv.poi.extract_pois_sweep`).
+    :func:`evaluate` scores one threshold's runs, :func:`threshold_sweep` all.
     """
     eligible = _eligible_users(campaign, ground_truth)
-    thresholds = list(sweep.thresholds())
-    # per run: user -> one PoiSet per threshold
-    swept = [
-        {u: extract_pois_sweep(ds.traces[u], params, thresholds) for u in eligible}
-        for ds in campaign
-    ]
+    thresholds = list(thresholds)
+    observed = {thr: [{} for _ in campaign] for thr in thresholds}
+    for run, ds in enumerate(campaign):
+        for u in eligible:
+            for thr, poi_set in zip(thresholds, extract_pois_sweep(ds.traces[u], params, thresholds)):
+                observed[thr][run][u] = poi_set
+    return observed
 
+
+def _observed_users(observed: Sequence[Mapping[str, PoiSet]], ground_truth: Mapping[str, PoiSet]) -> list[str]:
+    """The users one threshold's runs observe, sorted. There must be a run,
+    and every run must observe the same users, at least one, each with
+    ground truth; what differs is refused by name."""
+    if not observed:
+        raise ValueError("no observed runs to evaluate")
+    users = sorted(observed[0])
+    if not users:
+        raise ValueError("observed run 0 observes no users")
+    for run, sets in enumerate(observed):
+        differ = sorted(set(users).symmetric_difference(sets))
+        if differ:
+            raise ValueError(f"observed run {run} differs from run 0 in users: {', '.join(differ)}")
+    missing = [u for u in users if u not in ground_truth]
+    if missing:
+        raise ValueError(f"observed users without ground truth: {', '.join(missing)}")
+    return users
+
+
+def threshold_sweep(
+    observed: Mapping[int, Sequence[Mapping[str, PoiSet]]],
+    ground_truth: Mapping[str, PoiSet],
+    recall_target: float,
+    level: PrivacyLevel,
+) -> SweepResult:
+    """Mean recall at each observed threshold, smallest first: averaged
+    across users within a run, in sorted user order, then across runs, as a
+    threshold -> run -> user loop adds them. Each threshold's runs are
+    refused as :func:`evaluate` refuses them."""
+    if not observed:
+        raise ValueError("no observed thresholds to sweep")
     rows = []
-    for k, threshold in enumerate(thresholds):
+    for threshold, runs in sorted(observed.items()):
+        users = _observed_users(runs, ground_truth)
         run_means = []
-        for sets in swept:
-            recalls = [
-                recall_of(remap(sets[u][k], ground_truth[u]), len(ground_truth[u]))
-                for u in eligible
-            ]
+        for sets in runs:
+            recalls = [recall_of(remap(sets[u], ground_truth[u]), len(ground_truth[u])) for u in users]
             run_means.append(sequential_sum(recalls) / len(recalls))
         rows.append((threshold, sequential_sum(run_means) / len(run_means)))
 
-    optimal = next((thr for thr, r in rows if r > sweep.recall_target), None)
+    optimal = next((thr for thr, r in rows if r > recall_target), None)
     best = max(rows, key=lambda row: (row[1], -row[0]))[0]
-    chosen = thresholds.index(optimal if optimal is not None else best)
-    return SweepResult(
-        epsilon=level.epsilon,
-        rows=tuple(rows),
-        optimal_m=optimal,
-        best_m=best,
-        chosen_pois=tuple({u: sets[u][chosen] for u in eligible} for sets in swept),
-    )
+    return SweepResult(epsilon=level.epsilon, rows=tuple(rows), optimal_m=optimal, best_m=best)
 
 
 def precision_summary(
@@ -364,24 +376,6 @@ def precision_summary(
     )
 
 
-def observe(
-    campaign: Sequence[Dataset],
-    ground_truth: Mapping[str, PoiSet],
-    params: ExtractionParams,
-    threshold_m: int,
-) -> list[dict[str, PoiSet]]:
-    """Per run, the POI sets the observer extracts at ``threshold_m``.
-
-    The observer keeps min_time and min_pts and sets max_distance to the
-    threshold. Only users with ground-truth POIs are observed, in sorted
-    order; :func:`threshold_sweep` keeps the same sets at its chosen
-    threshold as :attr:`SweepResult.chosen_pois`.
-    """
-    eligible = _eligible_users(campaign, ground_truth)
-    attack = replace(params, max_distance=float(threshold_m))
-    return [{u: extract_pois(ds.traces[u], attack) for u in eligible} for ds in campaign]
-
-
 def evaluate(
     observed: Sequence[Mapping[str, PoiSet]],
     ground_truth: Mapping[str, PoiSet],
@@ -392,24 +386,12 @@ def evaluate(
     """Score one privacy level's observed POI sets, one mapping per run.
 
     Produces per-user and per-pair rows, the mean recall and the mean
-    re-identification rate. There must be a run, and every run must observe
-    the same users, at least one, each with ground-truth POIs, as
-    :func:`observe` and :func:`threshold_sweep` do; a run whose users differ
-    from run 0's, or a user without ground truth, is refused by name.
+    re-identification rate. The runs must observe the same users, at least
+    one, each with ground-truth POIs, as one threshold's runs from
+    :func:`observe` do; others are refused by name, as
+    :func:`threshold_sweep` refuses them.
     """
-    if not observed:
-        raise ValueError("no observed runs to evaluate")
-    users = sorted(observed[0])
-    if not users:
-        raise ValueError("observed run 0 observes no users")
-    for run, sets in enumerate(observed):
-        differ = sorted(set(users).symmetric_difference(sets))
-        if differ:
-            raise ValueError(f"observed run {run} differs from run 0 in users: {', '.join(differ)}")
-    missing = [u for u in users if u not in ground_truth]
-    if missing:
-        raise ValueError(f"observed users without ground truth: {', '.join(missing)}")
-
+    users = _observed_users(observed, ground_truth)
     real_sets = {u: ground_truth[u] for u in users}
     results = [[remap(sets[u], real_sets[u]) for u in users] for sets in observed]
     semantic = iter(semantic_distances([r for run in results for r in run], store))
@@ -418,20 +400,19 @@ def evaluate(
     run_recalls: list[float] = []
     run_rates: list[float] = []
     for run, (sets, run_results) in enumerate(zip(observed, results)):
-        obf_sets = {u: sets[u] for u in users}
         recalls = []
         for u, result in zip(users, run_results):
             rec = recall_of(result, len(real_sets[u]))
             recalls.append(rec)
             user_rows.append(
-                UserRecallRow(u, level.epsilon, run, rec, len(real_sets[u]), len(obf_sets[u]))
+                UserRecallRow(u, level.epsilon, run, rec, len(real_sets[u]), len(sets[u]))
             )
             pair_rows.extend(
                 PairRow(u, level.epsilon, run, g, s)
                 for g, s in zip(geographic_distances(result), next(semantic))
             )
         run_recalls.append(sequential_sum(recalls) / len(recalls))
-        run_rates.append(reidentification_rate(real_sets, obf_sets))
+        run_rates.append(reidentification_rate(real_sets, sets))
 
     return EvaluationReport(
         user_rows=tuple(user_rows),
@@ -465,16 +446,19 @@ def evaluate(
 def run_experiment(
     dataset: Dataset, config: ExperimentConfig, store: FeatureStore
 ) -> EvaluationReport:
-    """The full study: ground truth, then per level a campaign, its sweep,
-    the scoring of the sweep's chosen POI sets and the precision summary."""
+    """The full study: ground truth, then per level a campaign, the
+    observer's POI sets at every swept threshold, the sweep of their
+    recalls, the scoring of the sets at its chosen threshold and the
+    precision summary."""
     ground_truth = extract_ground_truth(dataset, config.extraction)
     precision_seed = derive_seed(config.master_seed, "precision")
     reports, sweeps, precision_rows = [], [], []
     for level in config.levels:
         campaign = obfuscation_campaign(dataset, level, config.runs, config.master_seed)
-        sweep = threshold_sweep(campaign, ground_truth, config.extraction, config.sweep, level)
-        reports.append(evaluate(sweep.chosen_pois, ground_truth, level, sweep.chosen_m, store))
-        sweeps.append(replace(sweep, chosen_pois=None))
+        observed = observe(campaign, ground_truth, config.extraction, config.sweep.thresholds())
+        sweep = threshold_sweep(observed, ground_truth, config.sweep.recall_target, level)
+        reports.append(evaluate(observed[sweep.chosen_m], ground_truth, level, sweep.chosen_m, store))
+        sweeps.append(sweep)
         precision_rows.append(
             precision_summary(dataset, level, store, config.precision, precision_seed)
         )

@@ -13,11 +13,13 @@ Three trace sources are supported:
   interpreted as UTC).
 
 All three share one record reader and one malformed-record policy.
-Blank lines are skipped. A record that does not parse, falls before the
-epoch, exceeds int64, or has an out-of-range or NaN coordinate is counted
-and dropped; any count is logged, and more than ``MALFORMED_TOLERANCE`` of
-the non-blank lines makes the input corrupt. A user appears only through
-a valid record, and each trace is sorted stably by time.
+Every source is read line by line from the open file; a line ends at
+``\n``, ``\r`` or ``\r\n``. Blank lines are skipped. A record that does
+not parse, falls before the epoch, exceeds int64, or has an out-of-range
+or NaN coordinate is counted and dropped; any count is logged, and more
+than ``MALFORMED_TOLERANCE`` of the non-blank lines makes the input
+corrupt. A user appears only through a valid record, and each trace is
+sorted stably by time.
 
 The reader packs each record into its user's byte buffer as an int64
 timestamp and two float64 coordinates (a timestamp beyond int64 is stored
@@ -46,6 +48,7 @@ import struct
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
@@ -205,13 +208,20 @@ def write_canonical(dataset: Dataset, out: TextIO) -> int:
     return count
 
 
-def _file_lines(path: Path, kind: str) -> list[str] | None:
-    """The lines of a source file, or None, with a warning, when it cannot be read."""
+def _file_lines(path: Path, kind: str, header: int = 0) -> Iterator[str]:
+    """The lines of a source file after its first ``header`` lines, read
+    from the open file as they are needed; none, with a warning, when the
+    file cannot be opened or has fewer than ``header`` lines."""
     try:
-        return path.read_text(encoding="utf-8", errors="replace").splitlines()
+        fh = open(path, encoding="utf-8", errors="replace")
     except OSError as exc:
         logger.warning("skipping unreadable %s file %s: %s", kind, path, exc)
-        return None
+        return
+    with fh:
+        if sum(1 for _ in islice(fh, header)) < header:
+            logger.warning("skipping %s file with malformed header: %s", kind, path)
+            return
+        yield from fh
 
 
 def _cab_record(taxi: str, line: str) -> tuple[str, int, float, float]:
@@ -224,25 +234,21 @@ def parse_sfcabs(directory: str | Path) -> Dataset:
     such as the dataset's ``_cabs.txt`` index, are not read.
 
     Source files are reverse-chronological; traces come out ascending.
-    Unreadable files are skipped with a warning; malformed lines fall
-    under the module's one policy.
+    Files that cannot be opened are skipped with a warning; malformed
+    lines fall under the module's one policy.
     """
     directory = Path(directory)
     files = sorted(directory.glob("new_*.txt"))
     if not files:
         raise ValueError(f"no cab files found in {directory}")
-    groups = ((path.stem.removeprefix("new_"), _file_lines(path, "cab") or []) for path in files)
+    groups = ((path.stem.removeprefix("new_"), _file_lines(path, "cab")) for path in files)
     return _read_traces("cab", groups, _cab_record)
 
 
-def _plt_files(user_dirs: list[Path]) -> Iterator[tuple[str, list[str]]]:
+def _plt_files(user_dirs: list[Path]) -> Iterator[tuple[str, Iterator[str]]]:
     for user_dir in user_dirs:
         for path in sorted(user_dir.rglob("*.plt")):
-            lines = _file_lines(path, "PLT")
-            if lines is not None and len(lines) < 6:
-                logger.warning("skipping PLT file with malformed header: %s", path)
-            elif lines:
-                yield user_dir.name, lines[6:]
+            yield user_dir.name, _file_lines(path, "PLT", header=6)
 
 
 def _plt_record(user: str, line: str) -> tuple[str, int, float, float]:

@@ -73,9 +73,6 @@ class RandomSource:
             raise ValueError(f"seed must fit in 64 bits, got {seed!r}")
         self._gen = np.random.Generator(np.random.PCG64(seed))
 
-    def uniform(self) -> float:
-        return float(self._gen.random())
-
     def uniforms(self, n: int) -> np.ndarray:
         return self._gen.random(n)
 

@@ -49,8 +49,8 @@ step: an admission widens it by the new point, a pop rebuilds it from the
 surviving members, and an emission restarts it at the point that ended
 the stay. The projection does not depend on the parameters, so
 :func:`extract_pois_sweep` projects a trace once and walks it once per
-threshold; ``experiment.threshold_sweep`` calls it per (run, user), so
-the observer's sweep loops run -> user -> threshold. The walk returns
+threshold; ``experiment.observe`` calls it per (run, user), so the
+observer's extraction loops run -> user -> threshold. The walk returns
 each stay as the ``(start, end)`` span of its points, which
 ``_Projection.centroids`` turns into centroid columns for :func:`_cluster`.
 Only :func:`extract_stays` builds :class:`Stay` objects, and

@@ -409,7 +409,7 @@ def precision_summary_literal(dataset: Dataset, level, features, cfg, seed: int)
     rng = RandomSource(seed)
     values, empty = [], 0
     for _ in range(cfg.samples):
-        c = points[int(rng.uniform() * len(points))]
+        c = points[int(float(rng.uniforms(1)[0]) * len(points))]
         value, retrieved = precision_trial_literal(c, level, features, cfg.radius_m, cfg.alpha, rng, cfg.category)
         values.append(value)
         empty += retrieved == 0

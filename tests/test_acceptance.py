@@ -177,7 +177,7 @@ def test_acceptance_4_zero_noise_identity():
     level = PrivacyLevel.zero_noise()
     campaign = obfuscation_campaign(dataset, level, 2, 5)
     threshold = int(SYNTH_PARAMS.max_distance)
-    observed = observe(campaign, ground_truth, SYNTH_PARAMS, threshold)
+    observed = observe(campaign, ground_truth, SYNTH_PARAMS, [threshold])[threshold]
     report = replace(
         evaluate(observed, ground_truth, level, threshold, store),
         precision_rows=(
@@ -237,13 +237,9 @@ def test_acceptance_5_spatial_queries_exact():
 def test_acceptance_6_recall_trend(trend_world):
     dataset, ground_truth, _ = trend_world
     campaign = obfuscation_campaign(dataset, MEDIUM, 10, 123)
-    sweep = threshold_sweep(
-        campaign,
-        ground_truth,
-        SYNTH_PARAMS,
-        SweepConfig(min_m=100, max_m=3000, step_m=100),
-        MEDIUM,
-    )
+    cfg = SweepConfig(min_m=100, max_m=3000, step_m=100)
+    observed = observe(campaign, ground_truth, SYNTH_PARAMS, cfg.thresholds())
+    sweep = threshold_sweep(observed, ground_truth, cfg.recall_target, MEDIUM)
     thresholds = [row[0] for row in sweep.rows]
     recalls = [row[1] for row in sweep.rows]
     rho = stats.spearmanr(thresholds, recalls).statistic
@@ -266,7 +262,7 @@ def test_acceptance_7_privacy_monotonicity(trend_world):
     precisions = {}
     for level in (WEAK, STRONG):
         campaign = obfuscation_campaign(dataset, level, 10, 99)
-        observed = observe(campaign, ground_truth, SYNTH_PARAMS, threshold)
+        observed = observe(campaign, ground_truth, SYNTH_PARAMS, [threshold])[threshold]
         report = replace(
             evaluate(observed, ground_truth, level, threshold, store),
             precision_rows=(

@@ -24,6 +24,7 @@ from geopriv.experiment import (
     evaluate,
     extract_ground_truth,
     obfuscation_campaign,
+    observe,
     precision_summary,
     threshold_sweep,
     PrecisionConfig,
@@ -122,28 +123,20 @@ def _check_targets(n, name, dataset, truth, targets, store=None):
     for level in (STRONG, MEDIUM, WEAK):
         ref_thr, ref_recall, ref_reident = targets[level.epsilon]
         campaign = obfuscation_campaign(dataset, level, RUNS, MASTER_SEED)
-        sweep = threshold_sweep(
-            campaign,
-            truth,
-            PARAMS,
-            SweepConfig(min_m=max(100, ref_thr - 400), max_m=ref_thr + 300, step_m=100),
-            level,
-        )
+        cfg = SweepConfig(min_m=max(100, ref_thr - 400), max_m=ref_thr + 300, step_m=100)
+        observed = observe(campaign, truth, PARAMS, cfg.thresholds())
+        sweep = threshold_sweep(observed, truth, cfg.recall_target, level)
         thr_ok = sweep.reached and abs(sweep.optimal_m - ref_thr) <= 100
         if (id(targets), level.epsilon) in MAY_BE_UNREACHED and not sweep.reached:
             thr_ok = True
-        report = evaluate(sweep.chosen_pois, truth, level, sweep.chosen_m, store) if store else None
+        report = evaluate(observed[sweep.chosen_m], truth, level, sweep.chosen_m, store) if store else None
         if report is None:
             # distance metrics need a feature store; recall and linking do not
             from geopriv.metrics import recall_of, remap, reidentification_rate
-            from geopriv.poi import extract_pois
-            from dataclasses import replace
 
-            attack = replace(PARAMS, max_distance=float(sweep.chosen_m))
             eligible = {u: ps for u, ps in truth.items() if len(ps) > 0}
             recalls, rates = [], []
-            for ds in campaign:
-                obf = {u: extract_pois(ds.traces[u], attack) for u in eligible}
+            for obf in observed[sweep.chosen_m]:
                 recalls.append(
                     sum(recall_of(remap(obf[u], eligible[u]), len(eligible[u])) for u in eligible)
                     / len(eligible)

@@ -381,17 +381,17 @@ def test_sweep_extracts_with_the_settings_pois_recorded(world, tmp_path):
     for run in range(2):
         with open(campaign / f"run_{run:03d}.csv") as fh:
             runs.append(parse_canonical(fh))
-    result = experiment.threshold_sweep(
-        runs, ground_truth, ExtractionParams(min_time=900),
-        experiment.SweepConfig(min_m=1000, max_m=3000, step_m=1000), PrivacyLevel(0.00358),
-    )
+    cfg = experiment.SweepConfig(min_m=1000, max_m=3000, step_m=1000)
+
+    def library_sweep(params):
+        observed = experiment.observe(runs, ground_truth, params, cfg.thresholds())
+        return experiment.threshold_sweep(observed, ground_truth, cfg.recall_target, PrivacyLevel(0.00358))
+
+    result = library_sweep(ExtractionParams(min_time=900))
     with open(tmp_path / "library.csv", "w", newline="") as fh:
         experiment.write_sweep_csv([result], fh)
     assert out.read_text() == (tmp_path / "library.csv").read_text()
-    assert result.rows != experiment.threshold_sweep(
-        runs, ground_truth, ExtractionParams(),
-        experiment.SweepConfig(min_m=1000, max_m=3000, step_m=1000), PrivacyLevel(0.00358),
-    ).rows
+    assert result.rows != library_sweep(ExtractionParams()).rows
 
 
 @pytest.mark.parametrize("option", ["--min-time", "--min-pts"])

@@ -94,7 +94,7 @@ class TestThresholdSweep:
         truth = extract_ground_truth(dataset, PARAMS)
         campaign = obfuscation_campaign(dataset, PrivacyLevel.zero_noise(), 1, 0)
         cfg = SweepConfig(min_m=100, max_m=400, step_m=150, recall_target=0.7)
-        result = threshold_sweep(campaign, truth, PARAMS, cfg, MEDIUM)
+        result = threshold_sweep(observe(campaign, truth, PARAMS, cfg.thresholds()), truth, cfg.recall_target, MEDIUM)
         by_thr = dict(result.rows)
         assert by_thr[250] == 1.0
         assert by_thr[100] < 0.7
@@ -106,7 +106,7 @@ class TestThresholdSweep:
         truth = extract_ground_truth(dataset, PARAMS)
         campaign = obfuscation_campaign(dataset, MEDIUM, 2, 5)
         cfg = SweepConfig(min_m=100, max_m=200, step_m=100, recall_target=0.7)
-        result = threshold_sweep(campaign, truth, PARAMS, cfg, MEDIUM)
+        result = threshold_sweep(observe(campaign, truth, PARAMS, cfg.thresholds()), truth, cfg.recall_target, MEDIUM)
         assert not result.reached
         assert result.optimal_m is None
         assert result.best_m in (100, 200)
@@ -116,7 +116,36 @@ class TestThresholdSweep:
         dataset, _, _ = small_world
         campaign = obfuscation_campaign(dataset, MEDIUM, 1, 5)
         with pytest.raises(ValueError, match="ground truth"):
-            threshold_sweep(campaign, {}, PARAMS, SweepConfig(), MEDIUM)
+            threshold_sweep(observe(campaign, {}, PARAMS, SweepConfig().thresholds()), {}, 0.7, MEDIUM)
+
+    def test_scores_hand_built_observations(self):
+        # a has two real POIs, b one; each observed POI remaps to the real
+        # POI it sits on, so a run's recall per user counts the real POIs hit
+        a0, a1, b0 = (Poi(GeoPoint(lat, lon), 2) for lat, lon in ((45.0, 5.0), (45.1, 5.0), (46.0, 6.0)))
+        truth = {"a": PoiSet("a", (a0, a1)), "b": PoiSet("b", (b0,))}
+
+        def run(a, b):
+            return {"a": PoiSet("a", a), "b": PoiSet("b", b)}
+
+        observed = {
+            200: [run((a0, a1), (b0,)), run((a1,), (b0,))],  # (1 + 1) / 2, (1/2 + 1) / 2
+            100: [run((a0,), ()), run((a1, a0), (b0,))],  # (1/2 + 0) / 2, (1 + 1) / 2
+        }
+        result = threshold_sweep(observed, truth, 0.7, MEDIUM)
+        assert result.rows == ((100, 0.625), (200, 0.875))
+        assert (result.epsilon, result.optimal_m, result.best_m) == (MEDIUM.epsilon, 200, 200)
+        unreached = threshold_sweep(observed, truth, 0.9, MEDIUM)
+        assert (unreached.optimal_m, unreached.best_m) == (None, 200)
+
+    def test_no_thresholds_refused(self):
+        with pytest.raises(ValueError, match="no observed thresholds to sweep"):
+            threshold_sweep({}, {"a": PoiSet("a", (_POI,))}, 0.7, MEDIUM)
+
+    def test_threshold_whose_runs_differ_refused_as_evaluate_refuses(self):
+        truth = {u: PoiSet(u, (_POI,)) for u in "ab"}
+        observed = {100: [truth], 200: [truth, {"a": truth["a"]}]}
+        with pytest.raises(ValueError, match="observed run 1 differs from run 0 in users: b"):
+            threshold_sweep(observed, truth, 0.7, MEDIUM)
 
 
 def test_run_missing_users_rejected_by_name(small_world):
@@ -128,9 +157,9 @@ def test_run_missing_users_rejected_by_name(small_world):
     campaign[2] = Dataset(kept)
     message = "campaign run 2 lacks users that run 0 covers: u00, u03"
     with pytest.raises(ValueError, match=message):
-        threshold_sweep(campaign, truth, PARAMS, SweepConfig(1000, 2000, 1000), MEDIUM)
+        observe(campaign, truth, PARAMS, SweepConfig(1000, 2000, 1000).thresholds())
     with pytest.raises(ValueError, match=message):
-        observe(campaign, truth, PARAMS, 2000)
+        observe(campaign, truth, PARAMS, [2000])
 
 
 def test_ground_truth_users_missing_from_run_0_rejected_by_name(small_world):
@@ -142,15 +171,15 @@ def test_ground_truth_users_missing_from_run_0_rejected_by_name(small_world):
     campaign[0] = Dataset({u: tr for u, tr in campaign[0].traces.items() if u != "u02"})
     message = "campaign run 0 lacks users that have ground-truth POIs: u02, zz"
     with pytest.raises(ValueError, match=message):
-        threshold_sweep(campaign, truth, PARAMS, SweepConfig(1000, 2000, 1000), MEDIUM)
+        observe(campaign, truth, PARAMS, SweepConfig(1000, 2000, 1000).thresholds())
     with pytest.raises(ValueError, match=message):
-        observe(campaign, truth, PARAMS, 2000)
+        observe(campaign, truth, PARAMS, [2000])
 
 
 def test_evaluate_refuses_runs_observing_other_users(small_world):
     dataset, _, store = small_world
     truth = extract_ground_truth(dataset, PARAMS)
-    observed = observe(obfuscation_campaign(dataset, MEDIUM, 2, 5), truth, PARAMS, 2000)
+    observed = observe(obfuscation_campaign(dataset, MEDIUM, 2, 5), truth, PARAMS, [2000])[2000]
     observed[1] = {u: ps for u, ps in observed[1].items() if u != "u04"}
     with pytest.raises(ValueError, match="observed run 1 differs from run 0 in users: u04"):
         evaluate(observed, truth, MEDIUM, 2000, store)
@@ -177,7 +206,7 @@ class TestEvaluate:
         truth = extract_ground_truth(dataset, PARAMS)
         level = PrivacyLevel.zero_noise()
         campaign = obfuscation_campaign(dataset, level, 2, 0)
-        report = evaluate(observe(campaign, truth, PARAMS, 250), truth, level, 250, store)
+        report = evaluate(observe(campaign, truth, PARAMS, [250])[250], truth, level, 250, store)
         precision = precision_summary(
             dataset, level, store, PrecisionConfig(samples=25), derive_seed(0, "precision")
         )
@@ -191,7 +220,7 @@ class TestEvaluate:
         dataset, _, store = small_world
         truth = extract_ground_truth(dataset, PARAMS)
         campaign = obfuscation_campaign(dataset, MEDIUM, 2, 3)
-        report = evaluate(observe(campaign, truth, PARAMS, 2000), truth, MEDIUM, 2000, store)
+        report = evaluate(observe(campaign, truth, PARAMS, [2000])[2000], truth, MEDIUM, 2000, store)
         values, fractions = report.geo_cdf[MEDIUM.epsilon]
         assert list(values) == sorted(values)
         assert list(fractions) == sorted(fractions)
@@ -199,10 +228,10 @@ class TestEvaluate:
 
 
 class TestSweepReuse:
-    """run_experiment hands the sweep's POI sets at the chosen threshold to
-    evaluate; the reports must equal those of the public stage chain the
-    command line follows: sweep, then observe afresh at chosen_m, evaluate
-    and summarise precision."""
+    """run_experiment hands the POI sets observed for the sweep at the chosen
+    threshold to evaluate; the reports must equal those of the public stage
+    chain the command line follows: observe and sweep, then observe afresh
+    at chosen_m, evaluate and summarise precision."""
 
     @pytest.mark.parametrize("runs", [1, 2])
     @pytest.mark.parametrize(
@@ -226,9 +255,11 @@ class TestSweepReuse:
 
         truth = extract_ground_truth(dataset, PARAMS)
         campaign = obfuscation_campaign(dataset, MEDIUM, runs, config.master_seed)
-        sweep = threshold_sweep(campaign, truth, PARAMS, sweep_cfg, MEDIUM)
+        sweep = threshold_sweep(
+            observe(campaign, truth, PARAMS, sweep_cfg.thresholds()), truth, sweep_cfg.recall_target, MEDIUM
+        )
         assert sweep.reached == reached
-        observed = observe(campaign, truth, PARAMS, sweep.chosen_m)
+        observed = observe(campaign, truth, PARAMS, [sweep.chosen_m])[sweep.chosen_m]
         report = evaluate(observed, truth, MEDIUM, sweep.chosen_m, store)
         precision = precision_summary(
             dataset, MEDIUM, store, config.precision, derive_seed(config.master_seed, "precision")

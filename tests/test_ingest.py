@@ -139,6 +139,24 @@ class TestBoundedMemory:
         assert ds.users() == ["u0"] and ds.total_locations() == 100_000
         assert peak / 100_000 < bound
 
+    def test_cab_file_peak_per_point(self, tmp_path):
+        # One taxi's 100,000 records, newest first as in the source: the
+        # lines stream from the open file, so the peak is the canonical
+        # newest-first one. Reading the whole file as text and a list of
+        # lines first took about 164 B a point.
+        (tmp_path / "new_cab.txt").write_text("".join(
+            f"{37.7 + (i % 997) * 1e-5:.5f} {-122.4 - (i % 991) * 1.1e-5:.5f} {i % 2} {1_211_068_800 + 60 * i}\n"
+            for i in range(100_000)[::-1]
+        ))
+        tracemalloc.start()
+        try:
+            ds = parse_sfcabs(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.users() == ["cab"] and ds.total_locations() == 100_000
+        assert peak / 100_000 < 72
+
 
 class TestFreshColumns:
     """The columns of the traces the package builds are read-only and own

@@ -73,7 +73,6 @@ class TestRandomSource:
         a = RandomSource(123456789)
         b = RandomSource(123456789)
         assert a.uniforms(100).tolist() == b.uniforms(100).tolist()
-        assert a.uniform() == b.uniform()
 
     def test_rejects_out_of_range_seed(self):
         with pytest.raises(ValueError):
