@@ -13,25 +13,34 @@ Three trace sources are supported:
   interpreted as UTC).
 
 All three share one record reader and one malformed-record policy.
-Every source is read line by line from the open file; a line ends at
-``\n``, ``\r`` or ``\r\n``. Blank lines are skipped. A record that does
-not parse, falls before the epoch, exceeds int64, or has an out-of-range
-or NaN coordinate is counted and dropped; any count is logged, and more
-than ``MALFORMED_TOLERANCE`` of the non-blank lines makes the input
-corrupt. A user appears only through a valid record, and each trace is
-sorted stably by time.
+Every source is read from the open file in blocks of ``_BLOCK_LINES``
+stripped non-blank lines; a line ends at ``\n``, ``\r`` or ``\r\n``, and
+blank lines are skipped. One ``np.loadtxt`` call, numpy's C text reader,
+converts each canonical or SF-cab block. A block that it refuses or warns
+on, or that holds a character it reads unlike Python's ``int()`` and
+``float()`` (anything outside ASCII, and ``\x1c``-``\x1f``), is re-read
+line by line with ``int()`` and ``float()``, as every Geolife block is.
+What numpy accepts, they accept with the same value, so the line reader
+defines the policy: a record that does not parse, falls before the epoch,
+exceeds int64, or has an out-of-range or NaN coordinate is counted and
+dropped; any count is logged, and more than ``MALFORMED_TOLERANCE`` of
+the non-blank lines makes the input corrupt. A user appears only through
+a valid record, and each trace is sorted stably by time.
 
-The reader packs each record into its user's byte buffer as an int64
-timestamp and two float64 coordinates (a timestamp beyond int64 is stored
-as -1, which fails the epoch check). At the end it reads each buffer as
-numpy columns and releases the buffer once that user's columns are built.
+The reader appends each record to its user's byte buffer as an int64
+timestamp and two float64 coordinates (the line reader stores a
+timestamp beyond int64 as -1, which fails the epoch check). At the end
+it reads each buffer as numpy columns and releases the buffer once that
+user's columns are built.
 A user whose records are all valid and in time order, as in every file
 ``write_canonical`` writes, gets a copy of each column and nothing more;
 any other user's records are masked, sorted stably and gathered. So it
 holds 24 bytes a record, plus the buffers' over-allocation (about an
 eighth), however the users' records are interleaved; besides them it holds
 the columns it returns, 24 bytes a point, and for one user at a time the
-mask, order and gathered columns of the sort.
+mask, order and gathered columns of the sort. While it reads, it also
+holds one block: its lines, their joined text, numpy's rows and the
+block's users, about 140 kB for 50-character lines.
 ``write_canonical`` formats and writes ``_BLOCK_RECORDS`` rows at a time.
 
 Day-level filtering keeps, per user, only UTC calendar days with strictly
@@ -45,6 +54,7 @@ import csv
 import hashlib
 import logging
 import struct
+import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date
@@ -120,35 +130,49 @@ def _after_header(lines: Iterable[str] | TextIO, header: str, what: str) -> Iter
 # (user, t, lat, lon); raises ValueError when the line does not parse.
 _Split = Callable[[str, str], tuple[str, int, float, float]]
 
+# A source's block reader: (group's user, a block of stripped non-blank
+# lines) to the block's users in order of first appearance, its records as
+# _RECORD rows grouped by user in that order and each group in line order,
+# and each group's end row. It raises ValueError, or a warning, when
+# numpy's reader refuses any line; the block is then read line by line
+# with the source's _Split.
+_BlockReader = Callable[[str, list[str]], tuple[list[str], memoryview, list[int]]]
+
 # The reader's record, packed as bytes and read back as a numpy row.
 _pack_record = struct.Struct("=qdd").pack
 _RECORD = np.dtype([("t", "=i8"), ("lat", "=f8"), ("lon", "=f8")])
 
+# Stripped non-blank lines per block: the reader's transient text, rows
+# and users are bounded by one block, not by a user's trace.
+_BLOCK_LINES = 1024
 
-def _read_traces(source: str, groups: Iterable[tuple[str, Iterable[str]]], split: _Split) -> Dataset:
+# ASCII characters on which numpy's text reader and Python's int() and
+# float() part ways: numpy strips them as whitespace, Python refuses them.
+# Outside ASCII, numpy's integer parser also takes some letters.
+_NOT_FOR_NUMPY = "\x1c\x1d\x1e\x1f"
+
+
+def _loadtxt(block: list[str], text: str, **kwargs) -> np.ndarray:
+    """numpy's C text reader over ``block``, whose lines ``text`` joins,
+    with any warning raised as an error: numpy 1.x warns where it still
+    reads an int from ``'1.0'``."""
+    if not text.isascii() or any(c in text for c in _NOT_FOR_NUMPY):
+        raise ValueError("a character numpy reads unlike Python")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(block, comments=None, ndmin=1, **kwargs)
+
+
+def _read_traces(
+    source: str,
+    groups: Iterable[tuple[str, Iterable[str]]],
+    split: _Split,
+    read_block: _BlockReader | None = None,
+) -> Dataset:
     """The Dataset of the records in ``groups``, under the one
     malformed-record policy of the module docstring, each user's records
     packed into one buffer as they are read."""
-    buffers: dict[str, bytearray] = {}
-    total = 0
-    malformed = 0
-    for group, lines in groups:
-        for line in map(str.strip, lines):
-            if not line:
-                continue
-            total += 1
-            try:
-                user, t, lat, lon = split(group, line)
-            except ValueError:
-                malformed += 1
-                continue
-            buffer = buffers.get(user)
-            if buffer is None:
-                buffer = buffers[user] = bytearray()
-            try:
-                buffer += _pack_record(t, lat, lon)
-            except struct.error:  # beyond int64: -1 fails the epoch check
-                buffer += _pack_record(-1, lat, lon)
+    buffers, total, malformed = _pack(groups, split, read_block)
 
     traces = {}
     for user in list(buffers):
@@ -174,9 +198,69 @@ def _read_traces(source: str, groups: Iterable[tuple[str, Iterable[str]]], split
     return Dataset(traces)
 
 
+def _pack(
+    groups: Iterable[tuple[str, Iterable[str]]], split: _Split, read_block: _BlockReader | None
+) -> tuple[dict[str, bytearray], int, int]:
+    """Each user's records packed into one buffer, block by block, with the
+    count of non-blank lines and of the lines that did not parse."""
+    buffers: dict[str, bytearray] = {}
+    total = 0
+    malformed = 0
+    for group, lines in groups:
+        lines = filter(None, map(str.strip, lines))
+        while block := list(islice(lines, _BLOCK_LINES)):
+            total += len(block)
+            if read_block:
+                try:
+                    users, records, ends = read_block(group, block)
+                except (ValueError, Warning):  # read line by line below
+                    pass
+                else:
+                    start = 0
+                    for user, end in zip(users, ends):
+                        buffer = buffers.get(user)
+                        if buffer is None:
+                            buffer = buffers[user] = bytearray()
+                        buffer += records[start:end]
+                        start = end
+                    continue
+            for line in block:
+                try:
+                    user, t, lat, lon = split(group, line)
+                except ValueError:
+                    malformed += 1
+                    continue
+                buffer = buffers.get(user)
+                if buffer is None:
+                    buffer = buffers[user] = bytearray()
+                try:
+                    buffer += _pack_record(t, lat, lon)
+                except struct.error:  # beyond int64: -1 fails the epoch check
+                    buffer += _pack_record(-1, lat, lon)
+    return buffers, total, malformed
+
+
 def _canonical_record(_: str, line: str) -> tuple[str, int, float, float]:
     user, t, lat, lon = line.split(",")
     return user, int(t), float(lat), float(lon)
+
+
+def _canonical_block(_: str, block: list[str]) -> tuple[list[str], memoryview, list[int]]:
+    text = "\n".join(block)
+    records = _loadtxt(block, text, delimiter=",", usecols=(1, 2, 3), dtype=_RECORD)
+    # numpy's reader skips the user field and refuses a line without a
+    # fourth field, but not one with a fifth
+    if text.count(",") != 3 * len(block):
+        raise ValueError("a line with more than four fields")
+    # numpy's reader refuses a line break inside a line, so each "\n"
+    # starts one
+    prefix = block[0].partition(",")[0] + ","
+    if block[-1].startswith(prefix) and text.count("\n" + prefix) == len(block) - 1:
+        return [prefix[:-1]], memoryview(records), [len(block)]
+    index: dict[str, int] = {}
+    codes = np.array([index.setdefault(line.partition(",")[0], len(index)) for line in block])
+    records = records[np.argsort(codes, kind="stable")]
+    return list(index), memoryview(records), np.cumsum(np.bincount(codes)).tolist()
 
 
 def parse_canonical(lines: Iterable[str] | TextIO) -> Dataset:
@@ -186,7 +270,7 @@ def parse_canonical(lines: Iterable[str] | TextIO) -> Dataset:
     malformed lines makes the input corrupt.
     """
     body = _after_header(lines, CANONICAL_HEADER, "input")
-    return _read_traces("canonical", [("", body)], _canonical_record)
+    return _read_traces("canonical", [("", body)], _canonical_record, _canonical_block)
 
 
 def write_canonical(dataset: Dataset, out: TextIO) -> int:
@@ -229,6 +313,20 @@ def _cab_record(taxi: str, line: str) -> tuple[str, int, float, float]:
     return taxi, int(t), float(lat), float(lon)
 
 
+# A cab line's four fields as numpy's reader reads them: the record drops
+# the occupancy, but a block whose occupancy is not a float is read line
+# by line.
+_CAB_ROW = np.dtype([("lat", "=f8"), ("lon", "=f8"), ("occupancy", "=f8"), ("t", "=i8")])
+
+
+def _cab_block(taxi: str, block: list[str]) -> tuple[list[str], memoryview, list[int]]:
+    rows = _loadtxt(block, "\n".join(block), delimiter=None, dtype=_CAB_ROW)
+    records = np.empty(len(rows), dtype=_RECORD)
+    for name in _RECORD.names:
+        records[name] = rows[name]
+    return [taxi], memoryview(records), [len(records)]
+
+
 def parse_sfcabs(directory: str | Path) -> Dataset:
     """Load a directory of per-taxi files (``new_<id>.txt``); other files,
     such as the dataset's ``_cabs.txt`` index, are not read.
@@ -242,7 +340,7 @@ def parse_sfcabs(directory: str | Path) -> Dataset:
     if not files:
         raise ValueError(f"no cab files found in {directory}")
     groups = ((path.stem.removeprefix("new_"), _file_lines(path, "cab")) for path in files)
-    return _read_traces("cab", groups, _cab_record)
+    return _read_traces("cab", groups, _cab_record, _cab_block)
 
 
 def _plt_files(user_dirs: list[Path]) -> Iterator[tuple[str, Iterator[str]]]:

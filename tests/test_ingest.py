@@ -392,6 +392,118 @@ class TestOneReader:
         assert isinstance(result, str) or "z" not in result.traces
 
 
+def _with_block(block, read):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_BLOCK_LINES", block)
+        return read()
+
+
+def _around(line, at, n=99):
+    """``line`` at position ``at`` among ``n`` valid records of two users."""
+    lines = [f"{'ab'[i % 2]},{i},{i % 90},{i % 180}" for i in range(n)]
+    return [_HEADER] + lines[:at] + [line] + lines[at:]
+
+
+def _by_line(lines):
+    """parse_canonical without its block reader: the line-by-line path that
+    defines the malformed-record policy."""
+    body = ingest._after_header(lines, _HEADER, "input")
+    return ingest._read_traces("canonical", [("", body)], ingest._canonical_record)
+
+
+# Timestamps beyond int64 are malformed records to the package; the
+# oracle refuses the whole input over them (TestParseCanonical).
+_BEYOND_INT64 = [f"a,{2**63},1,1", f"a,{-(2**63) - 1},1,1"]
+
+# Lines that numpy's reader reads, refuses or reads otherwise than
+# int()/float(), where each must end as the line-by-line path has it.
+_EDGE_LINES = _BEYOND_INT64 + [
+    "garbage", "a,1,2", "a,1,2,3,4", "a,1,2,3,", "a,,1,1", "", "   ", "\t",
+    "a,1.0,1,1", "a,1_0,1,1", "a,5,1_0,1", "a,0x10,1,1",
+    'a,"5",1,1', " u1,5,1,1", "u1 ,5,1,1", " u1 , 5 , 1 , 1 ", "a,+5,1,1", "a,5,nan,1", "a,5,1,infinity",
+    "a,5\x1c,1,1", "a,5,1\x1f,1", "a,\u0665,1,1", "a,5\u01fe,1,1", "us\u00e9r,5,1,1", "a,1,1,1\rb,2,2,2",
+    "a,5,1,1\x00",
+]
+
+
+class TestBlockBoundaries:
+    """The reader reads blocks of _BLOCK_LINES lines with numpy's C reader
+    and re-reads a block it refuses line by line. With blocks of two or
+    three lines every kind of line sits first, last or alone in a block,
+    and the outcome is still the line-by-line oracle's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(line_soups(), st.sampled_from([2, 3]))
+    def test_soups_match_oracle(self, lines, block):
+        got = _with_block(block, lambda: _outcome(parse_canonical, "geopriv.ingest", lines))
+        assert got == _outcome(parse_canonical_literal, "oracles", lines)
+
+    @settings(max_examples=100, deadline=None)
+    @given(record_soups(), st.sampled_from([2, 3]))
+    def test_record_soups_match_oracle(self, entries, block):
+        canonical = [_HEADER] + [_render(user, r, "canonical") for user, r in entries]
+        per_user = defaultdict(list)
+        for user, record in entries:
+            per_user[user].append(record)
+        with tempfile.TemporaryDirectory() as tmp:
+            for user, records in per_user.items():
+                Path(tmp, f"new_{user}.txt").write_text("".join(_render(user, r, "cab") + "\n" for r in records))
+            cab = _with_block(block, lambda: _read_logged(lambda: parse_sfcabs(tmp)))
+        got = _with_block(block, lambda: _outcome(parse_canonical, "geopriv.ingest", canonical))
+        assert got == _outcome(parse_canonical_literal, "oracles", canonical)
+        assert cab == _read_logged(lambda: parse_canonical(iter(line + "\n" for line in canonical)))
+
+    @pytest.mark.parametrize("line", _EDGE_LINES)
+    def test_edge_line_first_last_or_alone(self, line):
+        for block, at in [(2, 0), (2, 1), (2, 2), (3, 0), (3, 2), (3, 3), (3, 5), (2, 99), (3, 99)]:
+            lines = _around(line, at)
+            got = _with_block(block, lambda: _outcome(parse_canonical, "geopriv.ingest", lines))
+            assert got == _outcome(_by_line, "geopriv.ingest", lines)
+            if line not in _BEYOND_INT64:
+                assert got == _outcome(parse_canonical_literal, "oracles", lines)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 1024])
+    @pytest.mark.parametrize("lines", [
+        # users straddle blocks and come back in later ones, out of time order
+        [_HEADER, "a,1,1,1", "a,2,2,2", "b,1,1,1", "a,3,3,3", "b,0,0,0", "c,7,7,7", "a,0,5,5", "b,9,9,9"],
+        # a whole block of blank lines between two blocks of one user
+        [_HEADER, "a,3,1,1", "a,1,1,1", "", "  ", "\t", "", "a,2,1,1", "a,0,1,1"],
+        # padded user fields name other users once stripped of the line's ends only
+        [_HEADER, " u1,1,1,1", "u1 ,2,2,2", "u1,3,3,3", "\tu1 ,4,4,4", " u1,0,0,0"],
+        # an underscore is a digit separator to int() and float(), not to numpy
+        [_HEADER, "a,1,1,1", "a,1_0,1,1", "a,2,1_5.5,1", "a,3,1,1"],
+    ])
+    def test_examples_match_oracle(self, lines, block):
+        got = _with_block(block, lambda: _outcome(parse_canonical, "geopriv.ingest", lines))
+        assert got == _outcome(parse_canonical_literal, "oracles", lines)
+
+    @pytest.mark.parametrize("block", [2, 3, 1024])
+    @pytest.mark.parametrize("line", [
+        "37.1 -122.1 x 5", "37.1 -122.1 0 1_0", "37.1 -122.1 0 1.0", "37.1 -122.1 0 5 9", "37.1 -122.1 0",
+        "37.1\t-122.1\x0b0 \x0c5", "37.1\x1c-122.1 0 5", "37.1 -122.1 0 \u0665", f"37.1 -122.1 0 {2**63}",
+    ])
+    def test_cab_line_matches_line_reader(self, tmp_path, line, block):
+        lines = [f"37.0 -122.0 {i % 2} {200 - i}" for i in range(199)]
+        lines.insert(block + 1, line)
+        (tmp_path / "new_x.txt").write_text("\n".join(lines) + "\n")
+        got = _with_block(block, lambda: _read_logged(lambda: parse_sfcabs(tmp_path)))
+        by_line = _read_logged(lambda: ingest._read_traces("cab", [("x", iter(lines))], ingest._cab_record))
+        assert got == by_line
+
+    def test_clean_blocks_skip_the_line_reader(self, tmp_path):
+        # numpy's reader reads input as write_canonical writes it, and as a
+        # cab file holds it; the line split is not even looked up
+        ds = parse_canonical(_csv(_HEADER, *[f"{'ab'[i // 1500]},{i},{i / 1e4!r},{-i / 1e4:.6f}" for i in range(3000)]))
+        (tmp_path / "new_x.txt").write_text("".join(f"37.{i} -122.{i} {i % 2} {3000 - i}\n" for i in range(3000)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_canonical_record", None)
+            mp.setattr(ingest, "_cab_record", None)
+            text = io.StringIO()
+            write_canonical(ds, text)
+            assert parse_canonical(io.StringIO(text.getvalue())) == ds
+            assert parse_sfcabs(tmp_path).total_locations() == 3000
+
+
 class TestWriteCanonical:
     def test_empty_dataset(self):
         buf = io.StringIO()
