@@ -15,17 +15,20 @@ Three trace sources are supported:
 All three share one record reader and one malformed-record policy.
 Every source is read from the open file in blocks of ``_BLOCK_LINES``
 stripped non-blank lines; a line ends at ``\n``, ``\r`` or ``\r\n``, and
-blank lines are skipped. One ``np.loadtxt`` call, numpy's C text reader,
-converts each canonical or SF-cab block. A block that it refuses or warns
-on, or that holds a character it reads unlike Python's ``int()`` and
-``float()`` (anything outside ASCII, and ``\x1c``-``\x1f``), is re-read
-line by line with ``int()`` and ``float()``, as every Geolife block is.
-What numpy accepts, they accept with the same value, so the line reader
-defines the policy: a record that does not parse, falls before the epoch,
-exceeds int64, or has an out-of-range or NaN coordinate is counted and
-dropped; any count is logged, and more than ``MALFORMED_TOLERANCE`` of
-the non-blank lines makes the input corrupt. A user appears only through
-a valid record, and each trace is sorted stably by time.
+blank lines are skipped. numpy's C text reader, ``np.loadtxt``, reads
+canonical and SF-cab blocks: one call a block where it accepts every
+line. It is not given a line that holds a character it reads unlike
+Python's ``int()`` and ``float()`` (anything outside ASCII, and
+``\x1c``-``\x1f``). A line it refuses or warns on goes to the line
+reader, ``int()`` and ``float()`` on the line's fields, and numpy goes on
+with the rest of the block (``_runs``); every Geolife line goes to the
+line reader. What numpy accepts, they accept with the same value, so the
+line reader defines the policy: a record that does not parse, falls
+before the epoch, exceeds int64, or has an out-of-range or NaN coordinate
+is counted and dropped; any count is logged, and more than
+``MALFORMED_TOLERANCE`` of the non-blank lines makes the input corrupt.
+A user appears only through a valid record, and each trace is sorted
+stably by time.
 
 The reader appends each record to its user's byte buffer as an int64
 timestamp and two float64 coordinates (the line reader stores a
@@ -39,8 +42,10 @@ holds 24 bytes a record, plus the buffers' over-allocation (about an
 eighth), however the users' records are interleaved; besides them it holds
 the columns it returns, 24 bytes a point, and for one user at a time the
 mask, order and gathered columns of the sort. While it reads, it also
-holds one block: its lines, their joined text, numpy's rows and the
-block's users, about 140 kB for 50-character lines.
+holds one block: its lines, their joined text, numpy's rows and, in a
+block of several users, each line's user and the rows grouped by user;
+for 35-character lines, 130 kB in a block of one user and 210 kB in one
+of several.
 ``write_canonical`` formats and writes ``_BLOCK_RECORDS`` rows at a time.
 
 Day-level filtering keeps, per user, only UTC calendar days with strictly
@@ -53,6 +58,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
+import re
 import struct
 import warnings
 from collections import defaultdict
@@ -126,17 +132,15 @@ def _after_header(lines: Iterable[str] | TextIO, header: str, what: str) -> Iter
     return it
 
 
-# A source's field split: (group's user, stripped non-blank line) to
+# A source's line reader: (group's user, stripped non-blank line) to
 # (user, t, lat, lon); raises ValueError when the line does not parse.
 _Split = Callable[[str, str], tuple[str, int, float, float]]
 
-# A source's block reader: (group's user, a block of stripped non-blank
-# lines) to the block's users in order of first appearance, its records as
-# _RECORD rows grouped by user in that order and each group in line order,
-# and each group's end row. It raises ValueError, or a warning, when
-# numpy's reader refuses any line; the block is then read line by line
-# with the source's _Split.
-_BlockReader = Callable[[str, list[str]], tuple[list[str], memoryview, list[int]]]
+# numpy's reader for a source: (group's user, stripped non-blank lines) to
+# their records as _RECORD rows and their users: one a line, or the one
+# user of every line. It raises ValueError, which names the row it refuses
+# where numpy does, or a warning.
+_Rows = Callable[[str, list[str]], tuple[np.ndarray, str | list[str]]]
 
 # The reader's record, packed as bytes and read back as a numpy row.
 _pack_record = struct.Struct("=qdd").pack
@@ -146,33 +150,46 @@ _RECORD = np.dtype([("t", "=i8"), ("lat", "=f8"), ("lon", "=f8")])
 # and users are bounded by one block, not by a user's trace.
 _BLOCK_LINES = 1024
 
+# The fewest lines numpy's reader is given at the start of a run: for
+# fewer, a refused call and a second call for the lines before the refused
+# one cost more than the line reader does.
+_MIN_RUN = 32
+
 # ASCII characters on which numpy's text reader and Python's int() and
 # float() part ways: numpy strips them as whitespace, Python refuses them.
 # Outside ASCII, numpy's integer parser also takes some letters.
 _NOT_FOR_NUMPY = "\x1c\x1d\x1e\x1f"
 
+# Where numpy's error names the row it refuses, last in its message: from 0
+# in a conversion error, from 1 in a wrong field count.
+_REFUSED_ROW = re.compile(r" at row (\d+)")
 
-def _loadtxt(block: list[str], text: str, **kwargs) -> np.ndarray:
-    """numpy's C text reader over ``block``, whose lines ``text`` joins,
-    with any warning raised as an error: numpy 1.x warns where it still
-    reads an int from ``'1.0'``."""
-    if not text.isascii() or any(c in text for c in _NOT_FOR_NUMPY):
-        raise ValueError("a character numpy reads unlike Python")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        return np.loadtxt(block, comments=None, ndmin=1, **kwargs)
+
+def _misread(text: str) -> bool:
+    """Whether ``text`` holds a character that numpy's reader reads unlike
+    int() and float()."""
+    return not text.isascii() or any(c in text for c in _NOT_FOR_NUMPY)
+
+
+def _refuse_misread(lines: list[str], text: str) -> None:
+    """Refuse, naming its row from 0, the first of ``lines`` (which ``text``
+    joins) that holds such a character."""
+    if _misread(text):
+        row = next(i for i, line in enumerate(lines) if _misread(line))
+        raise ValueError(f"a character numpy reads unlike int() and float() at row {row}")
 
 
 def _read_traces(
     source: str,
     groups: Iterable[tuple[str, Iterable[str]]],
     split: _Split,
-    read_block: _BlockReader | None = None,
+    rows: _Rows | None = None,
 ) -> Dataset:
     """The Dataset of the records in ``groups``, under the one
     malformed-record policy of the module docstring, each user's records
-    packed into one buffer as they are read."""
-    buffers, total, malformed = _pack(groups, split, read_block)
+    packed into one buffer as they are read. Without numpy's reader
+    ``rows`` every line goes to the line reader ``split``."""
+    buffers, total, malformed = _pack(groups, split, rows)
 
     traces = {}
     for user in list(buffers):
@@ -199,45 +216,109 @@ def _read_traces(
 
 
 def _pack(
-    groups: Iterable[tuple[str, Iterable[str]]], split: _Split, read_block: _BlockReader | None
+    groups: Iterable[tuple[str, Iterable[str]]], split: _Split, rows: _Rows | None
 ) -> tuple[dict[str, bytearray], int, int]:
     """Each user's records packed into one buffer, block by block, with the
     count of non-blank lines and of the lines that did not parse."""
-    buffers: dict[str, bytearray] = {}
+    buffers: defaultdict[str, bytearray] = defaultdict(bytearray)
     total = 0
     malformed = 0
     for group, lines in groups:
         lines = filter(None, map(str.strip, lines))
         while block := list(islice(lines, _BLOCK_LINES)):
             total += len(block)
-            if read_block:
-                try:
-                    users, records, ends = read_block(group, block)
-                except (ValueError, Warning):  # read line by line below
-                    pass
-                else:
-                    start = 0
-                    for user, end in zip(users, ends):
-                        buffer = buffers.get(user)
-                        if buffer is None:
-                            buffer = buffers[user] = bytearray()
-                        buffer += records[start:end]
-                        start = end
-                    continue
-            for line in block:
-                try:
-                    user, t, lat, lon = split(group, line)
-                except ValueError:
-                    malformed += 1
-                    continue
-                buffer = buffers.get(user)
-                if buffer is None:
-                    buffer = buffers[user] = bytearray()
-                try:
-                    buffer += _pack_record(t, lat, lon)
-                except struct.error:  # beyond int64: -1 fails the epoch check
-                    buffer += _pack_record(-1, lat, lon)
+            users, records, bad = _read_block(group, block, split, rows)
+            malformed += bad
+            if isinstance(users, str):
+                buffers[users] += records
+                continue
+            # one append per (user, block): the block's rows grouped by user
+            index: dict[str, int] = {}
+            codes = np.array([index.setdefault(user, len(index)) for user in users], dtype=np.intp)
+            grouped = memoryview(np.frombuffer(records, dtype=_RECORD)[np.argsort(codes, kind="stable")])
+            start = 0
+            for user, end in zip(index, np.cumsum(np.bincount(codes)).tolist()):
+                buffers[user] += grouped[start:end]
+                start = end
     return buffers, total, malformed
+
+
+def _read_block(
+    group: str, block: list[str], split: _Split, rows: _Rows | None
+) -> tuple[str | list[str], bytearray | memoryview, int]:
+    """Each record's user, or the one user of every record, the records of
+    ``block`` in line order packed as _RECORD rows, and the count of its
+    lines that did not parse."""
+    runs = _runs(group, block, rows) if rows else [(0, len(block), None)]
+    if len(runs) == 1 and runs[0][2] is not None:  # numpy read every line
+        got, users = runs[0][2]
+        return users, memoryview(got), 0
+    users = []
+    records = bytearray()
+    malformed = 0
+    for start, stop, run in runs:
+        if run is not None:
+            records += memoryview(run[0])
+            users += [run[1]] * (stop - start) if isinstance(run[1], str) else run[1]
+            continue
+        for line in block[start:stop]:
+            try:
+                user, t, lat, lon = split(group, line)
+            except ValueError:
+                malformed += 1
+                continue
+            users.append(user)
+            try:
+                records += _pack_record(t, lat, lon)
+            except struct.error:  # beyond int64: -1 fails the epoch check
+                records += _pack_record(-1, lat, lon)
+    if users and users.count(users[0]) == len(users):
+        return users[0], records, malformed
+    return users, records, malformed
+
+
+def _runs(
+    group: str, block: list[str], rows: _Rows
+) -> list[tuple[int, int, tuple[np.ndarray, str | list[str]] | None]]:
+    """``block`` covered in order by runs (start, stop, numpy's records and
+    users of block[start:stop]) and runs (start, stop, None) left to the
+    line reader.
+
+    numpy's reader is given the rest of the block, unless fewer than
+    ``_MIN_RUN`` lines remain. Where it refuses a row it names, the line
+    reader takes that row and the one before it, numpy reads the rows
+    before them again, and goes on after them. A refusal among the first
+    ``_MIN_RUN`` rows leaves the next ``_MIN_RUN`` rows to the line reader,
+    twice as many after each such refusal in a row, so a block of garbage
+    costs a handful of refused calls. A refusal that names no row leaves
+    the rest of the block to the line reader.
+    """
+    runs: list[tuple[int, int, tuple[np.ndarray, str | list[str]] | None]] = []
+    start, stop, skip = 0, len(block), _MIN_RUN
+    with warnings.catch_warnings():
+        # numpy 1.x warns where it still reads an int from '1.0'
+        warnings.simplefilter("error")
+        while len(block) - start >= _MIN_RUN:
+            try:
+                got = rows(group, block if stop - start == len(block) else block[start:stop])
+            except (ValueError, Warning) as exc:
+                found = _REFUSED_ROW.findall(str(exc))
+                row = int(found[-1]) if found else stop - start + 1
+                if row > stop - start:
+                    break
+                if row >= _MIN_RUN:
+                    stop = start + row - 1
+                else:
+                    runs.append((start, min(start + skip, len(block)), None))
+                    start, stop, skip = min(start + skip, len(block)), len(block), 2 * skip
+                continue
+            runs.append((start, stop, got))
+            if stop < len(block):  # the refused row, counted from 0 or from 1
+                runs.append((stop, min(stop + 2, len(block)), None))
+            start, stop, skip = min(stop + 2, len(block)), len(block), _MIN_RUN
+    if start < len(block):
+        runs.append((start, len(block), None))
+    return runs
 
 
 def _canonical_record(_: str, line: str) -> tuple[str, int, float, float]:
@@ -245,22 +326,19 @@ def _canonical_record(_: str, line: str) -> tuple[str, int, float, float]:
     return user, int(t), float(lat), float(lon)
 
 
-def _canonical_block(_: str, block: list[str]) -> tuple[list[str], memoryview, list[int]]:
-    text = "\n".join(block)
-    records = _loadtxt(block, text, delimiter=",", usecols=(1, 2, 3), dtype=_RECORD)
-    # numpy's reader skips the user field and refuses a line without a
-    # fourth field, but not one with a fifth
-    if text.count(",") != 3 * len(block):
-        raise ValueError("a line with more than four fields")
-    # numpy's reader refuses a line break inside a line, so each "\n"
-    # starts one
-    prefix = block[0].partition(",")[0] + ","
-    if block[-1].startswith(prefix) and text.count("\n" + prefix) == len(block) - 1:
-        return [prefix[:-1]], memoryview(records), [len(block)]
-    index: dict[str, int] = {}
-    codes = np.array([index.setdefault(line.partition(",")[0], len(index)) for line in block])
-    records = records[np.argsort(codes, kind="stable")]
-    return list(index), memoryview(records), np.cumsum(np.bincount(codes)).tolist()
+def _canonical_rows(_: str, lines: list[str]) -> tuple[np.ndarray, str | list[str]]:
+    text = "\n".join(lines)
+    _refuse_misread(lines, text)
+    records = np.loadtxt(lines, delimiter=",", usecols=(1, 2, 3), dtype=_RECORD, comments=None, ndmin=1)
+    # numpy refuses a line without a fourth field, but reads one with a fifth
+    if text.count(",") != 3 * len(lines):
+        row = next(i for i, line in enumerate(lines) if line.count(",") != 3)
+        raise ValueError(f"a line with more than four fields at row {row}")
+    # numpy refuses a line break inside a line, so each "\n" starts one
+    prefix = lines[0].partition(",")[0] + ","
+    if lines[-1].startswith(prefix) and text.count("\n" + prefix) == len(lines) - 1:
+        return records, prefix[:-1]
+    return records, [line.partition(",")[0] for line in lines]
 
 
 def parse_canonical(lines: Iterable[str] | TextIO) -> Dataset:
@@ -270,7 +348,7 @@ def parse_canonical(lines: Iterable[str] | TextIO) -> Dataset:
     malformed lines makes the input corrupt.
     """
     body = _after_header(lines, CANONICAL_HEADER, "input")
-    return _read_traces("canonical", [("", body)], _canonical_record, _canonical_block)
+    return _read_traces("canonical", [("", body)], _canonical_record, _canonical_rows)
 
 
 def write_canonical(dataset: Dataset, out: TextIO) -> int:
@@ -314,17 +392,18 @@ def _cab_record(taxi: str, line: str) -> tuple[str, int, float, float]:
 
 
 # A cab line's four fields as numpy's reader reads them: the record drops
-# the occupancy, but a block whose occupancy is not a float is read line
-# by line.
+# the occupancy, but numpy refuses a line whose occupancy is not a float,
+# and the line reader reads it.
 _CAB_ROW = np.dtype([("lat", "=f8"), ("lon", "=f8"), ("occupancy", "=f8"), ("t", "=i8")])
 
 
-def _cab_block(taxi: str, block: list[str]) -> tuple[list[str], memoryview, list[int]]:
-    rows = _loadtxt(block, "\n".join(block), delimiter=None, dtype=_CAB_ROW)
+def _cab_rows(taxi: str, lines: list[str]) -> tuple[np.ndarray, str | list[str]]:
+    _refuse_misread(lines, "\n".join(lines))
+    rows = np.loadtxt(lines, dtype=_CAB_ROW, comments=None, ndmin=1)
     records = np.empty(len(rows), dtype=_RECORD)
     for name in _RECORD.names:
         records[name] = rows[name]
-    return [taxi], memoryview(records), [len(records)]
+    return records, taxi
 
 
 def parse_sfcabs(directory: str | Path) -> Dataset:
@@ -340,7 +419,7 @@ def parse_sfcabs(directory: str | Path) -> Dataset:
     if not files:
         raise ValueError(f"no cab files found in {directory}")
     groups = ((path.stem.removeprefix("new_"), _file_lines(path, "cab")) for path in files)
-    return _read_traces("cab", groups, _cab_record, _cab_block)
+    return _read_traces("cab", groups, _cab_record, _cab_rows)
 
 
 def _plt_files(user_dirs: list[Path]) -> Iterator[tuple[str, Iterator[str]]]:

@@ -392,10 +392,18 @@ class TestOneReader:
         assert isinstance(result, str) or "z" not in result.traces
 
 
-def _with_block(block, read):
+def _with_block(size, read):
+    """read() with blocks of ``size[0]`` lines, of which numpy's reader is
+    given runs of at least ``size[1]``."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ingest, "_BLOCK_LINES", block)
+        mp.setattr(ingest, "_BLOCK_LINES", size[0])
+        mp.setattr(ingest, "_MIN_RUN", size[1])
         return read()
+
+
+# Small blocks put every kind of line first, last or alone in a block;
+# a few rows per numpy run put refusals before and after _MIN_RUN rows.
+_SIZES = [(2, 2), (3, 2), (8, 2), (16, 3)]
 
 
 def _around(line, at, n=99):
@@ -405,10 +413,23 @@ def _around(line, at, n=99):
 
 
 def _by_line(lines):
-    """parse_canonical without its block reader: the line-by-line path that
+    """parse_canonical without numpy's reader: the line reader that
     defines the malformed-record policy."""
     body = ingest._after_header(lines, _HEADER, "input")
     return ingest._read_traces("canonical", [("", body)], ingest._canonical_record)
+
+
+def _counting(mp, name):
+    """Replace ingest.<name> with a wrapper; returns its list of calls."""
+    calls = []
+    wrapped = getattr(ingest, name)
+
+    def count(*args):
+        calls.append(args)
+        return wrapped(*args)
+
+    mp.setattr(ingest, name, count)
+    return calls
 
 
 # Timestamps beyond int64 are malformed records to the package; the
@@ -416,10 +437,10 @@ def _by_line(lines):
 _BEYOND_INT64 = [f"a,{2**63},1,1", f"a,{-(2**63) - 1},1,1"]
 
 # Lines that numpy's reader reads, refuses or reads otherwise than
-# int()/float(), where each must end as the line-by-line path has it.
+# int()/float(), where each must end as the line reader has it.
 _EDGE_LINES = _BEYOND_INT64 + [
-    "garbage", "a,1,2", "a,1,2,3,4", "a,1,2,3,", "a,,1,1", "", "   ", "\t",
-    "a,1.0,1,1", "a,1_0,1,1", "a,5,1_0,1", "a,0x10,1,1",
+    "garbage", "a,1,2", "a,1,2,3,4", "a,1,2,3,", "a,,1,1", "a,", ",", "", "   ", "\t",
+    "a,1.0,1,1", "a,1_0,1,1", "a,5,1_0,1", "a,0x10,1,1", "a,5,1,1 at row 1",
     'a,"5",1,1', " u1,5,1,1", "u1 ,5,1,1", " u1 , 5 , 1 , 1 ", "a,+5,1,1", "a,5,nan,1", "a,5,1,infinity",
     "a,5\x1c,1,1", "a,5,1\x1f,1", "a,\u0665,1,1", "a,5\u01fe,1,1", "us\u00e9r,5,1,1", "a,1,1,1\rb,2,2,2",
     "a,5,1,1\x00",
@@ -427,20 +448,20 @@ _EDGE_LINES = _BEYOND_INT64 + [
 
 
 class TestBlockBoundaries:
-    """The reader reads blocks of _BLOCK_LINES lines with numpy's C reader
-    and re-reads a block it refuses line by line. With blocks of two or
-    three lines every kind of line sits first, last or alone in a block,
-    and the outcome is still the line-by-line oracle's."""
+    """The reader reads blocks of _BLOCK_LINES lines. numpy's C reader
+    reads each run of lines it accepts; the line reader reads the rows it
+    refuses, and the rows around a refusal it cannot place. However the
+    lines fall in blocks and runs, the outcome is the line reader's."""
 
     @settings(max_examples=200, deadline=None)
-    @given(line_soups(), st.sampled_from([2, 3]))
-    def test_soups_match_oracle(self, lines, block):
-        got = _with_block(block, lambda: _outcome(parse_canonical, "geopriv.ingest", lines))
+    @given(line_soups(), st.sampled_from(_SIZES))
+    def test_soups_match_oracle(self, lines, size):
+        got = _with_block(size, lambda: _outcome(parse_canonical, "geopriv.ingest", lines))
         assert got == _outcome(parse_canonical_literal, "oracles", lines)
 
     @settings(max_examples=100, deadline=None)
-    @given(record_soups(), st.sampled_from([2, 3]))
-    def test_record_soups_match_oracle(self, entries, block):
+    @given(record_soups(), st.sampled_from(_SIZES))
+    def test_record_soups_match_oracle(self, entries, size):
         canonical = [_HEADER] + [_render(user, r, "canonical") for user, r in entries]
         per_user = defaultdict(list)
         for user, record in entries:
@@ -448,21 +469,25 @@ class TestBlockBoundaries:
         with tempfile.TemporaryDirectory() as tmp:
             for user, records in per_user.items():
                 Path(tmp, f"new_{user}.txt").write_text("".join(_render(user, r, "cab") + "\n" for r in records))
-            cab = _with_block(block, lambda: _read_logged(lambda: parse_sfcabs(tmp)))
-        got = _with_block(block, lambda: _outcome(parse_canonical, "geopriv.ingest", canonical))
+            cab = _with_block(size, lambda: _read_logged(lambda: parse_sfcabs(tmp)))
+        got = _with_block(size, lambda: _outcome(parse_canonical, "geopriv.ingest", canonical))
         assert got == _outcome(parse_canonical_literal, "oracles", canonical)
         assert cab == _read_logged(lambda: parse_canonical(iter(line + "\n" for line in canonical)))
 
     @pytest.mark.parametrize("line", _EDGE_LINES)
-    def test_edge_line_first_last_or_alone(self, line):
-        for block, at in [(2, 0), (2, 1), (2, 2), (3, 0), (3, 2), (3, 3), (3, 5), (2, 99), (3, 99)]:
+    def test_edge_line_anywhere_in_a_block(self, line):
+        for size, at in [
+            ((2, 2), 0), ((2, 2), 1), ((2, 2), 2), ((3, 2), 0), ((3, 2), 2), ((3, 2), 3), ((3, 2), 5),
+            ((2, 2), 99), ((3, 2), 99), ((8, 2), 1), ((8, 2), 2), ((8, 2), 7), ((16, 3), 2), ((16, 3), 3),
+            ((16, 3), 4), ((16, 3), 15), ((16, 3), 17), ((1024, 32), 31), ((1024, 32), 33), ((1024, 32), 60),
+        ]:
             lines = _around(line, at)
-            got = _with_block(block, lambda: _outcome(parse_canonical, "geopriv.ingest", lines))
+            got = _with_block(size, lambda: _outcome(parse_canonical, "geopriv.ingest", lines))
             assert got == _outcome(_by_line, "geopriv.ingest", lines)
             if line not in _BEYOND_INT64:
                 assert got == _outcome(parse_canonical_literal, "oracles", lines)
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 1024])
+    @pytest.mark.parametrize("size", [(1, 2), *_SIZES, (1024, 32)])
     @pytest.mark.parametrize("lines", [
         # users straddle blocks and come back in later ones, out of time order
         [_HEADER, "a,1,1,1", "a,2,2,2", "b,1,1,1", "a,3,3,3", "b,0,0,0", "c,7,7,7", "a,0,5,5", "b,9,9,9"],
@@ -472,21 +497,24 @@ class TestBlockBoundaries:
         [_HEADER, " u1,1,1,1", "u1 ,2,2,2", "u1,3,3,3", "\tu1 ,4,4,4", " u1,0,0,0"],
         # an underscore is a digit separator to int() and float(), not to numpy
         [_HEADER, "a,1,1,1", "a,1_0,1,1", "a,2,1_5.5,1", "a,3,1,1"],
+        # a line break inside a line must not pass off "b" as "u"
+        [_HEADER, "u,1,1,1", "b,2,2,2", "u,3,3,3", "u,4,x,4", "z\nu,\nu,5", "u,6,6,6"],
     ])
-    def test_examples_match_oracle(self, lines, block):
-        got = _with_block(block, lambda: _outcome(parse_canonical, "geopriv.ingest", lines))
+    def test_examples_match_oracle(self, lines, size):
+        got = _with_block(size, lambda: _outcome(parse_canonical, "geopriv.ingest", lines))
         assert got == _outcome(parse_canonical_literal, "oracles", lines)
 
-    @pytest.mark.parametrize("block", [2, 3, 1024])
+    @pytest.mark.parametrize("size", [*_SIZES, (1024, 32)])
     @pytest.mark.parametrize("line", [
         "37.1 -122.1 x 5", "37.1 -122.1 0 1_0", "37.1 -122.1 0 1.0", "37.1 -122.1 0 5 9", "37.1 -122.1 0",
         "37.1\t-122.1\x0b0 \x0c5", "37.1\x1c-122.1 0 5", "37.1 -122.1 0 \u0665", f"37.1 -122.1 0 {2**63}",
     ])
-    def test_cab_line_matches_line_reader(self, tmp_path, line, block):
+    def test_cab_line_matches_line_reader(self, tmp_path, line, size):
         lines = [f"37.0 -122.0 {i % 2} {200 - i}" for i in range(199)]
-        lines.insert(block + 1, line)
+        lines.insert(size[0] + 1, line)
+        lines.insert(150, line)
         (tmp_path / "new_x.txt").write_text("\n".join(lines) + "\n")
-        got = _with_block(block, lambda: _read_logged(lambda: parse_sfcabs(tmp_path)))
+        got = _with_block(size, lambda: _read_logged(lambda: parse_sfcabs(tmp_path)))
         by_line = _read_logged(lambda: ingest._read_traces("cab", [("x", iter(lines))], ingest._cab_record))
         assert got == by_line
 
@@ -502,6 +530,41 @@ class TestBlockBoundaries:
             write_canonical(ds, text)
             assert parse_canonical(io.StringIO(text.getvalue())) == ds
             assert parse_sfcabs(tmp_path).total_locations() == 3000
+
+    @pytest.mark.parametrize("bad", [
+        "a,12x,1,1", "a,1,2", "a,1,2,3,4", "a,1.0,1,1", "garbage", "a,\u0665,1,1", "a,5,1,1 at row 5",
+    ])
+    def test_a_refused_line_leaves_its_block_to_numpy(self, bad):
+        # the line reader reads the refused row and at most the one before
+        # it, as numpy's error counts rows from 0 or from 1; numpy reads the
+        # rest of the block, with no row read twice by the line reader
+        lines = _around(bad, 500, n=1023)
+        with pytest.MonkeyPatch.context() as mp:
+            by_line = _counting(mp, "_canonical_record")
+            got = _outcome(parse_canonical, "geopriv.ingest", lines)
+        assert got == _outcome(parse_canonical_literal, "oracles", lines)
+        assert bad in [line for _, line in by_line] and len(by_line) <= 2
+
+    def test_scattered_refusals_leave_most_lines_to_numpy(self):
+        lines = [_HEADER] + [f"{'ab'[i % 2]},{i},{i % 90},{i % 180}" for i in range(3000)]
+        for at, bad in [(1, "a,x,1,1"), (2, "a,1"), (32, "a,1,1"), (33, "b,1,1,1,1"), (34, "garbage"), (500, "a,1,x"),
+                        (501, "b,1,1"), (1024, "a,,1,1"), (1025, "b,1,1,"), (2000, "a,1e3,1,1"), (3001, "b,2,3")]:
+            lines.insert(at, bad)
+        with pytest.MonkeyPatch.context() as mp:
+            by_line = _counting(mp, "_canonical_record")
+            got = _outcome(parse_canonical, "geopriv.ingest", lines)
+        assert got == _outcome(parse_canonical_literal, "oracles", lines)
+        assert len(by_line) < len(lines) / 10
+
+    def test_garbage_costs_few_refused_calls(self):
+        # after each refusal among a run's first rows the line reader takes
+        # twice as many rows before numpy is called again
+        lines = [_HEADER] + ["not,a,re,cord"] * 2048
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _counting(mp, "_canonical_rows")
+            got = _outcome(parse_canonical, "geopriv.ingest", lines)
+        assert got == _outcome(parse_canonical_literal, "oracles", lines)
+        assert len(calls) == 2 * 6  # rows 0, 32, 96, 224, 480 and 992 of each block
 
 
 class TestWriteCanonical:
