@@ -11,7 +11,7 @@ TimestampedLocation/GeoPoint objects and shares only the CSV header, the
 malformed-line tolerance and the trace model with
 ``ingest.parse_canonical``. ``fmt_degrees`` is the scalar rule for every
 coordinate the package writes, one round trip through ``float`` per value,
-which ``ingest._fmt_degrees`` decides for a whole column at once.
+which ``geopriv._digits`` decides for whole columns at once.
 ``offset`` is the scalar form of the noise step that ``mechanism.perturb`` applies to arrays; the synthetic test data
 is built with it. ``walk_unpruned`` is the stay walk as it was before it
 split the trace into segments, kept verbatim so that the pruned walk can be
@@ -553,6 +553,9 @@ def parse_canonical_literal(lines: Iterable[str]) -> Dataset:
                 int(parts[1]), GeoPoint(float(parts[2]), float(parts[3]))
             )
         except ValueError:
+            malformed += 1
+            continue
+        if loc.t >= 2**63:  # a trace holds int64 timestamps
             malformed += 1
             continue
         by_user[parts[0]].append(loc)

@@ -1,17 +1,19 @@
 import csv
 import io
 import logging
+import math
 import tempfile
 import tracemalloc
 from collections import defaultdict
 from datetime import datetime, timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from geopriv import ingest
+from geopriv import _digits, ingest
 from geopriv.core import Dataset, GeoPoint, MobilityTrace, TimestampedLocation
 from geopriv.ingest import (
     FEATURE_HEADER,
@@ -157,6 +159,46 @@ class TestBoundedMemory:
         assert ds.users() == ["cab"] and ds.total_locations() == 100_000
         assert peak / 100_000 < 72
 
+    @pytest.mark.parametrize("users", [1, 5_000])
+    def test_write_peak(self, users):
+        # 100,000 noisy points of one user or of 5,000, written into a sink
+        # that keeps no text. The f-string writer this one replaced peaked
+        # at 1.56 MB on the one-user input, the text of one block of 4,096
+        # rows, and at 0.05 MB on 5,000 users, whose blocks held one user
+        # each; the bound is 1.56 MB plus 15 %. The rows, their matrices
+        # and the kernel's arrays are held for one block of rows, across
+        # users: the text of the whole trace is 5.2 M characters.
+        points = 100_000 // users
+        rng = np.random.default_rng(28)
+        ds = Dataset({
+            f"u{u}": MobilityTrace.from_columns(
+                f"u{u}",
+                1_211_068_800 + 60 * np.arange(points),
+                np.round(rng.uniform(37.7, 37.8, points), 6) + rng.laplace(0, 0.003, points),
+                np.round(rng.uniform(-122.5, -122.4, points), 6) + rng.laplace(0, 0.003, points),
+            )
+            for u in range(users)
+        })
+        sink = _Sink()
+        tracemalloc.start()
+        try:
+            write_canonical(ds, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(sink.lengths) > 5_000_000
+        assert peak < 1.8e6
+
+
+class _Sink:
+    """A text sink that keeps the length of each write, not its text."""
+
+    def __init__(self):
+        self.lengths = []
+
+    def write(self, text):
+        self.lengths.append(len(text))
+
 
 class TestFreshColumns:
     """The columns of the traces the package builds are read-only and own
@@ -199,7 +241,7 @@ _BAD_LINES = st.one_of(
     st.sampled_from(["garbage", "a,1,2", "a,1,2,3,4", "a,,1,1", ",,,", "a,1,2,3,"]),
     st.tuples(
         st.sampled_from(["a", "z"]),  # "z" has no valid line
-        st.sampled_from(["-1", "-86400", "1.5", "nan", "abc", "", "1e3", str(2**63 - 1)]),
+        st.sampled_from(["-1", "-86400", "1.5", "nan", "abc", "", "1e3", str(2**63 - 1), str(2**63), str(10**20)]),
         st.sampled_from(["nan", "-nan", "inf", "-inf", "x", "90.0000001", "-91", "1e400", "45.0"]),
         st.sampled_from(["nan", "inf", "181", "-180.0000001", "y", "5.0"]),
     ).map(",".join),
@@ -432,13 +474,10 @@ def _counting(mp, name):
     return calls
 
 
-# Timestamps beyond int64 are malformed records to the package; the
-# oracle refuses the whole input over them (TestParseCanonical).
-_BEYOND_INT64 = [f"a,{2**63},1,1", f"a,{-(2**63) - 1},1,1"]
-
 # Lines that numpy's reader reads, refuses or reads otherwise than
 # int()/float(), where each must end as the line reader has it.
-_EDGE_LINES = _BEYOND_INT64 + [
+_EDGE_LINES = [
+    f"a,{2**63},1,1", f"a,{-(2**63) - 1},1,1",
     "garbage", "a,1,2", "a,1,2,3,4", "a,1,2,3,", "a,,1,1", "a,", ",", "", "   ", "\t",
     "a,1.0,1,1", "a,1_0,1,1", "a,5,1_0,1", "a,0x10,1,1", "a,5,1,1 at row 1",
     'a,"5",1,1', " u1,5,1,1", "u1 ,5,1,1", " u1 , 5 , 1 , 1 ", "a,+5,1,1", "a,5,nan,1", "a,5,1,infinity",
@@ -484,8 +523,7 @@ class TestBlockBoundaries:
             lines = _around(line, at)
             got = _with_block(size, lambda: _outcome(parse_canonical, "geopriv.ingest", lines))
             assert got == _outcome(_by_line, "geopriv.ingest", lines)
-            if line not in _BEYOND_INT64:
-                assert got == _outcome(parse_canonical_literal, "oracles", lines)
+            assert got == _outcome(parse_canonical_literal, "oracles", lines)
 
     @pytest.mark.parametrize("size", [(1, 2), *_SIZES, (1024, 32)])
     @pytest.mark.parametrize("lines", [
@@ -646,6 +684,66 @@ class TestWriteBlocks:
             assert write_canonical(ds, blocked) == ds.total_locations()
         assert blocked.getvalue() == whole.getvalue()
 
+    def test_blocks_span_users(self):
+        # blocks of 4 rows: a's trace crosses a block boundary, the second
+        # block holds the end of a, all of b and the start of c, and each
+        # block is one write; the bytes are the scalar rule's, row by row
+        columns = {
+            "a": ([0, 1, 2, 3, 4], [0.0, -0.5, 45.1234565, 2.0**-7, 1e-5], [180.0, -180.0, 5.1, -0.0234375, 1 + 2**-17]),
+            "b": ([2**63 - 1], [-89.99999999999999], [1.2345e-05]),
+            "c": ([7, 8, 9], [0.1, 0.30000000000000004, 1e-4], [-5e-324, 99.99999999999999, 10.0]),
+            "us\u00e9r 4": ([10, 10, 11, 12, 13, 14, 15], [1.5, -2.25, 3.0, 4.0, 5.0, 6.0, 7.0], [0.0] * 7),
+        }
+        ds = Dataset({user: MobilityTrace.from_columns(user, *cols) for user, cols in columns.items()})
+        reference = _HEADER + "\n" + "".join(
+            f"{user},{t},{fmt_degrees(lat)},{fmt_degrees(lon)}\n"
+            for user in ds.users()
+            for t, lat, lon in zip(*(getattr(ds.traces[user], c).tolist() for c in ("t", "lat", "lon")))
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_BLOCK_RECORDS", 4)
+            text, sink = io.StringIO(), _Sink()
+            assert write_canonical(ds, text) == write_canonical(ds, sink) == 16
+        assert text.getvalue() == reference
+        assert len(sink.lengths) == 1 + 4
+
+
+def _steps(x, n):
+    """The double ``n`` doubles above ``x`` (below for n < 0)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+@st.composite
+def _short_decimals(draw):
+    """A double from the decimal of 1 to 17 significant digits m * 10^x in
+    [1e-4, 180], with either sign: its shortest repr has at most as many."""
+    d = draw(st.integers(1, 17))
+    m = draw(st.integers(10 ** (d - 1), 10**d - 1))
+    e = draw(st.integers(-4, 2))
+    v = float(f"{m}e{e - d + 1}")
+    return draw(st.sampled_from([1.0, -1.0])) * (v if v <= 180 else float(f"{m}e{e - d}"))
+
+
+_SIGN = st.sampled_from([1.0, -1.0])
+# What the column path decides exactly, and what it leaves to the scalar
+# rule: powers of two, doubles around 10^k, values below 1e-4 (exponent
+# form), integral values, 1 to 17 significant digits, and runs of nines
+# whose rounding carries to 10^p.
+_KERNEL_CASES = st.one_of(
+    st.builds(lambda k, sign: sign * 2.0**k, st.integers(-40, 7), _SIGN),
+    st.builds(lambda k, n, sign: sign * _steps(float(f"1e{k}"), n), st.integers(-5, 2), st.integers(-3, 3), _SIGN),
+    st.floats(-1e-4, 1e-4),
+    st.sampled_from([5e-324, -5e-324]),
+    st.integers(-180, 180).map(float),
+    _short_decimals(),
+    st.builds(
+        lambda d, e, n, sign: sign * _steps(float("9" * d + f"e{e - d + 1}"), n),
+        st.integers(1, 17), st.integers(-4, 1), st.integers(-2, 2), _SIGN,
+    ),
+)
+
 
 class TestFormatDegrees:
     @settings(max_examples=200, deadline=None)
@@ -654,6 +752,40 @@ class TestFormatDegrees:
     def test_column_matches_scalar(self, values):
         column = np.array(values, dtype=np.float64)
         assert _fmt_degrees(column) == [fmt_degrees(v) for v in values]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_KERNEL_CASES, max_size=40))
+    @example([2.0**-7, -(2.0**-13), 0.0234375, 1 + 2**-17, 1.2345e-05, 5e-324, 9.999999999999999e-05, 1e-4])
+    @example([0.1, 0.30000000000000004, 179.99999999999997, 99.99999999999999, 0.09999999999999999, 1e-3])
+    def test_kernel_cases_match_scalar(self, values):
+        column = np.array(values, dtype=np.float64)
+        assert _fmt_degrees(column) == [fmt_degrees(v) for v in values]
+
+    def test_bulk_matches_scalar(self):
+        # 200,000 doubles over [-180, 180], and a noisy column as a campaign
+        # writes it: a trace on the six-decimal grid, obfuscated
+        rng = np.random.default_rng(2028)
+        n = 20_000
+        trace = MobilityTrace.from_columns(
+            "u", np.arange(n), np.round(rng.uniform(37.7, 37.8, n), 6), np.round(rng.uniform(-122.5, -122.4, n), 6)
+        )
+        noisy = obfuscate_trace(trace, PrivacyLevel(0.01), RandomSource(28))
+        for column in (rng.uniform(-180, 180, 200_000), noisy.lat, noisy.lon):
+            assert _fmt_degrees(column) == [fmt_degrees(v) for v in column.tolist()]
+
+    def test_each_fallback_is_reached(self):
+        # the scalar rule writes the values below 1e-4 (repr writes them
+        # with an exponent), beyond 180, powers of two and ties (0.0234375
+        # at six digits, 1 + 2^-17 at seventeen); the column path writes
+        # the doubles next to the last two kinds
+        fallback = [1.2345e-05, -5e-324, 200.123456789, -(2.0**-7), 2.0**-13, 0.0234375, 1 + 2**-17]
+        decided = [math.nextafter(v, math.inf) for v in fallback[3:]] + [0.1, math.nextafter(1e-4, 1)]
+        *_, rest, texts = _digits.degree_parts(np.array(fallback + decided))
+        assert rest[0].tolist() == list(range(len(fallback)))
+        assert texts == [fmt_degrees(v) for v in fallback]
+        assert _digits.shortest(np.array([0.0234375, 1 + 2**-17]))[2].all()
+        # each decade bound is 10^k rounded up, or exact
+        assert all(Fraction(d) >= Fraction(10) ** k for d, k in zip(_digits._DECADES.tolist(), range(-4, 3)))
 
 
 class TestRoundTripProperty:
