@@ -2,9 +2,10 @@
 
 1. :func:`extract_ground_truth`: each user's real POIs;
 2. :func:`obfuscation_campaign`: independently seeded obfuscated copies of
-   the dataset at one privacy level;
+   the dataset at one privacy level, each made when it is read and not kept;
 3. :func:`observe`: the observer's one extraction pass, its POI sets at
-   each given threshold;
+   each given threshold. It reads each run once and keeps only those sets,
+   so a study holds one noisy run at a time;
 4. :func:`threshold_sweep`: the smallest observed threshold clearing the
    recall target;
 5. :func:`evaluate` scores the POI sets observed at one threshold,
@@ -24,7 +25,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -223,45 +224,74 @@ def extract_ground_truth(dataset: Dataset, params: ExtractionParams) -> dict[str
     return {user: extract_pois(dataset.traces[user], params) for user in dataset.users()}
 
 
+class Campaign(Sequence[Dataset]):
+    """The runs of :func:`obfuscation_campaign`, read-only. A run is
+    obfuscated afresh from its derived seeds each time it is read, and is
+    not kept, so a reader that drops each run holds one at a time.
+
+    Two reads of a run are equal but not the same object. A campaign
+    equals any sequence of the same datasets, in either operand order.
+    """
+
+    def __init__(self, dataset: Dataset, level: PrivacyLevel, run_seeds: tuple[int, ...]):
+        self._dataset = dataset
+        self._level = level
+        self._run_seeds = run_seeds
+
+    def __len__(self) -> int:
+        return len(self._run_seeds)
+
+    def __getitem__(self, run: int) -> Dataset:
+        rseed = self._run_seeds[run]
+        return Dataset({
+            user: obfuscate_trace(
+                self._dataset.traces[user], self._level, RandomSource(derive_seed(rseed, f"user:{user}"))
+            )
+            for user in self._dataset.users()
+        })
+
+    def __iter__(self) -> Iterator[Dataset]:
+        # map keeps no run, where a generator's local would keep the last
+        # one while the next is made
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 def obfuscation_campaign(
     dataset: Dataset, level: PrivacyLevel, runs: int, master_seed: int
-) -> list[Dataset]:
-    """``runs`` independent obfuscations of the dataset.
+) -> Campaign:
+    """``runs`` independent obfuscations of the dataset, each made when it
+    is read (see :class:`Campaign`).
 
     Each run gets a seed derived from the master seed and its index, each
     user a stream derived from the run seed, so the campaign is
-    reproducible and independent of evaluation order.
+    reproducible and independent of evaluation order. The run count and
+    the master seed are checked here, before any run is read.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    campaign = []
-    for run in range(runs):
-        rseed = derive_seed(master_seed, f"run:{run}")
-        traces = {}
-        for user in dataset.users():
-            rng = RandomSource(derive_seed(rseed, f"user:{user}"))
-            traces[user] = obfuscate_trace(dataset.traces[user], level, rng)
-        campaign.append(Dataset(traces))
-    return campaign
+    return Campaign(dataset, level, tuple(derive_seed(master_seed, f"run:{run}") for run in range(runs)))
 
 
-def _eligible_users(campaign: Sequence[Dataset], ground_truth: Mapping[str, PoiSet]) -> list[str]:
-    """Users with ground-truth POIs, sorted.
-
-    Every run must cover them; a run that lacks some is refused by name
-    rather than failing on the first missing trace.
-    """
-    if not campaign:
-        raise ValueError("empty campaign")
-    eligible = sorted(u for u, ps in ground_truth.items() if len(ps) > 0)
-    if not eligible:
-        raise ValueError("empty ground truth: no user has POIs")
-    for run, ds in enumerate(campaign):
-        missing = [u for u in eligible if u not in ds.traces]
-        if missing:
-            covers = "run 0 covers" if run else "have ground-truth POIs"
-            raise ValueError(f"campaign run {run} lacks users that {covers}: {', '.join(missing)}")
-    return eligible
+def _observe_run(
+    run: int, ds: Dataset, eligible: Sequence[str], params: ExtractionParams, thresholds: Sequence[int]
+) -> dict[int, dict[str, PoiSet]]:
+    """One run's POI sets per threshold. The run must cover the eligible
+    users; one that lacks some is refused by name rather than failing on
+    the first missing trace."""
+    missing = [u for u in eligible if u not in ds.traces]
+    if missing:
+        covers = "run 0 covers" if run else "have ground-truth POIs"
+        raise ValueError(f"campaign run {run} lacks users that {covers}: {', '.join(missing)}")
+    sets = {thr: {} for thr in thresholds}
+    for u in eligible:
+        for thr, poi_set in zip(thresholds, extract_pois_sweep(ds.traces[u], params, thresholds)):
+            sets[thr][u] = poi_set
+    return sets
 
 
 def observe(
@@ -276,15 +306,22 @@ def observe(
     Only users with ground-truth POIs are observed, in sorted order. The
     loops run -> user -> threshold: each obfuscated trace is projected once
     and walked once per threshold (:func:`~geopriv.poi.extract_pois_sweep`).
+    Each run is read once, checked, observed and dropped before the next
+    is read, so a :class:`Campaign` is held one run at a time.
     :func:`evaluate` scores one threshold's runs, :func:`threshold_sweep` all.
     """
-    eligible = _eligible_users(campaign, ground_truth)
+    if not campaign:
+        raise ValueError("empty campaign")
+    eligible = sorted(u for u, ps in ground_truth.items() if len(ps) > 0)
+    if not eligible:
+        raise ValueError("empty ground truth: no user has POIs")
     thresholds = list(thresholds)
-    observed = {thr: [{} for _ in campaign] for thr in thresholds}
-    for run, ds in enumerate(campaign):
-        for u in eligible:
-            for thr, poi_set in zip(thresholds, extract_pois_sweep(ds.traces[u], params, thresholds)):
-                observed[thr][run][u] = poi_set
+    observed = {thr: [] for thr in thresholds}
+    # by index: enumerate's reused result tuple would keep the last run
+    # while the next is made
+    for run in range(len(campaign)):
+        for thr, sets in _observe_run(run, campaign[run], eligible, params, thresholds).items():
+            observed[thr].append(sets)
     return observed
 
 

@@ -55,3 +55,23 @@ def test_study_calls_every_timed_step(job, tmp_path):
     assert [step for step in job.EXPERIMENT_STEPS if f"experiment.{step}" not in names] == []
     sweeps = [span for span in tracer.spans if span[job.spans.NAME] == "experiment.threshold_sweep"]
     assert [span[job.spans.OUT] for span in sweeps] == [len(config.sweep.thresholds())]
+
+
+def test_traced_study_records_every_obfuscation(job, tmp_path):
+    # runs are made as observe reads them, inside run_experiment; the
+    # traced bench must still see one obfuscate_trace per (level, run, user)
+    dataset, _ = planted_dataset(n_users=2, n_pois=2, points_per_dwell=20, point_interval_s=60, seed=3)
+    store = FeatureStore.build(generate_synthetic_features(4, dataset_bounds(dataset, 2000), 5.0))
+    config = experiment.ExperimentConfig(
+        levels=experiment.DEFAULT_LEVELS[:2],
+        runs=3,
+        extraction=poi.ExtractionParams(min_time=900),
+        sweep=experiment.SweepConfig(min_m=200, max_m=400, step_m=200),
+        precision=experiment.PrecisionConfig(samples=2),
+    )
+    tracer = job.spans.Tracer()
+    with job.instrumented(tracer):
+        experiment.run_experiment(dataset, config, store)
+    spans = [span for span in tracer.spans if span[job.spans.NAME] == "mechanism.obfuscate_trace"]
+    assert len(spans) == len(config.levels) * config.runs * len(dataset.traces)
+    assert sum(span[job.spans.WORK] for span in spans) == len(config.levels) * config.runs * dataset.total_locations()

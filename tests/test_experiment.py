@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -87,6 +88,64 @@ class TestCampaign:
         with pytest.raises(ValueError):
             obfuscation_campaign(dataset, MEDIUM, 0, 1)
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_outside_64_bits_refused_when_built(self, small_world, seed):
+        # the run count too (test_run_count_validated): before any run is read
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            obfuscation_campaign(small_world[0], MEDIUM, 2, seed)
+
+    def test_a_run_is_made_anew_at_each_read(self, small_world):
+        campaign = obfuscation_campaign(small_world[0], MEDIUM, 2, 7)
+        first, again = campaign[1], campaign[1]
+        assert first == again and first is not again
+        assert first.traces["u00"] is not again.traces["u00"]
+
+    def test_indexing_as_a_sequence(self, small_world):
+        campaign = obfuscation_campaign(small_world[0], MEDIUM, 3, 7)
+        runs = list(campaign)
+        assert len(campaign) == len(runs) == 3
+        assert campaign[-1] == runs[2] and campaign[-3] == runs[0]
+        for past in (3, -4):
+            with pytest.raises(IndexError):
+                campaign[past]
+
+    def test_equals_the_list_of_its_runs_either_way(self, small_world):
+        campaign = obfuscation_campaign(small_world[0], MEDIUM, 3, 7)
+        runs = list(campaign)
+        assert campaign == runs and runs == campaign
+        assert not (campaign != runs) and not (runs != campaign)
+        assert campaign == tuple(runs) and tuple(runs) == campaign
+        for other in (runs[:2], runs[::-1], list(obfuscation_campaign(small_world[0], MEDIUM, 3, 8))):
+            assert campaign != other and other != campaign
+        assert campaign != small_world[0] and campaign != 3
+
+    def test_observing_more_runs_holds_no_more_memory(self):
+        # observe reads each run once and keeps only its POI sets, so the
+        # peak of 4 runs is that of 1; holding every run would add 3 runs'
+        # noisy latitude and longitude, 48 B a point. Allowed: one run's
+        # columns, 16 B a point, plus 4 B a point.
+        gen = np.random.Generator(np.random.PCG64(3))
+        n = 40_000
+        place = (np.arange(n) // 400) % 4
+        dataset = Dataset({
+            u: MobilityTrace.from_columns(
+                u, np.arange(n) * 60, 45.0 + 0.05 * place + gen.uniform(-5e-4, 5e-4, n),
+                5.0 + 0.01 * k + gen.uniform(-5e-4, 5e-4, n))
+            for k, u in enumerate(("u0", "u1"))
+        })
+        truth = {u: PoiSet(u, (_POI,)) for u in dataset.traces}
+
+        def peak(runs):
+            tracemalloc.start()
+            try:
+                observe(obfuscation_campaign(dataset, MEDIUM, runs, 1), truth, PARAMS, [500])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        points = dataset.total_locations()
+        assert peak(4) - peak(1) < (16 + 4) * points
+
 
 class TestThresholdSweep:
     def test_zero_noise_optimal_is_first_at_or_above_original(self, small_world):
@@ -152,7 +211,7 @@ def test_run_missing_users_rejected_by_name(small_world):
     # runs are loaded from separate files, so one may lack users run 0 has
     dataset, _, store = small_world
     truth = extract_ground_truth(dataset, PARAMS)
-    campaign = obfuscation_campaign(dataset, MEDIUM, 3, 5)
+    campaign = list(obfuscation_campaign(dataset, MEDIUM, 3, 5))
     kept = {u: tr for u, tr in campaign[2].traces.items() if u not in ("u00", "u03")}
     campaign[2] = Dataset(kept)
     message = "campaign run 2 lacks users that run 0 covers: u00, u03"
@@ -167,7 +226,7 @@ def test_ground_truth_users_missing_from_run_0_rejected_by_name(small_world):
     dataset, _, _ = small_world
     truth = extract_ground_truth(dataset, PARAMS)
     truth["zz"] = truth["u01"]
-    campaign = obfuscation_campaign(dataset, MEDIUM, 2, 5)
+    campaign = list(obfuscation_campaign(dataset, MEDIUM, 2, 5))
     campaign[0] = Dataset({u: tr for u, tr in campaign[0].traces.items() if u != "u02"})
     message = "campaign run 0 lacks users that have ground-truth POIs: u02, zz"
     with pytest.raises(ValueError, match=message):
